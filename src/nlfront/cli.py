@@ -4,7 +4,8 @@ Every command writes deterministic artifacts into --out together with the
 fully-resolved configuration; reruns with the same resolved config produce
 bit-identical files.  Exit codes: 0 success, 1 configuration/validation
 problems, 2 runtime failures (convergence, resource caps) with partial
-artifacts where available.
+artifacts where available, 3 when `verify` ran and a check failed
+(verify.json is still written).
 """
 
 from __future__ import annotations
@@ -163,7 +164,7 @@ def cmd_verify(scenario: ScenarioConfig, outdir: str) -> int:
         ok = ok and passed
     payload["passed"] = ok
     _write_json(os.path.join(outdir, "verify.json"), payload)
-    return 0
+    return 0 if ok else 3
 
 
 def _sweep_one(args):

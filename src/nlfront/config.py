@@ -10,11 +10,12 @@ from __future__ import annotations
 
 import copy
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .errors import ValidationError
 from .kernels import kernel_from_json
 from .reactions import reaction_from_json
+from .semiwave import SemiWaveConfig
 from .solver import ProblemSpec, SolverConfig, make_plateau, stability_budget
 
 __all__ = ["ScenarioConfig", "resolve_config", "default_config", "apply_overrides"]
@@ -29,20 +30,10 @@ _DEFAULTS = {
         "h0": 10.0,
         "u0": {"type": "plateau", "m": None, "ramp": 1.0},
     },
-    "solver": {
-        "dx": 0.05,
-        "dt": None,
-        "t_end": 10.0,
-        "log_every": None,
-        "snapshot_stride": 0,
-        "headroom": 4.0,
-        "max_nodes": 4_000_000,
-        "scheme": "euler",
-        "front_tol": 1e-9,
-    },
+    "solver": asdict(SolverConfig()),
     "semiwave": {
-        "dx": 0.02,
-        "L0": None,
+        "dx": SemiWaveConfig.dx,
+        "L0": SemiWaveConfig.L0,
         "minimal_speed": True,
         "stationary": False,
         "stationary_d": None,

@@ -21,11 +21,12 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize, signal
+from scipy import optimize
 
 from .errors import (ContractError, ConvergenceError, NoSemiWaveError,
                      NoTravelingWaveError, ValidationError)
 from .kernels import Kernel
+from .quadrature import FarFieldWindow
 
 __all__ = [
     "SemiWaveConfig",
@@ -51,7 +52,6 @@ class SemiWaveConfig:
     max_inner: int = 300_000
     c_rtol: float = 1e-9
     residual_tol: float = 1e-6
-    speed_tol: float = 1e-6
 
 
 @dataclass(frozen=True)
@@ -131,38 +131,15 @@ class MuCurve:
 # ---------------------------------------------------------------------------
 
 
-class _ProfileSolver:
+class _ProfileSolver(FarFieldWindow):
     def __init__(self, kernel: Kernel, reaction, d: float, L: float, dx: float):
-        self.kernel = kernel
+        super().__init__(kernel, L, dx, reaction.u_star)
         self.reaction = reaction
         self.d = d
-        self.dx = dx
-        self.n = int(round(L / dx))
-        self.L = self.n * dx
-        self.x = -self.L + dx * np.arange(self.n + 1)
-        self.u_star = reaction.u_star
-        r = kernel.support_radius()
-        reach = r if math.isfinite(r) else self.L
-        m = min(int(math.ceil(reach / dx)) + 1, self.n)
-        self.taps = kernel.taps(dx, m)
-        self.w = np.ones(self.n + 1)
-        self.w[0] = self.w[-1] = 0.5
-        # completion of int_{-inf}^{-L} J(x-y) u* dy, made consistent with the
-        # discrete row coverage so that phi == u* solves the far-field
-        # equation exactly (a sharp tail at -L would leave an O(J dx)
-        # defect where kernel jumps meet the window edge)
-        coverage = signal.convolve(self.w, self.taps, mode="same") * dx
-        comp = 1.0 - kernel.tail_mass(-self.x) - coverage
-        self.tail_vec = self.u_star * np.clip(comp, 0.0, None)
         self.kf = reaction.max_abs_fprime()
-        # flux weights: tail_mass(-x) against the trapezoid rule
-        self.flux_w = kernel.tail_mass(-self.x) * self.w * dx
-        self.flux_tail = self.u_star * kernel.tail_mass_integral(self.L) \
-            if math.isfinite(kernel.first_moment()) else 0.0
 
     def residual(self, phi, c):
-        conv = signal.convolve(phi * self.w, self.taps, mode="same",
-                               method="auto") * self.dx + self.tail_vec
+        conv = self.integral(phi)
         dphi = np.empty_like(phi)
         dphi[:-1] = np.diff(phi) / self.dx
         dphi[-1] = dphi[-2]
@@ -186,9 +163,6 @@ class _ProfileSolver:
         raise ConvergenceError(
             "semi-wave profile relaxation stagnated",
             diagnostics={"c": c, "delta": delta, "tau": tau, "L": self.L})
-
-    def flux(self, phi) -> float:
-        return float(np.dot(self.flux_w, phi)) + self.flux_tail
 
     def default_profile(self):
         width = max(2.0, 0.1 * self.L)
@@ -340,26 +314,16 @@ def stationary_profile(kernel: Kernel, reaction, d: float,
     dx = cfg.dx if cfg.dx is not None else min(scale / 8.0,
                                                (0.1 / kappa) if kappa else math.inf,
                                                L / 50.0)
-    n = int(round(L / dx))
-    L = n * dx
-    x = -L + dx * np.arange(n + 1)
-    r = kernel.support_radius()
-    reach = r if math.isfinite(r) else L
-    m = min(int(math.ceil(reach / dx)) + 1, n)
-    taps = kernel.taps(dx, m)
-    w = np.ones(n + 1)
-    w[0] = w[-1] = 0.5
-    coverage = signal.convolve(w, taps, mode="same") * dx
-    tail_vec = u_star * np.clip(1.0 - kernel.tail_mass(-x) - coverage, 0.0, None)
+    window = FarFieldWindow(kernel, L, dx, u_star)
+    x = window.x
     kf = reaction.max_abs_fprime()
     tau = 0.9 / (2.0 * d + kf)
 
-    u = np.full(n + 1, float(u_star))
+    u = np.full(len(x), float(u_star))
     it = 0
     settled_at = None
     for it in range(1, cfg.max_iter + 1):
-        conv = signal.convolve(u * w, taps, mode="same", method="auto") * dx + tail_vec
-        new = u + tau * (d * (conv - u) + reaction.f(u))
+        new = u + tau * (d * (window.integral(u) - u) + reaction.f(u))
         np.clip(new, 0.0, u_star, out=new)
         delta = float(np.max(np.abs(new - u)))
         u = new

@@ -10,9 +10,8 @@ fixed-domain  frozen domain [0, h0], sink d*j(x)*u
 
 The field lives on a uniform grid that grows with the front.  Fronts are
 continuous reals, never grid-snapped: the last quadrature cell [x_m, h]
-enters every integral with its exact triangular weight, and the kernel is
-sampled through cell averages of its closed-form cumulative tail, so a
-constant field convolves to itself without quadrature bias.
+enters every integral as a triangle (u falls linearly to zero at the
+front).  All integrals against J use ``quadrature``.
 """
 
 from __future__ import annotations
@@ -22,8 +21,8 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy import signal
 
+from . import quadrature
 from .errors import ContractError, ResourceError, ValidationError
 from .kernels import Kernel
 
@@ -191,32 +190,6 @@ def stability_budget(spec: ProblemSpec) -> float:
     return 0.5 / (2.0 * spec.d + kf)
 
 
-# ---------------------------------------------------------------------------
-# quadrature helpers shared by the engine and the point operators
-# ---------------------------------------------------------------------------
-
-
-def _front_cell(x0, dx, h):
-    """Index of the last node at or left of h, plus the partial-cell geometry."""
-    i = int(math.floor((h - x0) / dx + 1e-12))
-    x_last = x0 + i * dx
-    if x_last > h:
-        i -= 1
-        x_last -= dx
-    s = h - x_last
-    return i, x_last, s
-
-
-def _left_cell(x0, dx, g):
-    i = int(math.ceil((g - x0) / dx - 1e-12))
-    x_first = x0 + i * dx
-    if x_first < g:
-        i += 1
-        x_first += dx
-    s = x_first - g
-    return i, x_first, s
-
-
 class _Engine:
     """Owns the grid, taps and weights of one run; mutates one State."""
 
@@ -272,10 +245,7 @@ class _Engine:
 
     def _refresh_taps(self):
         n = len(self.state.u)
-        r = self.kernel.support_radius()
-        reach = r if math.isfinite(r) else n * self.dx
-        m = min(int(math.ceil(reach / self.dx)) + 1, n - 1)
-        self.taps = self.kernel.taps(self.dx, m)
+        self.taps = quadrature.taps(self.kernel, self.dx, n)
         x = self.state.x0 + self.dx * np.arange(n)
         if self.spec.variant in _HALFLINE_SINK:
             self.sink = self.spec.d * self.kernel.halfline_mass(np.maximum(x, 0.0))
@@ -306,67 +276,31 @@ class _Engine:
 
     # -- quadrature ----------------------------------------------------------
 
-    def _active_window(self, st: State):
-        """Active integration bounds (lo, hi) of the current variant."""
+    def _pieces(self, st: State) -> quadrature.Pieces:
+        """Trapezoid weights over the active nodes plus the partial front cells."""
         v = self.spec.variant
-        n = len(st.u)
-        right = st.x0 + (n - 1) * self.dx
-        if v == "halfline-fb":
-            return 0.0, st.h
-        if v == "twosided-fb":
-            return st.g, st.h
-        if v == "fixed-domain":
-            return 0.0, self.spec.h0
-        return st.x0, right
-
-    def _pieces(self, st: State):
-        """Trapezoid weights over active nodes plus the partial front cells."""
-        lo, hi = self._active_window(st)
-        n = len(st.u)
-        i_hi, x_hi, s_hi = _front_cell(st.x0, self.dx, min(hi, st.x0 + (n - 1) * self.dx))
-        i_lo, x_lo, s_lo = _left_cell(st.x0, self.dx, max(lo, st.x0))
-        w = np.zeros(n)
-        w[i_lo:i_hi + 1] = 1.0
-        w[i_lo] = 0.5
-        w[i_hi] = 0.5 if i_hi > i_lo else 0.0
-        cells = []
-        if self.spec.variant in _FRONT_VARIANTS and s_hi > 0.0 and i_hi >= 0:
-            # triangular cell [x_hi, h]: u falls linearly to 0 at the front
-            cells.append((s_hi * st.u[i_hi] / 2.0, x_hi + s_hi / 3.0))
-        if self.spec.variant == "twosided-fb" and s_lo > 0.0:
-            cells.append((s_lo * st.u[i_lo] / 2.0, x_lo - s_lo / 3.0))
-        return w, cells, (i_lo, i_hi)
-
-    def _convolve(self, wu: np.ndarray, cells) -> np.ndarray:
-        conv = signal.convolve(wu, self.taps, mode="same", method="auto") * self.dx
-        if cells:
-            x = self.state.x0 + self.dx * np.arange(len(wu))
-            for area, yc in cells:
-                if area != 0.0:
-                    conv += area * self.kernel.evaluate(x - yc)
-        return conv
+        lo, hi = {"halfline-fb": (0.0, st.h), "twosided-fb": (st.g, st.h),
+                  "fixed-domain": (0.0, self.spec.h0)}.get(v, (st.x0, math.inf))
+        return quadrature.pieces(st.x0, self.dx, st.u, lo, hi,
+                                 lo_end=0.0 if v == "twosided-fb" else None,
+                                 hi_end=0.0 if v in _FRONT_VARIANTS else None)
 
     def _rhs(self, st: State):
         spec = self.spec
-        w, cells, (i_lo, i_hi) = self._pieces(st)
-        wu = st.u * w
-        conv = self._convolve(wu, cells)
+        p = self._pieces(st)
+        wu = st.u * p.w
+        x = st.x0 + self.dx * np.arange(len(st.u))
+        conv = quadrature.window_integral(self.kernel, self.taps, self.dx, x, wu, p.cells)
         rate = spec.d * conv - self.sink * st.u + spec.reaction.f(st.u)
-        rate[:i_lo] = 0.0
-        rate[i_hi + 1:] = 0.0
+        rate[:p.i_lo] = 0.0
+        rate[p.i_hi + 1:] = 0.0
         flux_r = flux_l = 0.0
         if spec.variant in _FRONT_VARIANTS:
-            x = st.x0 + self.dx * np.arange(len(st.u))
-            sl = slice(i_lo, i_hi + 1)
-            tails = self.kernel.tail_mass(np.maximum(st.h - x[sl], 0.0))
-            flux_r = float(np.dot(tails, wu[sl])) * self.dx
-            for area, yc in cells:
-                flux_r += area * float(self.kernel.tail_mass(max(st.h - yc, 0.0)))
+            sl = slice(p.i_lo, p.i_hi + 1)
+            flux_r = quadrature.front_flux(self.kernel, st.h, x[sl], wu[sl], self.dx, p.cells)
             if spec.variant == "twosided-fb":
-                tails_l = self.kernel.tail_mass(np.maximum(x[sl] - st.g, 0.0))
-                flux_l = float(np.dot(tails_l, wu[sl])) * self.dx
-                for area, yc in cells:
-                    flux_l += area * float(self.kernel.tail_mass(max(yc - st.g, 0.0)))
+                flux_l = quadrature.front_flux(self.kernel, st.g, x[sl], wu[sl], self.dx,
+                                               p.cells, side=-1.0)
         return rate, flux_r, flux_l
 
     def _apply(self, st: State, rate, flux_r, flux_l, dt) -> State:
@@ -406,15 +340,14 @@ class _Engine:
         return x[idx[0]], x[idx[-1]]
 
     def observables(self, st: State):
-        w, cells, (i_lo, i_hi) = self._pieces(st)
-        wu = st.u * w
-        mass = float(np.sum(wu)) * self.dx + sum(area for area, _ in cells)
-        rint = float(np.sum(self.spec.reaction.f(st.u) * w)) * self.dx
-        for area, yc in cells:
-            # midpoint value of f on the triangular end cell, u falling to 0
-            i = i_hi if yc >= st.x0 + (i_lo + i_hi) * self.dx / 2.0 else i_lo
-            width = 2.0 * area / st.u[i] if st.u[i] > 0.0 else 0.0
-            rint += width * float(self.spec.reaction.f(st.u[i] / 2.0))
+        p = self._pieces(st)
+        wu = st.u * p.w
+        mass = float(np.sum(wu)) * self.dx + sum(c.area for c in p.cells)
+        rint = float(np.sum(self.spec.reaction.f(st.u) * p.w)) * self.dx
+        for c in p.cells:
+            # midpoint value of f on the partial end cell
+            width = c.area / c.mean if c.mean > 0.0 else 0.0
+            rint += width * float(self.spec.reaction.f(c.mean))
         sup = float(np.max(st.u)) if len(st.u) else 0.0
         fr = 0.0
         if self.spec.variant in _FRONT_VARIANTS:
@@ -527,87 +460,44 @@ def classify(log: TrajectoryLog, spec: ProblemSpec, *,
 # ---------------------------------------------------------------------------
 
 
+def _field_quadrature(u: Field, lo: float, hi: float):
+    """The stepper's quadrature of a sampled field on [lo, hi]: nodes, weighted
+    values and partial cells.  hi is a front; lo is the wall at x = 0 or a front."""
+    p = quadrature.pieces(u.x0, u.dx, u.values, lo, hi,
+                          lo_end=float(u.at(lo)) if lo == 0.0 else 0.0, hi_end=0.0)
+    sl = slice(p.i_lo, p.i_hi + 1)
+    return u.x[sl], (u.values * p.w)[sl], p.cells
+
+
 def nonlocal_operator(kernel: Kernel, u: Field, window: tuple, x: float,
                       d: float = 1.0, form: str = "halfline") -> float:
     """d * int_window J(x-y) u(y) dy - d * j(x) * u(x)  (or d*u for full-line).
 
-    Quadrature matches the solver: trapezoid on the field nodes inside the
-    window, exact triangular weight on the partial end cells.
+    The stepper's quadrature at one point (see ``quadrature``): trapezoid
+    nodes inside the window, cell averages of J, and a linear partial cell
+    where an end falls between nodes (u is zero at the front hi and at a
+    left front, the field's value at the wall lo = 0).  At a node of a
+    solver state this equals the stepper's rate minus f(u).
     """
     lo, hi = window
     if not (lo - 1e-12 <= x <= hi + 1e-12):
         raise ContractError(f"x = {x} lies outside the window {window}")
-    vals = _window_integral(kernel, u, lo, hi, np.asarray([x], dtype=float))[0]
+    y, wu, cells = _field_quadrature(u, lo, hi)
+    if len(y) == 0:
+        raise ContractError("window contains no field nodes")
+    val = quadrature.point_integral(kernel, x, y, wu, u.dx, cells)
     ux = float(u.at(x))
     j = float(kernel.halfline_mass(max(x, 0.0))) if form == "halfline" else 1.0
-    return d * vals - d * j * ux
-
-
-def _cell_avg_row(kernel: Kernel, z: np.ndarray, dx: float) -> np.ndarray:
-    """Cell averages of J over [z - dx/2, z + dx/2]: the taps, off-grid."""
-    z = np.asarray(z, dtype=float)
-
-    def cdf(v):
-        v = np.asarray(v, dtype=float)
-        return np.where(v >= 0.0, 1.0 - kernel.tail_mass(np.maximum(v, 0.0)),
-                        kernel.tail_mass(np.maximum(-v, 0.0)))
-
-    return (cdf(z + 0.5 * dx) - cdf(z - 0.5 * dx)) / dx
-
-
-def _window_integral(kernel: Kernel, u: Field, lo: float, hi: float,
-                     xq: np.ndarray) -> np.ndarray:
-    """int_lo^hi J(xq - y) u(y) dy for each query point."""
-    i_hi, x_hi, s_hi = _front_cell(u.x0, u.dx, hi)
-    i_lo, x_lo, s_lo = _left_cell(u.x0, u.dx, lo)
-    if i_hi < i_lo:
-        raise ContractError("window contains no field nodes")
-    w = np.zeros(len(u.values))
-    w[i_lo:i_hi + 1] = 1.0
-    w[i_lo] = 0.5
-    w[i_hi] = 0.5 if i_hi > i_lo else 0.0
-    wu = u.values * w
-    y = u.x
-    out = np.empty(len(xq))
-    for k, xk in enumerate(xq):
-        out[k] = float(np.dot(_cell_avg_row(kernel, xk - y[i_lo:i_hi + 1], u.dx),
-                              wu[i_lo:i_hi + 1])) * u.dx
-        if s_hi > 0.0:
-            u_edge = float(u.at(x_hi))
-            u_end = float(u.at(hi))
-            area = s_hi * 0.5 * (u_edge + u_end)
-            yc = x_hi + s_hi * (u_edge + 2.0 * u_end) / (3.0 * (u_edge + u_end)) \
-                if (u_edge + u_end) > 0 else x_hi + 0.5 * s_hi
-            out[k] += area * float(kernel.evaluate(xk - yc))
-        if s_lo > 0.0:
-            u_edge = float(u.at(x_lo))
-            u_end = float(u.at(lo))
-            area = s_lo * 0.5 * (u_edge + u_end)
-            yc = x_lo - s_lo * (u_edge + 2.0 * u_end) / (3.0 * (u_edge + u_end)) \
-                if (u_edge + u_end) > 0 else x_lo - 0.5 * s_lo
-            out[k] += area * float(kernel.evaluate(xk - yc))
-    return out
+    return d * val - d * j * ux
 
 
 def boundary_flux(kernel: Kernel, u: Field, h: float, lo: float = 0.0) -> float:
-    """The front double integral int_lo^h tail_mass(h - x) u(x) dx (no mu factor)."""
+    """The front double integral int_lo^h tail_mass(h - x) u(x) dx (no mu factor).
+
+    Same quadrature as the stepper: at a solver state it equals the
+    stepper's right-front flux.
+    """
     if np.any(u.values < -1e-12):
         raise ContractError("boundary_flux expects a nonnegative field")
-    i_hi, x_hi, s_hi = _front_cell(u.x0, u.dx, h)
-    i_lo, x_lo, s_lo = _left_cell(u.x0, u.dx, lo)
-    if i_hi < i_lo:
-        return 0.0
-    w = np.ones(i_hi - i_lo + 1)
-    w[0] = 0.5
-    if len(w) > 1:
-        w[-1] = 0.5
-    x = u.x[i_lo:i_hi + 1]
-    tails = kernel.tail_mass(np.maximum(h - x, 0.0))
-    val = float(np.dot(tails, u.values[i_lo:i_hi + 1] * w)) * u.dx
-    if s_hi > 0.0:
-        u_edge = float(u.at(x_hi))
-        u_end = float(u.at(h))
-        area = s_hi * 0.5 * (u_edge + u_end)
-        yc = x_hi + s_hi / 3.0 if u_end == 0.0 else x_hi + 0.5 * s_hi
-        val += area * float(kernel.tail_mass(max(h - yc, 0.0)))
-    return val
+    y, wu, cells = _field_quadrature(u, lo, h)
+    return quadrature.front_flux(kernel, h, y, wu, u.dx, cells) if len(y) else 0.0

@@ -19,12 +19,12 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy import signal
 
+from . import quadrature
 from .errors import ContractError, ValidationError
 from .kernels import AlgebraicTail, Kernel
 from .semiwave import SemiWaveSolution
-from .solver import Field, ProblemSpec, SolverConfig, TrajectoryLog, run
+from .solver import ProblemSpec, SolverConfig, TrajectoryLog, run
 
 __all__ = [
     "Lattice",
@@ -456,47 +456,19 @@ def _grid_for(fixture, t, lattice: Lattice, halve: bool = False):
     return dy * np.arange(nq + 1), dy
 
 
-def _conv_on_grid(fixture, t, y, dy):
-    """int_0^h J(x - z) u(t, z) dz at every node of the grid."""
-    kernel = fixture.kernel
-    vals = np.asarray(fixture.u_at(t, y), dtype=float)
-    w = np.ones(len(y))
-    w[0] = w[-1] = 0.5
-    r = kernel.support_radius()
-    span = y[-1] - y[0]
-    reach = r if math.isfinite(r) else span
-    m = min(int(math.ceil(reach / dy)) + 1, len(y) - 1)
-    conv = signal.convolve(vals * w, kernel.taps(dy, m), mode="same",
-                           method="auto") * dy
-    if y[0] > 1e-12:
-        # strip [0, y0) not covered by nodes: trapezoid of the closed form
-        u0 = float(fixture.u_at(t, 0.0))
-        u1 = float(fixture.u_at(t, y[0]))
-        area = y[0] * 0.5 * (u0 + u1)
-        conv += area * kernel.evaluate(y - 0.5 * y[0])
-    return vals, conv
-
-
-def _flux_quadrature(fixture, t, y, dy):
-    kernel = fixture.kernel
-    h = fixture.h_front(t)
-    vals = np.asarray(fixture.u_at(t, y), dtype=float)
-    w = np.ones(len(y))
-    w[0] = w[-1] = 0.5
-    tails = kernel.tail_mass(np.maximum(h - y, 0.0))
-    flux = float(np.dot(tails, vals * w)) * dy
-    if y[0] > 1e-12:
-        u0 = float(fixture.u_at(t, 0.0))
-        u1 = float(fixture.u_at(t, y[0]))
-        flux += y[0] * 0.5 * (u0 + u1) * float(kernel.tail_mass(h - 0.5 * y[0]))
-    return flux
-
-
 def _interior_margins(fixture, t, lattice, halve=False):
+    """Interior margins on the quadrature grid of time t, and the front flux."""
     y, dy = _grid_for(fixture, t, lattice, halve=halve)
-    vals, conv = _conv_on_grid(fixture, t, y, dy)
-    h = fixture.h_front(t)
-    j = fixture.kernel.halfline_mass(np.maximum(y, 0.0))
+    kernel = fixture.kernel
+    vals = np.asarray(fixture.u_at(t, y), dtype=float)
+    wu = vals * quadrature.trapezoid(len(y))
+    # the strip [0, y0) between the wall and the first node, u(t, 0) in closed form
+    strip = () if y[0] <= 1e-12 else (
+        quadrature.partial_cell(y[0], vals[0], 0.0, float(fixture.u_at(t, 0.0))),)
+    conv = quadrature.window_integral(kernel, quadrature.taps(kernel, dy, len(y)), dy,
+                                      y, wu, strip)
+    flux = quadrature.front_flux(kernel, fixture.h_front(t), y, wu, dy, strip)
+    j = kernel.halfline_mass(np.maximum(y, 0.0))
     rhs = fixture.d * conv - fixture.d * j * vals + fixture.reaction.f(vals)
     ut = np.asarray(fixture.u_t_at(t, y), dtype=float)
     margin = fixture.sense * (ut - rhs)
@@ -507,7 +479,7 @@ def _interior_margins(fixture, t, lattice, halve=False):
         near = np.abs(y - ridge) <= 0.75 * dy
         dropped += int(np.sum(near & keep))
         keep &= ~near
-    return y[keep], margin[keep], dy, dropped
+    return y[keep], margin[keep], dy, dropped, flux
 
 
 def verify_fixture(fixture, lattice: Lattice,
@@ -525,7 +497,7 @@ def verify_fixture(fixture, lattice: Lattice,
     shape_noise = 0.0
 
     for t in lattice.t_values:
-        ys, m_int, dy, dropped = _interior_margins(fixture, t, lattice)
+        ys, m_int, dy, dropped, flux = _interior_margins(fixture, t, lattice)
         if dropped:
             notes.append(f"t={t:g}: dropped {dropped} lattice points at the "
                          "non-smooth ridge")
@@ -538,13 +510,12 @@ def verify_fixture(fixture, lattice: Lattice,
             alg = fixture.algebraic_interior(t, ys)
             consistency = max(consistency, float(np.max(np.abs(alg - m_int))))
         else:
-            ys2, m2, _, _ = _interior_margins(fixture, t, lattice, halve=True)
+            ys2, m2, _, _, _ = _interior_margins(fixture, t, lattice, halve=True)
             ref = np.interp(ys, ys2, m2)
             shape_noise = max(shape_noise, float(np.max(np.abs(ref - m_int))))
 
         h = fixture.h_front(t)
         if fixture.has_front_check:
-            flux = _flux_quadrature(fixture, t, *_grid_for(fixture, t, lattice)[0:2])
             m_front = fixture.sense * (fixture.h_front_prime(t) - fixture.mu * flux)
             if fixture.kind in _WAVE_KINDS:
                 consistency = max(consistency,
@@ -595,7 +566,7 @@ def margin_field_csv(fixture, lattice: Lattice, path):
     with open(path, "w") as fh:
         fh.write("t,x,margin\n")
         for t in lattice.t_values:
-            ys, margins, _, _ = _interior_margins(fixture, t, lattice)
+            ys, margins, _, _, _ = _interior_margins(fixture, t, lattice)
             for x, m in zip(ys, margins):
                 fh.write(f"{t:.17g},{x:.17g},{m:.17g}\n")
 
@@ -623,8 +594,8 @@ def psi_inequality_check(P: Kernel, kappa1: float, kappa2: float, eps: float,
     """Smallest kappa so that int_0^k2 P(x-y) psi(y) dy >= (1-eps) psi(x)
     holds on [kappa, kappa2], with psi the plateau cutoff of width kappa1.
 
-    Found by a doubling search over [grid step, min(kappa1, kappa2-kappa1)]
-    followed by a scan refinement at grid resolution.
+    kappa_eps sits one grid step past the last node where the inequality
+    fails (0 when it holds everywhere).
     """
     if not (kappa2 > kappa1 > 0.0):
         raise ContractError("need kappa2 > kappa1 > 0")
@@ -635,21 +606,11 @@ def psi_inequality_check(P: Kernel, kappa1: float, kappa2: float, eps: float,
     dx = kappa2 / n
     x = dx * np.arange(n + 1)
     psi = np.minimum(1.0, (kappa2 - np.abs(x)) / kappa1)
-    w = np.ones(n + 1)
-    w[0] = w[-1] = 0.5
-    r = P.support_radius()
-    reach = r if math.isfinite(r) else kappa2
-    m = min(int(math.ceil(reach / dx)) + 1, n)
-    conv = signal.convolve(psi * w, P.taps(dx, m), mode="same", method="auto") * dx
+    conv = quadrature.convolve(psi * quadrature.trapezoid(n + 1),
+                               quadrature.taps(P, dx, n + 1), dx)
     margin = conv - (1.0 - eps) * psi
 
-    bad = margin < 0.0
-    cap = min(kappa1, kappa2 - kappa1)
-    k = dx
-    while k < cap and np.any(bad & (x >= k)):
-        k *= 2.0
-    # refine down to grid resolution
-    viol = np.nonzero(bad)[0]
+    viol = np.nonzero(margin < 0.0)[0]
     if len(viol) == 0:
         kappa_eps = 0.0
     else:

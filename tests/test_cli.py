@@ -109,6 +109,19 @@ def test_verify_command(tmp_path):
     assert payload["mass_flux"]["residual"] <= 1e-3
 
 
+def test_verify_failure_exit_3(tmp_path):
+    cfg = write_cfg(tmp_path, {
+        "problem": {"h0": 5.0},
+        "solver": {"dx": 0.1, "dt": 0.05, "t_end": 1.0, "log_every": 0.5},
+        "verify": {"checks": ["mass-flux"], "mass_flux_tol": 1e-30},
+    })
+    out = tmp_path / "ver"
+    assert main(["verify", "--config", cfg, "--out", str(out)]) == 3
+    payload = json.loads((out / "verify.json").read_text())
+    assert payload["passed"] is False
+    assert payload["mass_flux"]["residual"] > 1e-30
+
+
 def test_resource_cap_exit_2_with_partial_artifact(tmp_path, capsys):
     cfg = write_cfg(tmp_path, {"problem": {"h0": 10.0},
                                "solver": {"dx": 0.05, "dt": 0.05, "t_end": 40.0,

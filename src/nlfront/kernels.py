@@ -92,7 +92,7 @@ class Kernel:
         raise NotImplementedError
 
     def tail_mass_integral_between(self, s1, s2):
-        """``int_{s1}^{s2} tail_mass(z) dz`` (always finite)."""
+        """``int_{s1}^{s2} tail_mass(z) dz`` (always finite); s1, s2 may be arrays."""
         raise NotImplementedError
 
     def first_moment(self) -> float:
@@ -130,7 +130,7 @@ class Kernel:
 
     def partial_first_moment(self, s1: float, s2: float) -> float:
         """``int_{s1}^{s2} x J(x) dx`` via integration by parts (closed form)."""
-        if s2 < s1:
+        if np.any(np.less(s2, s1)):
             raise ValidationError("partial_first_moment needs s1 <= s2")
         t1, t2 = self.tail_mass(s1), self.tail_mass(s2)
         return s1 * t1 - s2 * t2 + self.tail_mass_integral_between(s1, s2)
@@ -256,12 +256,12 @@ class CompactUniform(Kernel):
 
     def tail_mass(self, s):
         s = np.asarray(s, dtype=float)
-        out = np.clip(self.r - s, 0.0, None) / (2.0 * self.r)
+        out = np.maximum(self.r - s, 0.0) / (2.0 * self.r)
         return out if out.ndim else float(out)
 
     def tail_mass_integral_between(self, s1, s2):
-        a = min(s1, self.r)
-        b = min(s2, self.r)
+        a = np.minimum(s1, self.r)
+        b = np.minimum(s2, self.r)
         # int (r-z)/(2r) dz = -(r-z)^2/(4r)
         return ((self.r - a) ** 2 - (self.r - b) ** 2) / (4.0 * self.r)
 
@@ -316,9 +316,9 @@ class CompactCosine(Kernel):
 
     def tail_mass_integral_between(self, s1, s2):
         a = self._a
-        lo, hi = min(s1, self.r), min(s2, self.r)
+        lo, hi = np.minimum(s1, self.r), np.minimum(s2, self.r)
         # int (1 - sin(a z))/2 dz = z/2 + cos(a z)/(2a)
-        f = lambda z: z / 2.0 + math.cos(a * z) / (2.0 * a)
+        f = lambda z: z / 2.0 + np.cos(a * z) / (2.0 * a)
         return f(hi) - f(lo)
 
     def _tail_integral_to_inf(self, s):
@@ -389,7 +389,7 @@ class AlgebraicTail(Kernel):
     def tail_mass_integral_between(self, s1, s2):
         g, a, c = self.gamma, self.a, self.c
         if g == 2.0:
-            return c * math.log((a + s2) / (a + s1))
+            return c * np.log((a + s2) / (a + s1))
         k = c / ((g - 1.0) * (2.0 - g))
         return k * ((a + s2) ** (2.0 - g) - (a + s1) ** (2.0 - g))
 
@@ -439,7 +439,7 @@ class LightExponential(Kernel):
 
     def tail_mass_integral_between(self, s1, s2):
         l0 = self.lambda0
-        return (math.exp(-l0 * s1) - math.exp(-l0 * s2)) / (2.0 * l0)
+        return (np.exp(-l0 * s1) - np.exp(-l0 * s2)) / (2.0 * l0)
 
     def _tail_integral_to_inf(self, s):
         return math.exp(-self.lambda0 * s) / (2.0 * self.lambda0)
@@ -503,27 +503,26 @@ class TruncatedKernel:
     def interaction_length(self, eps: float = 1e-3, cap: float = 1e6) -> float:
         return min(self.support_radius(), self.base.interaction_length(eps, cap))
 
-    def _tail_scalar(self, s: float) -> float:
-        n, b = self.n, self.base
-        if s >= 2.0 * n:
-            return 0.0
-        lo = max(s, n)
-        # taper band [lo, 2n]: integrand (2 - x/n) J(x)
-        band = 2.0 * (b.tail_mass(lo) - b.tail_mass(2.0 * n)) \
-            - b.partial_first_moment(lo, 2.0 * n) / n
-        if s < n:
-            band += b.tail_mass(s) - b.tail_mass(n)
-        return band
-
     def tail_mass(self, s):
         """``int_s^inf J_n``, closed form through base tails and partial moments."""
         s = np.asarray(s, dtype=float)
-        if s.ndim == 0:
-            return self._tail_scalar(float(s))
-        return np.array([self._tail_scalar(v) for v in s.ravel()]).reshape(s.shape)
+        n, b, top = self.n, self.base, 2.0 * self.n
+        lo = np.clip(s, n, top)
+        # taper band [max(s, n), 2n]: integrand (2 - x/n) J(x); plus [s, n] when s < n
+        out = 2.0 * (b.tail_mass(lo) - b.tail_mass(top)) - b.partial_first_moment(lo, top) / n
+        out = out + np.where(s < n, b.tail_mass(np.minimum(s, n)) - b.tail_mass(n), 0.0)
+        out = np.where(s >= top, 0.0, out)
+        return out if out.ndim else float(out)
+
+    def tail_mass_integral(self, s: float) -> float:
+        """``int_s^inf tail_mass(z) dz``; finite, since J_n vanishes past 2n."""
+        if s >= 2.0 * self.n:
+            return 0.0
+        val, _ = integrate.quad(self.tail_mass, s, 2.0 * self.n, limit=400)
+        return val
 
     def mass(self) -> float:
-        return 2.0 * self._tail_scalar(0.0)
+        return 2.0 * self.tail_mass(0.0)
 
     def mass_exact(self) -> float:
         return self.mass()

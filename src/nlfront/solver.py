@@ -244,13 +244,15 @@ class _Engine:
         self._refresh_taps()
 
     def _refresh_taps(self):
+        """Plan the convolution and lay out nodes and sink for the current grid."""
         n = len(self.state.u)
-        self.taps = quadrature.taps(self.kernel, self.dx, n)
-        x = self.state.x0 + self.dx * np.arange(n)
+        self.conv = quadrature.plan(self.kernel, self.dx, n)
+        self.x = self.state.x0 + self.dx * np.arange(n)
         if self.spec.variant in _HALFLINE_SINK:
-            self.sink = self.spec.d * self.kernel.halfline_mass(np.maximum(x, 0.0))
+            self.sink = self.spec.d * self.kernel.halfline_mass(np.maximum(self.x, 0.0))
         else:
             self.sink = np.full(n, self.spec.d)
+        self._cached_rhs = None
 
     def _grow(self, need_left: float, need_right: float):
         st = self.state
@@ -286,47 +288,54 @@ class _Engine:
                                  hi_end=0.0 if v in _FRONT_VARIANTS else None)
 
     def _rhs(self, st: State):
+        """Rate at every node (zero off the window) and the front fluxes.
+
+        The last evaluation is kept: a checkpoint's observables and the step
+        that follows it share one.
+        """
+        if self._cached_rhs is not None and self._cached_rhs[0] is st:
+            return self._cached_rhs[1]
         spec = self.spec
         p = self._pieces(st)
-        wu = st.u * p.w
-        x = st.x0 + self.dx * np.arange(len(st.u))
-        conv = quadrature.window_integral(self.kernel, self.taps, self.dx, x, wu, p.cells)
-        rate = spec.d * conv - self.sink * st.u + spec.reaction.f(st.u)
-        rate[:p.i_lo] = 0.0
-        rate[p.i_hi + 1:] = 0.0
+        sl = p.sl
+        u, x = st.u[sl], self.x[sl]
+        wu = u * p.w
+        rate = np.zeros(len(st.u))
+        rate[sl] = (spec.d * quadrature.window_integral(self.kernel, self.conv, x, wu, p.cells)
+                    - self.sink[sl] * u + spec.reaction.f(u))
         flux_r = flux_l = 0.0
         if spec.variant in _FRONT_VARIANTS:
-            sl = slice(p.i_lo, p.i_hi + 1)
-            flux_r = quadrature.front_flux(self.kernel, st.h, x[sl], wu[sl], self.dx, p.cells)
+            flux_r = quadrature.front_flux(self.kernel, st.h, x, wu, self.dx, p.cells)
             if spec.variant == "twosided-fb":
-                flux_l = quadrature.front_flux(self.kernel, st.g, x[sl], wu[sl], self.dx,
+                flux_l = quadrature.front_flux(self.kernel, st.g, x, wu, self.dx,
                                                p.cells, side=-1.0)
-        return rate, flux_r, flux_l
+        out = rate, flux_r, flux_l
+        self._cached_rhs = (st, out)
+        return out
 
     def _apply(self, st: State, rate, flux_r, flux_l, dt) -> State:
         spec = self.spec
         u = st.u + dt * rate
         h = st.h + dt * spec.mu * flux_r if spec.variant in _FRONT_VARIANTS else st.h
         g = st.g - dt * spec.mu * flux_l if spec.variant == "twosided-fb" else st.g
-        np.clip(u, 0.0, None, out=u)
+        np.maximum(u, 0.0, out=u)
         if spec.variant in _FRONT_VARIANTS:
-            x = st.x0 + self.dx * np.arange(len(u))
-            u[x >= h] = 0.0
+            u[self.x.searchsorted(h):] = 0.0                 # x >= h
             if spec.variant == "twosided-fb":
-                u[x <= g] = 0.0
+                u[:self.x.searchsorted(g, "right")] = 0.0    # x <= g
             else:
-                u[x < 0.0] = 0.0
+                u[:self.x.searchsorted(0.0)] = 0.0           # x < 0
         return State(t=st.t + dt, x0=st.x0, dx=st.dx, u=u, h=h, g=g)
 
-    def step_once(self):
+    def step_once(self, dt: float):
         st = self.state
         rate, fr, fl = self._rhs(st)
         if self.cfg.scheme == "rk2":
-            mid = self._apply(st, rate, fr, fl, 0.5 * self.dt)
+            mid = self._apply(st, rate, fr, fl, 0.5 * dt)
             rate2, fr2, fl2 = self._rhs(mid)
-            new = self._apply(st, rate2, fr2, fl2, self.dt)
+            new = self._apply(st, rate2, fr2, fl2, dt)
         else:
-            new = self._apply(st, rate, fr, fl, self.dt)
+            new = self._apply(st, rate, fr, fl, dt)
         self.state = new
 
     # -- logging --------------------------------------------------------------
@@ -336,14 +345,13 @@ class _Engine:
         idx = np.nonzero(st.u > self.front_floor)[0]
         if len(idx) == 0:
             return st.x0, st.x0
-        x = st.x0 + self.dx * np.arange(len(st.u))
-        return x[idx[0]], x[idx[-1]]
+        return self.x[idx[0]], self.x[idx[-1]]
 
     def observables(self, st: State):
         p = self._pieces(st)
-        wu = st.u * p.w
-        mass = float(np.sum(wu)) * self.dx + sum(c.area for c in p.cells)
-        rint = float(np.sum(self.spec.reaction.f(st.u) * p.w)) * self.dx
+        u = st.u[p.sl]
+        mass = float(np.sum(u * p.w)) * self.dx + sum(c.area for c in p.cells)
+        rint = float(np.sum(self.spec.reaction.f(u) * p.w)) * self.dx
         for c in p.cells:
             # midpoint value of f on the partial end cell
             width = c.area / c.mean if c.mean > 0.0 else 0.0
@@ -371,9 +379,12 @@ def run(spec: ProblemSpec, cfg: SolverConfig) -> TrajectoryLog:
         "u_star": spec.reaction.u_star, "ell": eng.ell,
         "kernel": spec.kernel.to_json(), "reaction": spec.reaction.to_json(),
     }
-    n_steps = int(round(cfg.t_end / eng.dt)) \
-        if abs(round(cfg.t_end / eng.dt) * eng.dt - cfg.t_end) < 1e-9 * max(cfg.t_end, 1.0) \
-        else int(math.ceil(cfg.t_end / eng.dt - 1e-12))
+    # t_end that is not a whole number of steps ends with one shorter step
+    n_steps = int(round(cfg.t_end / eng.dt))
+    last_dt = eng.dt
+    if abs(n_steps * eng.dt - cfg.t_end) >= 1e-9 * max(cfg.t_end, 1.0):
+        n_steps = int(math.ceil(cfg.t_end / eng.dt - 1e-12))
+        last_dt = cfg.t_end - (n_steps - 1) * eng.dt
     stride = 1
     if n_steps > 0:
         log_every = cfg.log_every if cfg.log_every is not None else max(cfg.t_end / 200.0, eng.dt)
@@ -404,7 +415,7 @@ def run(spec: ProblemSpec, cfg: SolverConfig) -> TrajectoryLog:
             else:
                 need_l, need_r = eng._effective_fronts(st)
             eng._grow(need_l, need_r)
-            eng.step_once()
+            eng.step_once(eng.dt if k < n_steps else last_dt)
             if k % stride == 0 or k == n_steps:
                 checkpoint(k)
     except ResourceError:
@@ -420,7 +431,7 @@ def step(spec: ProblemSpec, cfg: SolverConfig, state: State) -> State:
     eng = _Engine(spec, cfg)
     eng.state = state.copy()
     eng._refresh_taps()
-    eng.step_once()
+    eng.step_once(eng.dt)
     return eng.state
 
 
@@ -463,10 +474,13 @@ def classify(log: TrajectoryLog, spec: ProblemSpec, *,
 def _field_quadrature(u: Field, lo: float, hi: float):
     """The stepper's quadrature of a sampled field on [lo, hi]: nodes, weighted
     values and partial cells.  hi is a front; lo is the wall at x = 0 or a front."""
+    x = u.x
+    if not (lo <= x[-1] and hi >= x[0]):
+        raise ContractError(f"window ({lo}, {hi}) misses the field's nodes "
+                            f"[{x[0]}, {x[-1]}]")
     p = quadrature.pieces(u.x0, u.dx, u.values, lo, hi,
                           lo_end=float(u.at(lo)) if lo == 0.0 else 0.0, hi_end=0.0)
-    sl = slice(p.i_lo, p.i_hi + 1)
-    return u.x[sl], (u.values * p.w)[sl], p.cells
+    return x[p.sl], u.values[p.sl] * p.w, p.cells
 
 
 def nonlocal_operator(kernel: Kernel, u: Field, window: tuple, x: float,

@@ -465,7 +465,7 @@ def _interior_margins(fixture, t, lattice, halve=False):
     # the strip [0, y0) between the wall and the first node, u(t, 0) in closed form
     strip = () if y[0] <= 1e-12 else (
         quadrature.partial_cell(y[0], vals[0], 0.0, float(fixture.u_at(t, 0.0))),)
-    conv = quadrature.window_integral(kernel, quadrature.taps(kernel, dy, len(y)), dy,
+    conv = quadrature.window_integral(kernel, quadrature.plan(kernel, dy, len(y)),
                                       y, wu, strip)
     flux = quadrature.front_flux(kernel, fixture.h_front(t), y, wu, dy, strip)
     j = kernel.halfline_mass(np.maximum(y, 0.0))
@@ -606,8 +606,7 @@ def psi_inequality_check(P: Kernel, kappa1: float, kappa2: float, eps: float,
     dx = kappa2 / n
     x = dx * np.arange(n + 1)
     psi = np.minimum(1.0, (kappa2 - np.abs(x)) / kappa1)
-    conv = quadrature.convolve(psi * quadrature.trapezoid(n + 1),
-                               quadrature.taps(P, dx, n + 1), dx)
+    conv = quadrature.plan(P, dx, n + 1)(psi * quadrature.trapezoid(n + 1))
     margin = conv - (1.0 - eps) * psi
 
     viol = np.nonzero(margin < 0.0)[0]

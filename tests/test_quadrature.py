@@ -1,8 +1,14 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import nlfront
 from nlfront import quadrature
 from nlfront.kernels import AlgebraicTail, CompactCosine, CompactUniform, truncate
+from nlfront.errors import ContractError
 from nlfront.reactions import logistic
 from nlfront.solver import (Field, ProblemSpec, SolverConfig, _Engine, boundary_flux,
                             nonlocal_operator, run)
@@ -46,7 +52,7 @@ CASES = [
 
 @pytest.mark.parametrize("variant", ["halfline-fb", "twosided-fb"])
 @pytest.mark.parametrize("kernel,dx", CASES, ids=["uniform", "cosine", "algebraic", "truncated"])
-def test_stepper_matches_pointwise_operators(variant, kernel, dx):
+def test_stepper_matches_pointwise_operators(variant, kernel, dx, grown=False):
     reaction = logistic(1.0, 1.0)
     spec = ProblemSpec(variant=variant, kernel=kernel, reaction=reaction,
                        d=1.0, mu=1.0, h0=3.0)
@@ -57,6 +63,10 @@ def test_stepper_matches_pointwise_operators(variant, kernel, dx):
     eng = _Engine(spec, cfg)
     eng.state = st
     eng._refresh_taps()
+    if grown:
+        n, conv = len(st.u), eng.conv
+        eng._grow(eng.x[0], eng.x[-1])             # the run's growth rule, on both sides
+        assert len(st.u) > n and eng.conv is not conv
     rate, flux_r, _ = eng._rhs(st)
     p = eng._pieces(st)
     assert p.cells
@@ -68,3 +78,88 @@ def test_stepper_matches_pointwise_operators(variant, kernel, dx):
         op = nonlocal_operator(kernel, u, (lo, st.h), u.x[i], d=spec.d, form=form)
         assert rate[i] == pytest.approx(op + reaction.f(st.u[i]), rel=0.0, abs=1e-12)
     assert boundary_flux(kernel, u, st.h, lo) == pytest.approx(flux_r, rel=1e-12)
+
+
+@pytest.mark.parametrize("variant", ["halfline-fb", "twosided-fb"])
+@pytest.mark.parametrize("kernel,dx", CASES, ids=["uniform", "cosine", "algebraic", "truncated"])
+def test_stepper_matches_pointwise_operators_after_growth(variant, kernel, dx):
+    test_stepper_matches_pointwise_operators(variant, kernel, dx, grown=True)
+
+
+def _direct(v, tap_row, dx):
+    m = len(tap_row) // 2
+    return np.convolve(v, tap_row)[m:m + len(v)] * dx
+
+
+@pytest.mark.parametrize("n,k", [(400, 43), (400, 799), (50, 99), (3000, 401)],
+                         ids=["short", "window", "window-small", "long"])
+def test_convolution_plan_matches_direct(n, k):
+    rng = np.random.default_rng(k)
+    tap_row = rng.random(k)
+    conv = quadrature.Convolution(tap_row, n, 0.1)
+    assert (conv.nfft is None) == (k <= quadrature.DIRECT_MAX_TAPS)
+    v = rng.random(n)
+    ref = _direct(v, tap_row, 0.1)
+    assert np.max(np.abs(conv(v) - ref)) <= 1e-13 * np.max(np.abs(ref))
+    # a shorter signal (the active nodes of a wider grid) uses the same plan
+    assert np.max(np.abs(conv(v[:n // 3]) - _direct(v[:n // 3], tap_row, 0.1))) \
+        <= 1e-13 * np.max(np.abs(ref))
+
+
+def test_convolution_plan_is_rebuilt_on_growth():
+    # heavy tail: the taps span the window, so the plan is the cached rFFT
+    spec = ProblemSpec(variant="halfline-fb", kernel=AlgebraicTail(1.5, 1.0),
+                       reaction=logistic(1.0, 1.0), d=1.0, mu=1.0, h0=3.0)
+    eng = _Engine(spec, SolverConfig(dx=0.25, dt=0.05))
+    rng = np.random.default_rng(0)
+    for _ in range(2):
+        n, conv = len(eng.state.u), eng.conv
+        assert conv.nfft is not None and len(conv.taps) == 2 * n - 1
+        v = rng.random(n)
+        ref = _direct(v, conv.taps, eng.dx)
+        assert np.max(np.abs(conv(v) - ref)) <= 1e-13 * np.max(np.abs(ref))
+        eng._grow(0.0, eng.x[-1])
+        assert len(eng.state.u) > n and eng.conv is not conv
+
+
+def _tail_scalar(k, s: float) -> float:
+    """int_s^inf J_n for one s, in scalar arithmetic: the reference."""
+    n, b = k.n, k.base
+    if s >= 2.0 * n:
+        return 0.0
+    lo = max(s, n)
+    # taper band [lo, 2n]: integrand (2 - x/n) J(x)
+    band = 2.0 * (b.tail_mass(lo) - b.tail_mass(2.0 * n)) \
+        - b.partial_first_moment(lo, 2.0 * n) / n
+    if s < n:
+        band += b.tail_mass(s) - b.tail_mass(n)
+    return band
+
+
+def test_truncated_tail_mass_vectorized_matches_scalar():
+    # array and scalar powers may round apart in the last bit
+    for base in (AlgebraicTail(1.5, 1.0), AlgebraicTail(2.0, 1.0), CompactCosine(3.0)):
+        k = truncate(base, 4.0)
+        s = np.concatenate([np.linspace(0.0, 12.0, 1201), [4.0, 8.0]])
+        scalar = np.array([_tail_scalar(k, float(v)) for v in s])
+        assert np.max(np.abs(k.tail_mass(s) - scalar)) <= 1e-15
+        assert all(abs(k.tail_mass(v) - r) <= 1e-15 for v, r in zip(s[::50], scalar[::50]))
+        assert k.tail_mass(np.array([8.0, 9.0])).tolist() == [0.0, 0.0]
+
+
+def test_window_off_the_field_is_a_contract_error():
+    u = Field(0.0, 0.05, np.ones(10))
+    with pytest.raises(ContractError):
+        nonlocal_operator(CompactUniform(1.0), u, (5.0, 6.0), 5.5)
+    with pytest.raises(ContractError):
+        boundary_flux(CompactUniform(1.0), u, 6.0, lo=5.0)
+    with pytest.raises(ContractError):
+        boundary_flux(CompactUniform(1.0), Field(1.0, 0.05, np.ones(10)), 0.5)
+
+
+def test_cli_import_leaves_scipy_signal_unloaded():
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(nlfront.__file__)))
+    code = "import nlfront.cli, sys; print('scipy.signal' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "False"

@@ -5,7 +5,7 @@ import pytest
 
 from nlfront.errors import (ContractError, NoSemiWaveError,
                             NoTravelingWaveError, ValidationError)
-from nlfront.kernels import AlgebraicTail, CompactUniform, LightExponential
+from nlfront.kernels import AlgebraicTail, CompactUniform, LightExponential, truncate
 from nlfront.reactions import logistic
 from nlfront.semiwave import (SemiWaveConfig, half_level_point, minimal_speed,
                               mu_curve, solve_semiwave, stationary_profile)
@@ -59,6 +59,14 @@ def test_semiwave_solution_invariants(uniform_semiwave):
     assert np.all((0.0 <= sw.phi) & (sw.phi <= sw.u_star))
     assert sw.residual <= 1e-6
     assert sw.speed_defect <= 1e-6
+
+
+def test_semiwave_truncated_kernel():
+    # a truncated kernel has compact support, so the far-field flux tail is finite
+    cfg = SemiWaveConfig(dx=0.05, L0=20.0, max_doublings=0)
+    sw = solve_semiwave(truncate(LightExponential(1.0), 4.0), logistic(1, 1), 1.0, 1.0, cfg)
+    assert math.isfinite(sw.c0) and sw.c0 > 0.0
+    assert sw.residual <= cfg.residual_tol
 
 
 def test_semiwave_below_minimal_speed(uniform_semiwave):

@@ -114,6 +114,14 @@ def test_run_zero_horizon_single_sample():
     assert log.h[0] == 10.0
 
 
+def test_run_ends_at_t_end():
+    # 0.07 does not divide 1: the last step is shortened, not overshot to 1.05
+    log = run(halfline_spec(h0=3.0), SolverConfig(dx=0.05, dt=0.07, t_end=1.0, log_every=0.14))
+    assert log.t[-1] == pytest.approx(1.0, abs=1e-12)
+    assert log.final_state.t == pytest.approx(1.0, abs=1e-12)
+    assert np.all(np.diff(log.t) > 0.0)
+
+
 def test_run_invariants_positivity_and_monotone_fronts():
     spec = halfline_spec()
     log = run(spec, SolverConfig(dx=0.05, dt=0.05, t_end=8.0, log_every=0.4))

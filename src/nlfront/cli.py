@@ -3,9 +3,10 @@
 Every command writes deterministic artifacts into --out together with the
 fully-resolved configuration; reruns with the same resolved config produce
 bit-identical files.  Exit codes: 0 success, 1 configuration/validation
-problems, 2 runtime failures (convergence, resource caps) with partial
-artifacts where available, 3 when `verify` ran and a check failed
-(verify.json is still written).
+problems, 2 runtime failures (convergence, non-finite states, resource
+caps) with error.json (message and diagnostics) and partial artifacts where
+available, 3 when `verify` ran and a check failed (verify.json is still
+written).
 """
 
 from __future__ import annotations
@@ -269,9 +270,12 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (ConvergenceError, ResourceError) as exc:
-        partial = getattr(exc, "partial", None)
+        partial = exc.partial
         if partial is not None and hasattr(partial, "to_csv"):
             partial.to_csv(os.path.join(args.out, "trajectory_partial.csv"))
+        _write_json(os.path.join(args.out, "error.json"),
+                    {"error": type(exc).__name__, "message": str(exc),
+                     "diagnostics": getattr(exc, "diagnostics", {})})
         print(f"runtime failure: {exc}", file=sys.stderr)
         return 2
 

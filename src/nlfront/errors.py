@@ -18,11 +18,13 @@ class NoTravelingWaveError(ValidationError):
 
 
 class ConvergenceError(RuntimeError):
-    """An iterative solve stagnated before reaching its tolerance."""
+    """An iterative solve stagnated before reaching its tolerance, or a run
+    left the finite numbers; partial results may be attached."""
 
-    def __init__(self, message, diagnostics=None):
+    def __init__(self, message, diagnostics=None, partial=None):
         super().__init__(message)
         self.diagnostics = diagnostics or {}
+        self.partial = partial
 
 
 class ResourceError(RuntimeError):

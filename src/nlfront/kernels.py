@@ -24,7 +24,6 @@ from dataclasses import asdict, dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy import integrate
 
 from .errors import ValidationError
 
@@ -161,6 +160,8 @@ class Kernel:
         """Unit-mass audit: adaptive quadrature on a core + closed-form tails."""
         r = self.support_radius()
         core = r if math.isfinite(r) else 10.0 * self.interaction_length(1e-2, cap=1e3)
+        from scipy import integrate
+
         val, _ = integrate.quad(lambda x: float(self.evaluate(x)), -core, core,
                                 limit=400)
         return val + 2.0 * self.tail_mass(core)
@@ -518,6 +519,8 @@ class TruncatedKernel:
         """``int_s^inf tail_mass(z) dz``; finite, since J_n vanishes past 2n."""
         if s >= 2.0 * self.n:
             return 0.0
+        from scipy import integrate
+
         val, _ = integrate.quad(self.tail_mass, s, 2.0 * self.n, limit=400)
         return val
 
@@ -535,6 +538,8 @@ class TruncatedKernel:
         return _taps_cached(self, float(dx), int(m))
 
     def first_moment(self) -> float:
+        from scipy import integrate
+
         val, _ = integrate.quad(lambda x: x * float(self.evaluate(x)),
                                 0.0, 2.0 * self.n, limit=400)
         return val

@@ -22,7 +22,6 @@ import math
 from typing import NamedTuple
 
 import numpy as np
-from scipy import fft
 
 __all__ = ["Cell", "Pieces", "Convolution", "FarFieldWindow", "DIRECT_MAX_TAPS", "plan",
            "trapezoid", "cell_averages", "partial_cell", "pieces", "window_integral",
@@ -69,6 +68,9 @@ class Convolution:
         self.m = (len(tap_row) - 1) // 2
         self.nfft = None
         if len(tap_row) > DIRECT_MAX_TAPS:
+            from scipy import fft
+
+            self.fft = fft
             self.nfft = fft.next_fast_len(n + self.m, real=True)
             self.spectrum = fft.rfft(tap_row, self.nfft)
 
@@ -76,6 +78,7 @@ class Convolution:
         if self.nfft is None:
             full = np.convolve(v, self.taps)
         else:
+            fft = self.fft
             full = fft.irfft(fft.rfft(v, self.nfft) * self.spectrum, self.nfft)
         return full[self.m:self.m + len(v)] * self.dx
 

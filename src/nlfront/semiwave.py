@@ -7,12 +7,17 @@ The semi-wave pair (c0, phi) solves, on a truncated window [-L, 0],
     phi(-L) = u*,  phi(0) = 0,
     c = mu * int_{-inf}^0 tail_mass(-x) phi(x) dx,
 
-with closed-form completion of all integrals past -L where phi == u*.
-The inner problem at a trial speed is relaxed by a damped fixed point with
-upwind differencing for phi' and a monotone clamp; the outer scalar
-equation is bracketed and bisected (the induced flux decreases in c).
-The profile exists iff the kernel has a finite first moment; heavy-tailed
-kernels raise instead, which is the accelerated-spreading regime.
+with closed-form completion of all integrals past -L where phi == u*, and
+upwind differencing for phi'.  A loose relaxation warm start (a damped
+fixed point with a monotone clamp, inside a bisection on c: the induced
+flux decreases in c) hands a profile and a 10 % bracket of c to a bordered
+Newton solve on (phi, c), one banded solve per iteration.  The Newton
+answer is accepted only when, after the relaxation's clamp, it still
+satisfies the equations to ``residual_tol``; otherwise the relaxation
+alone, bisecting c to ``c_rtol``, gives the answer, and the solution says
+so (``fallback``).  The profile exists iff the kernel has a finite first
+moment; heavy-tailed kernels raise instead, which is the
+accelerated-spreading regime.
 """
 
 from __future__ import annotations
@@ -21,7 +26,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize
 
 from .errors import (ContractError, ConvergenceError, NoSemiWaveError,
                      NoTravelingWaveError, ValidationError)
@@ -41,6 +45,20 @@ __all__ = [
     "mu_curve",
 ]
 
+# Warm start: relaxation stop (relative to u*) and the relative width of the
+# c bracket at which bisection hands over to Newton.
+WARM_TOL = 1e-4
+WARM_BRACKET = 0.1
+# Newton stops once the sup residual is at most NEWTON_TOL * u* or stops
+# falling, or after NEWTON_MAX_ITER iterations (not converged).
+NEWTON_TOL = 1e-12
+NEWTON_MAX_ITER = 30
+# Kernels of infinite support: the Jacobian band ends where tail_mass falls
+# below BAND_TAIL (the residual keeps every tap).  A band of more than
+# BAND_MAX_ENTRIES entries is not factored; the relaxation solves instead.
+BAND_TAIL = 1e-8
+BAND_MAX_ENTRIES = 2 ** 23
+
 
 @dataclass(frozen=True)
 class SemiWaveConfig:
@@ -48,10 +66,18 @@ class SemiWaveConfig:
     L0: float | None = None        # default 40 interaction lengths
     max_doublings: int = 3
     L_rtol: float = 1e-4           # c0 movement that forces an L doubling
-    inner_tol: float = 1e-11       # sup-norm increment stop, relative to u*
-    max_inner: int = 300_000
-    c_rtol: float = 1e-9
+    inner_tol: float = 1e-11       # relaxation fallback: sup-norm increment stop, relative to u*
+    max_inner: int = 300_000       # relaxation sweeps per trial speed
+    c_rtol: float = 1e-9           # relaxation fallback: bisection bracket on c
     residual_tol: float = 1e-6
+
+
+def _upwind(phi: np.ndarray, dx: float) -> np.ndarray:
+    """Forward differences; the last node repeats its neighbour's."""
+    dphi = np.empty_like(phi)
+    dphi[:-1] = np.diff(phi) / dx
+    dphi[-1] = dphi[-2]
+    return dphi
 
 
 @dataclass(frozen=True)
@@ -65,6 +91,9 @@ class SemiWaveSolution:
     u_star: float
     d: float
     mu: float
+    newton_iterations: int = 0
+    newton_residuals: tuple = ()   # sup residual at the start and after each iteration
+    fallback: bool = False         # True: Newton was rejected, relaxation gave phi
 
     @property
     def dx(self) -> float:
@@ -76,15 +105,15 @@ class SemiWaveSolution:
 
     def phi_prime(self) -> np.ndarray:
         """The upwind (forward) derivative the solver itself used."""
-        dphi = np.empty_like(self.phi)
-        dphi[:-1] = np.diff(self.phi) / self.dx
-        dphi[-1] = dphi[-2]
-        return dphi
+        return _upwind(self.phi, self.dx)
 
     def to_json(self) -> dict:
         return {"c0": self.c0, "L": self.L, "residual": self.residual,
                 "speed_defect": self.speed_defect, "u_star": self.u_star,
-                "d": self.d, "mu": self.mu, "dx": self.dx}
+                "d": self.d, "mu": self.mu, "dx": self.dx,
+                "newton_iterations": self.newton_iterations,
+                "newton_residuals": list(self.newton_residuals),
+                "fallback": self.fallback}
 
 
 @dataclass(frozen=True)
@@ -127,7 +156,7 @@ class MuCurve:
 
 
 # ---------------------------------------------------------------------------
-# inner profile relaxation
+# semi-wave: relaxation warm start, bordered Newton, relaxation fallback
 # ---------------------------------------------------------------------------
 
 
@@ -137,25 +166,30 @@ class _ProfileSolver(FarFieldWindow):
         self.reaction = reaction
         self.d = d
         self.kf = reaction.max_abs_fprime()
+        self.m1 = kernel.first_moment()
+        reach = self.conv.m
+        if not math.isfinite(kernel.support_radius()):
+            reach = min(reach, int(math.ceil(kernel.interaction_length(BAND_TAIL) / dx)) + 1)
+        self.band = min(reach, len(self.x) - 3)    # below the interior size
 
     def residual(self, phi, c):
-        conv = self.integral(phi)
-        dphi = np.empty_like(phi)
-        dphi[:-1] = np.diff(phi) / self.dx
-        dphi[-1] = dphi[-2]
-        return self.d * (conv - phi) + c * dphi + self.reaction.f(phi)
+        return (self.d * (self.integral(phi) - phi) + c * _upwind(phi, self.dx)
+                + self.reaction.f(phi))
+
+    def clamp(self, phi):
+        """Pin the ends and clip to [0, u*] in place; return phi made
+        nonincreasing."""
+        phi[0] = self.u_star
+        phi[-1] = 0.0
+        np.clip(phi, 0.0, self.u_star, out=phi)
+        return np.maximum.accumulate(phi[::-1])[::-1]
 
     def solve(self, c, phi0, tol, max_iter):
         tau = 0.8 / (2.0 * self.d + self.kf + c / self.dx)
         phi = phi0.copy()
         tol_abs = tol * self.u_star
         for it in range(max_iter):
-            resid = self.residual(phi, c)
-            new = phi + tau * resid
-            new[0] = self.u_star
-            new[-1] = 0.0
-            np.clip(new, 0.0, self.u_star, out=new)
-            new = np.maximum.accumulate(new[::-1])[::-1]
+            new = self.clamp(phi + tau * self.residual(phi, c))
             delta = float(np.max(np.abs(new - phi)))
             phi = new
             if delta < tol_abs:
@@ -168,35 +202,132 @@ class _ProfileSolver(FarFieldWindow):
         width = max(2.0, 0.1 * self.L)
         return self.u_star * np.clip(-self.x / width, 0.0, 1.0)
 
+    def bisect(self, mu, phi, tol, max_inner, width):
+        """Bisect c until the bracket is narrower than width * its top,
+        relaxing phi to tol at each trial speed; the bracket's midpoint and
+        the last profile."""
+        c_hi = 1.01 * mu * self.u_star * self.m1
+        c_lo = 1e-12 * c_hi
+        phi, _ = self.solve(c_lo, phi, tol, max_inner)
+        if mu * self.flux(phi) <= c_lo:
+            raise ConvergenceError("no positive front speed bracketed",
+                                   diagnostics={"c_lo": c_lo, "flux": self.flux(phi)})
+        lo, hi = c_lo, c_hi
+        while (hi - lo) > width * max(hi, 1e-300):
+            mid = 0.5 * (lo + hi)
+            phi, _ = self.solve(mid, phi, tol, max_inner)
+            if mu * self.flux(phi) > mid:
+                lo = mid
+            else:
+                hi = mid
+        return 0.5 * (lo + hi), phi
 
-def _solve_at_L(kernel, reaction, d, mu, L, cfg: SemiWaveConfig, phi_seed=None):
-    ps = _ProfileSolver(kernel, reaction, d, L, cfg.dx)
-    u_star = reaction.u_star
-    m1 = kernel.first_moment()
-    c_hi = 1.01 * mu * u_star * m1
-    c_lo = 1e-12 * c_hi
-    phi = ps.default_profile() if phi_seed is None else np.interp(
-        ps.x, phi_seed[0], phi_seed[1], left=u_star, right=0.0)
-    loose = max(cfg.inner_tol, 1e-9)
-    phi, _ = ps.solve(c_lo, phi, loose, cfg.max_inner)
-    if mu * ps.flux(phi) <= c_lo:
-        raise ConvergenceError("no positive front speed bracketed",
-                               diagnostics={"c_lo": c_lo, "flux": ps.flux(phi)})
-    lo, hi = c_lo, c_hi
-    while (hi - lo) > cfg.c_rtol * max(hi, 1e-300):
-        mid = 0.5 * (lo + hi)
-        phi, _ = ps.solve(mid, phi, loose, cfg.max_inner)
-        if mu * ps.flux(phi) > mid:
-            lo = mid
-        else:
-            hi = mid
-    c0 = 0.5 * (lo + hi)
+
+def _relaxation(ps: _ProfileSolver, mu, phi, cfg: SemiWaveConfig):
+    """The relaxation path alone: bisect c to c_rtol, then polish phi."""
+    c0, phi = ps.bisect(mu, phi, max(cfg.inner_tol, 1e-9), cfg.max_inner, cfg.c_rtol)
     phi, _ = ps.solve(c0, phi, cfg.inner_tol, cfg.max_inner)
+    return c0, phi
+
+
+def _newton(ps: _ProfileSolver, mu, phi, c, tol):
+    """Bordered Newton on (phi[1:-1], c) for the profile and speed equations.
+
+    The interior Jacobian is banded: d dx taps[i-k+m] on band k, plus
+    f'(phi) - d - c/dx on the diagonal and c/dx above it.  Its border is
+    the upwind phi' (column) and -mu * flux weights (row); dc comes from
+    the scalar Schur complement.  Returns phi, c, the sup residual at the
+    start and after each iteration, and whether the iteration converged:
+    to NEWTON_TOL * u*, or to a rounding floor below tol where the
+    residual stopped falling (the better iterate is kept).  Above tol a
+    rising residual is the usual transient of a rough start.
+    """
+    from scipy.linalg import LinAlgError, solve_banded
+
+    mb, m = ps.band, ps.conv.m
+    band = ps.d * ps.dx * ps.conv.taps[m - mb:m + mb + 1]
+    border = -mu * ps.flux_w[1:-1]
+
+    def defects(phi, c):
+        r = ps.residual(phi, c)[1:-1]
+        g = c - mu * ps.flux(phi)
+        return r, g, max(float(np.max(np.abs(r))), abs(g))
+
+    r, g, res = defects(phi, c)
+    history = [res]
+    while res > NEWTON_TOL * ps.u_star:
+        if len(history) > NEWTON_MAX_ITER:
+            return phi, c, history, False
+        ab = np.empty((2 * mb + 1, len(r)))
+        ab[:] = band[:, None]
+        ab[mb] += ps.reaction.f_prime(phi[1:-1]) - ps.d - c / ps.dx
+        ab[mb - 1, 1:] += c / ps.dx
+        rhs = np.column_stack([r, _upwind(phi, ps.dx)[1:-1]])
+        try:
+            y = solve_banded((mb, mb), ab, rhs, overwrite_ab=True, overwrite_b=True,
+                             check_finite=False)
+        except LinAlgError:
+            return phi, c, history, False
+        dc = (border @ y[:, 0] - g) / (1.0 - border @ y[:, 1])
+        trial = phi.copy()
+        trial[1:-1] -= y[:, 0] + dc * y[:, 1]
+        c_t = float(c + dc)
+        r_t, g_t, res_t = defects(trial, c_t)
+        history.append(res_t)
+        if not math.isfinite(res_t):
+            return phi, c, history, False
+        if res_t >= res and res <= tol:
+            return phi, c, history, True
+        phi, c, r, g, res = trial, c_t, r_t, g_t, res_t
+    return phi, c, history, True
+
+
+def _solution(ps: _ProfileSolver, mu, c0, phi, history=(), fallback=False):
     resid = ps.residual(phi, c0)
-    residual = float(np.max(np.abs(resid[1:-1])))
-    defect = abs(c0 - mu * ps.flux(phi))
-    return SemiWaveSolution(c0=c0, x=ps.x, phi=phi, L=ps.L, residual=residual,
-                            speed_defect=defect, u_star=u_star, d=d, mu=mu)
+    return SemiWaveSolution(
+        c0=c0, x=ps.x, phi=phi, L=ps.L, residual=float(np.max(np.abs(resid[1:-1]))),
+        speed_defect=abs(c0 - mu * ps.flux(phi)), u_star=ps.u_star, d=ps.d, mu=mu,
+        newton_iterations=max(len(history) - 1, 0), newton_residuals=tuple(history),
+        fallback=fallback)
+
+
+def _newton_solution(ps: _ProfileSolver, mu, phi, c, cfg: SemiWaveConfig):
+    """Newton from (phi, c) under the acceptance check: after the
+    relaxation's clamp, residual and speed defect within residual_tol."""
+    phi, c, history, converged = _newton(ps, mu, phi, c, cfg.residual_tol)
+    sol = _solution(ps, mu, c, ps.clamp(phi.copy()), history)
+    return sol, converged and max(sol.residual, sol.speed_defect) <= cfg.residual_tol
+
+
+def _solve_at_L(kernel, reaction, d, mu, L, cfg: SemiWaveConfig,
+                seed: SemiWaveSolution | None = None) -> SemiWaveSolution:
+    """Warm start and Newton, or the relaxation when Newton is rejected.
+
+    With a seed (the solution on a shorter window) Newton first starts
+    from its profile and c0, and goes through the warm start only when
+    that result is rejected.
+    """
+    ps = _ProfileSolver(kernel, reaction, d, L, cfg.dx)
+    phi0 = ps.default_profile() if seed is None else np.interp(
+        ps.x, seed.x, seed.phi, left=ps.u_star, right=0.0)
+    ok, history = False, ()
+    if (2 * ps.band + 1) * len(ps.x) <= BAND_MAX_ENTRIES:
+        if seed is not None:
+            sol, ok = _newton_solution(ps, mu, phi0, seed.c0, cfg)
+        if not ok:
+            c, phi = ps.bisect(mu, phi0, WARM_TOL, cfg.max_inner, WARM_BRACKET)
+            sol, ok = _newton_solution(ps, mu, phi, c, cfg)
+        if ok:
+            return sol
+        history = sol.newton_residuals
+    c0, phi = _relaxation(ps, mu, phi0, cfg)
+    sol = _solution(ps, mu, c0, phi, history, fallback=True)
+    if max(sol.residual, sol.speed_defect) > cfg.residual_tol:
+        raise ConvergenceError(
+            "semi-wave relaxation fallback left a defect above residual_tol",
+            diagnostics={"residual": sol.residual, "speed_defect": sol.speed_defect,
+                         "c0": c0, "L": ps.L, "newton_residuals": list(history)})
+    return sol
 
 
 def solve_semiwave(kernel: Kernel, reaction, d: float, mu: float,
@@ -212,8 +343,7 @@ def solve_semiwave(kernel: Kernel, reaction, d: float, mu: float,
     L = cfg.L0 if cfg.L0 is not None else 40.0 * kernel.interaction_length()
     sol = _solve_at_L(kernel, reaction, d, mu, L, cfg)
     for _ in range(cfg.max_doublings):
-        bigger = _solve_at_L(kernel, reaction, d, mu, 2.0 * sol.L, cfg,
-                             phi_seed=(sol.x, sol.phi))
+        bigger = _solve_at_L(kernel, reaction, d, mu, 2.0 * sol.L, cfg, seed=sol)
         if abs(bigger.c0 - sol.c0) < cfg.L_rtol * max(abs(sol.c0), 1e-12):
             return bigger
         sol = bigger
@@ -247,6 +377,8 @@ def minimal_speed(kernel: Kernel, reaction, d: float) -> WaveSolution:
     if i == 0 or i == len(vals) - 1:
         raise ConvergenceError("dispersion curve has no interior minimum on the bracket",
                                diagnostics={"argmin": i, "lam": lam_grid[i]})
+    from scipy import optimize
+
     res = optimize.minimize_scalar(lambda s: curve(math.exp(s)),
                                    bracket=(s_grid[i - 1], s_grid[i], s_grid[i + 1]),
                                    method="golden", options={"xtol": 1e-13})

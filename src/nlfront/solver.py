@@ -23,7 +23,7 @@ from typing import Callable
 import numpy as np
 
 from . import quadrature
-from .errors import ContractError, ResourceError, ValidationError
+from .errors import ContractError, ConvergenceError, ResourceError, ValidationError
 from .kernels import Kernel
 
 __all__ = [
@@ -390,7 +390,24 @@ def run(spec: ProblemSpec, cfg: SolverConfig) -> TrajectoryLog:
         log_every = cfg.log_every if cfg.log_every is not None else max(cfg.t_end / 200.0, eng.dt)
         stride = max(1, int(round(log_every / eng.dt)))
 
+    def guard(k, check_field):
+        """Stop with the partial log on a non-finite front (checked every step:
+        a NaN front breaks the next step's cell arithmetic) or field (checked
+        at checkpoints)."""
+        st = eng.state
+        bad_nodes = int(np.count_nonzero(~np.isfinite(st.u))) if check_field else 0
+        # g is -inf unless the variant has a left front
+        if bad_nodes or not math.isfinite(st.h) or math.isnan(st.g):
+            log.truncated = True
+            log.final_state = st.copy()
+            raise ConvergenceError(f"non-finite state at t = {st.t:g}",
+                                   diagnostics={"t": st.t, "step": k,
+                                                "nonfinite_nodes": bad_nodes,
+                                                "h": float(st.h), "g": float(st.g)},
+                                   partial=log)
+
     def checkpoint(k):
+        guard(k, check_field=True)
         st = eng.state
         h_log, g_log, mass, sup, fr, rint = eng.observables(st)
         log.t.append(st.t)
@@ -418,6 +435,8 @@ def run(spec: ProblemSpec, cfg: SolverConfig) -> TrajectoryLog:
             eng.step_once(eng.dt if k < n_steps else last_dt)
             if k % stride == 0 or k == n_steps:
                 checkpoint(k)
+            else:
+                guard(k, check_field=False)
     except ResourceError:
         log.truncated = True
         log.final_state = eng.state.copy()

@@ -155,3 +155,25 @@ def test_rates_command(tmp_path):
     assert main(["rates", "--config", cfg, "--out", str(out)]) == 0
     payload = json.loads((out / "rates.json").read_text())
     assert payload["linear"]["coeffs"]["c"] > 0.0
+
+
+def test_runtime_failure_writes_error_json(tmp_path, monkeypatch):
+    # a run that goes non-finite exits 2 and keeps its diagnostics in error.json
+    import dataclasses
+
+    from nlfront import cli, solver
+    from nlfront.reactions import logistic
+
+    base = logistic(1.0, 1.0)
+    nan_reaction = dataclasses.replace(
+        base, f=lambda u: np.where(np.asarray(u) > 0.5, np.nan, base.f(u)))
+    monkeypatch.setattr(cli, "run", lambda spec, cfg: solver.run(
+        dataclasses.replace(spec, reaction=nan_reaction), cfg))
+    out = tmp_path / "nan"
+    assert main(["simulate", "--config", write_cfg(tmp_path, BASE), "--out", str(out)]) == 2
+    error = json.loads((out / "error.json").read_text())
+    assert error["error"] == "ConvergenceError"
+    assert "non-finite" in error["message"]
+    assert error["diagnostics"]["t"] < 2.0
+    assert (out / "trajectory_partial.csv").exists()
+    assert not (out / "trajectory.csv").exists()

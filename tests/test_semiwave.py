@@ -3,9 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from nlfront.errors import (ContractError, NoSemiWaveError,
+from nlfront import semiwave
+from nlfront.errors import (ContractError, ConvergenceError, NoSemiWaveError,
                             NoTravelingWaveError, ValidationError)
-from nlfront.kernels import AlgebraicTail, CompactUniform, LightExponential, truncate
+from nlfront.kernels import (AlgebraicTail, CompactCosine, CompactUniform, LightExponential,
+                             truncate)
 from nlfront.reactions import logistic
 from nlfront.semiwave import (SemiWaveConfig, half_level_point, minimal_speed,
                               mu_curve, solve_semiwave, stationary_profile)
@@ -112,3 +114,56 @@ def test_stationary_profile_d_family(cosine_kernel, logistic_reaction):
     assert profs[0.1].x0 is None
     assert profs[10.0].U[-1] < 0.5    # large d: crossing exists
     assert profs[10.0].x0 is not None and profs[10.0].x0 < 0.0
+
+
+CROSS_CFG = SemiWaveConfig(dx=0.05, L0=20.0, max_doublings=0)
+
+
+def _relaxation_answer(kernel):
+    ps = semiwave._ProfileSolver(kernel, logistic(1, 1), 1.0, CROSS_CFG.L0, CROSS_CFG.dx)
+    return semiwave._relaxation(ps, 1.0, ps.default_profile(), CROSS_CFG)
+
+
+@pytest.mark.parametrize("kernel", [CompactUniform(1.0), CompactCosine(1.0),
+                                    truncate(LightExponential(1.0), 4.0),
+                                    LightExponential(1.0)],   # infinite support: cut band
+                         ids=["uniform", "cosine", "truncated", "exponential"])
+def test_newton_matches_relaxation(kernel):
+    sol = solve_semiwave(kernel, logistic(1, 1), 1.0, 1.0, CROSS_CFG)
+    c0, phi = _relaxation_answer(kernel)
+    assert not sol.fallback and 1 <= sol.newton_iterations <= 10
+    assert len(sol.newton_residuals) == sol.newton_iterations + 1
+    assert sol.residual <= CROSS_CFG.residual_tol
+    assert sol.c0 == pytest.approx(c0, rel=1e-7)
+    assert np.max(np.abs(sol.phi - phi)) <= 1e-6 * sol.u_star
+    report = sol.to_json()
+    assert report["fallback"] is False
+    assert report["newton_residuals"] == list(sol.newton_residuals)
+
+
+@pytest.mark.parametrize("spurious", ["non-monotone", "high-residual"])
+def test_rejected_newton_falls_back_to_relaxation(monkeypatch, spurious):
+    def fake_newton(ps, mu, phi, c, tol):
+        bad = ps.default_profile()
+        if spurious == "non-monotone":
+            bad[len(bad) // 2] = 0.5 * ps.u_star * (1.0 + 1e-3)
+            bad[len(bad) // 2 + 1] = ps.u_star
+        return bad, 0.5 * c, [1.0, 1e-13], True
+
+    monkeypatch.setattr(semiwave, "_newton", fake_newton)
+    sol = solve_semiwave(CompactUniform(1.0), logistic(1, 1), 1.0, 1.0, CROSS_CFG)
+    c0, phi = _relaxation_answer(CompactUniform(1.0))
+    assert sol.fallback and sol.to_json()["fallback"] is True
+    assert sol.c0 == c0 and np.array_equal(sol.phi, phi)
+    assert sol.newton_residuals == (1.0, 1e-13)
+    assert np.all(np.diff(sol.phi) <= 0.0) and sol.residual <= CROSS_CFG.residual_tol
+
+
+def test_fallback_above_residual_tol_raises(monkeypatch):
+    # a loose relaxation cannot meet residual_tol: no solution is returned
+    monkeypatch.setattr(semiwave, "_newton",
+                        lambda ps, mu, phi, c, tol: (phi, c, [1.0], False))
+    cfg = SemiWaveConfig(dx=0.05, L0=20.0, max_doublings=0, inner_tol=1e-3)
+    with pytest.raises(ConvergenceError, match="residual_tol") as err:
+        solve_semiwave(CompactUniform(1.0), logistic(1, 1), 1.0, 1.0, cfg)
+    assert err.value.diagnostics["residual"] > cfg.residual_tol

@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from nlfront.errors import ContractError, ResourceError, ValidationError
+from nlfront.errors import ContractError, ConvergenceError, ResourceError, ValidationError
 from nlfront.kernels import AlgebraicTail, CompactUniform
-from nlfront.reactions import logistic, zero_reaction
+from nlfront.reactions import Reaction, logistic, zero_reaction
 from nlfront.solver import (Field, ProblemSpec, SolverConfig, TrajectoryLog,
                             boundary_flux, classify, make_plateau,
                             nonlocal_operator, run, stability_budget, step)
@@ -263,3 +263,20 @@ def test_trajectory_csv_roundtrip(tmp_path):
     text = path.read_text().splitlines()
     assert text[0] == "t,h,g,mass,sup_u,flux"
     assert "-inf" in text[1] or text[1].split(",")[2] == "-inf"
+
+
+@pytest.mark.parametrize("variant", ["halfline-fb", "cauchy-full"])
+def test_run_stops_on_nonfinite_state(variant):
+    # f turns NaN above u = 0.5: the front and the field go non-finite
+    def f(u):
+        u = np.asarray(u, dtype=float)
+        return np.where(u > 0.5, np.nan, u * (1.0 - u))
+
+    nan_reaction = Reaction(f=f, f_prime=lambda u: 1.0 - 2.0 * np.asarray(u), u_star=1.0)
+    spec = halfline_spec(reaction=nan_reaction, variant=variant, h0=2.0)
+    with pytest.raises(ConvergenceError, match="non-finite") as err:
+        run(spec, SolverConfig(dx=0.1, dt=0.05, t_end=2.0, log_every=0.5))
+    log = err.value.partial
+    assert log.truncated and len(log.t) >= 1
+    assert np.all(np.isfinite(log.sup_u)) and np.all(np.isfinite(log.h))
+    assert err.value.diagnostics["t"] < 2.0

@@ -544,6 +544,19 @@ class TruncatedKernel:
                                 0.0, 2.0 * self.n, limit=400)
         return val
 
+    def exp_moment(self, lam: float) -> float:
+        """``int e^(lam x) J_n(x) dx`` over the support [-2n, 2n]."""
+        from scipy import integrate
+
+        n = self.n
+        val, _ = integrate.quad(lambda x: float(np.exp(lam * x) * self.evaluate(x)),
+                                -2.0 * n, 2.0 * n, points=(-n, 0.0, n), limit=400)
+        return val
+
+    def mgf_abscissa(self) -> float:
+        """J_n vanishes past 2n, so every exponential moment is finite."""
+        return math.inf
+
     def to_json(self) -> dict:
         return {"family": "truncated", "n": self.n, "base": self.base.to_json()}
 

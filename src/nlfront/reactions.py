@@ -19,7 +19,6 @@ from .errors import ValidationError
 
 __all__ = [
     "Reaction",
-    "PerturbedReaction",
     "FReport",
     "logistic",
     "custom",
@@ -29,7 +28,6 @@ __all__ = [
     "rho_constant",
     "perturb",
     "reaction_from_json",
-    "reaction_to_json",
 ]
 
 AUDIT_POINTS = 10_000
@@ -66,19 +64,6 @@ class Reaction:
 
     def to_json(self) -> dict:
         return {"kind": self.kind, **self.params}
-
-
-@dataclass(frozen=True)
-class PerturbedReaction:
-    """f~ = f - delta*u with its positive root; stays monostable for small delta."""
-
-    base: Reaction
-    delta: float
-    u_star_delta: float
-    reaction: Reaction
-
-    def as_reaction(self) -> Reaction:
-        return self.reaction
 
 
 @dataclass(frozen=True)
@@ -173,8 +158,9 @@ def rho_constant(r: Reaction, margin: float = 0.01, n_grid: int = AUDIT_POINTS) 
     return rho_raw * (1.0 - margin)
 
 
-def perturb(r: Reaction, delta: float) -> PerturbedReaction:
-    """f~ = f - delta*u; requires 0 < delta < f'(0) so f~ stays monostable."""
+def perturb(r: Reaction, delta: float) -> Reaction:
+    """f~ = f - delta*u, with its positive root as ``u_star``; requires
+    0 < delta < f'(0) so f~ stays monostable."""
     if not delta > 0.0:
         raise ValidationError("perturbation delta must be positive")
     if not delta < r.fprime0():
@@ -186,9 +172,7 @@ def perturb(r: Reaction, delta: float) -> PerturbedReaction:
     root = positive_root(Reaction(f=tf, f_prime=tfp, kind="perturbed", params=params))
     rho = rho_constant(Reaction(f=tf, f_prime=tfp, kind="perturbed",
                                 params=params, u_star=root))
-    tilde = Reaction(f=tf, f_prime=tfp, kind="perturbed", params=params,
-                     u_star=root, rho=rho)
-    return PerturbedReaction(base=r, delta=delta, u_star_delta=root, reaction=tilde)
+    return Reaction(f=tf, f_prime=tfp, kind="perturbed", params=params, u_star=root, rho=rho)
 
 
 # ---------------------------------------------------------------------------
@@ -265,7 +249,3 @@ def reaction_from_json(obj: dict) -> Reaction:
     if kind == "zero":
         return zero_reaction()
     raise ValidationError(f"unknown reaction kind {kind!r}")
-
-
-def reaction_to_json(r: Reaction) -> dict:
-    return r.to_json()

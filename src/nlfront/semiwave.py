@@ -18,6 +18,10 @@ alone, bisecting c to ``c_rtol``, gives the answer, and the solution says
 so (``fallback``).  The profile exists iff the kernel has a finite first
 moment; heavy-tailed kernels raise instead, which is the
 accelerated-spreading regime.
+
+The stationary profile U is the case c = mu = 0 with no node pinned:
+Newton from the supersolution U == u* falls monotonically to the maximal
+solution (concave f), and the relaxation at c = 0 is the fallback.
 """
 
 from __future__ import annotations
@@ -58,6 +62,8 @@ NEWTON_MAX_ITER = 30
 # BAND_MAX_ENTRIES entries is not factored; the relaxation solves instead.
 BAND_TAIL = 1e-8
 BAND_MAX_ENTRIES = 2 ** 23
+# Stationary relaxation fallback: sup-norm increment stop, relative to u*.
+STATIONARY_STOP = 1e-10
 
 
 @dataclass(frozen=True)
@@ -67,9 +73,9 @@ class SemiWaveConfig:
     max_doublings: int = 3
     L_rtol: float = 1e-4           # c0 movement that forces an L doubling
     inner_tol: float = 1e-11       # relaxation fallback: sup-norm increment stop, relative to u*
-    max_inner: int = 300_000       # relaxation sweeps per trial speed
+    max_inner: int = 300_000       # relaxation sweeps per trial speed or stationary fallback
     c_rtol: float = 1e-9           # relaxation fallback: bisection bracket on c
-    residual_tol: float = 1e-6
+    residual_tol: float = 1e-6     # acceptance, stationary profile included
 
 
 def _upwind(phi: np.ndarray, dx: float) -> np.ndarray:
@@ -120,8 +126,6 @@ class SemiWaveSolution:
 class WaveSolution:
     c_star: float
     lambda_star: float
-    curve_lambdas: np.ndarray
-    curve_values: np.ndarray
 
     def to_json(self) -> dict:
         return {"c_star": self.c_star, "lambda_star": self.lambda_star}
@@ -134,14 +138,17 @@ class StationaryProfile:
     x0: float | None               # U(x0) = u*/2, or None when U(0) >= u*/2
     d: float
     u_star: float
-    iterations: int
+    iterations: int                # Newton iterations, or relaxation sweeps on the fallback
+    residual: float                # sup-norm defect at the unknown nodes
+    fallback: bool                 # True: the relaxation gave U
 
     def U_at(self, xq):
         return np.interp(xq, self.x, self.U, left=self.u_star, right=float(self.U[-1]))
 
     def to_json(self) -> dict:
         return {"d": self.d, "x0": self.x0, "U0": float(self.U[-1]),
-                "u_star": self.u_star, "iterations": self.iterations}
+                "u_star": self.u_star, "iterations": self.iterations,
+                "residual": self.residual, "fallback": self.fallback}
 
 
 @dataclass(frozen=True)
@@ -156,33 +163,43 @@ class MuCurve:
 
 
 # ---------------------------------------------------------------------------
-# semi-wave: relaxation warm start, bordered Newton, relaxation fallback
+# the profile solver: relaxation warm start, bordered Newton, relaxation fallback
 # ---------------------------------------------------------------------------
 
 
 class _ProfileSolver(FarFieldWindow):
-    def __init__(self, kernel: Kernel, reaction, d: float, L: float, dx: float):
+    """The profile equation on [-L, 0]; ``pinned`` fixes phi(-L) = u* and
+    phi(0) = 0 (the semi-wave), else every node is unknown (the stationary
+    problem, solved at c = 0 only)."""
+
+    def __init__(self, kernel: Kernel, reaction, d: float, L: float, dx: float,
+                 pinned: bool = True):
         super().__init__(kernel, L, dx, reaction.u_star)
         self.reaction = reaction
         self.d = d
         self.kf = reaction.max_abs_fprime()
         self.m1 = kernel.first_moment()
+        self.pinned = pinned
+        self.free = slice(1, -1) if pinned else slice(None)    # the unknown nodes
         reach = self.conv.m
         if not math.isfinite(kernel.support_radius()):
             reach = min(reach, int(math.ceil(kernel.interaction_length(BAND_TAIL) / dx)) + 1)
-        self.band = min(reach, len(self.x) - 3)    # below the interior size
+        self.band = min(reach, len(self.x) - (3 if pinned else 1))  # below the unknowns
+        self.fits_band = (2 * self.band + 1) * len(self.x) <= BAND_MAX_ENTRIES
 
     def residual(self, phi, c):
-        return (self.d * (self.integral(phi) - phi) + c * _upwind(phi, self.dx)
-                + self.reaction.f(phi))
+        r = self.d * (self.integral(phi) - phi)
+        if c:
+            r += c * _upwind(phi, self.dx)
+        return r + self.reaction.f(phi)
 
     def clamp(self, phi):
-        """Pin the ends and clip to [0, u*] in place; return phi made
-        nonincreasing."""
-        phi[0] = self.u_star
-        phi[-1] = 0.0
+        """Clip phi to [0, u*] in place; a pinned phi gets its ends pinned
+        first and comes back made nonincreasing."""
+        if self.pinned:
+            phi[0], phi[-1] = self.u_star, 0.0
         np.clip(phi, 0.0, self.u_star, out=phi)
-        return np.maximum.accumulate(phi[::-1])[::-1]
+        return np.maximum.accumulate(phi[::-1])[::-1] if self.pinned else phi
 
     def solve(self, c, phi0, tol, max_iter):
         tau = 0.8 / (2.0 * self.d + self.kf + c / self.dx)
@@ -195,7 +212,7 @@ class _ProfileSolver(FarFieldWindow):
             if delta < tol_abs:
                 return phi, it + 1
         raise ConvergenceError(
-            "semi-wave profile relaxation stagnated",
+            "profile relaxation stagnated",
             diagnostics={"c": c, "delta": delta, "tau": tau, "L": self.L})
 
     def default_profile(self):
@@ -231,25 +248,26 @@ def _relaxation(ps: _ProfileSolver, mu, phi, cfg: SemiWaveConfig):
 
 
 def _newton(ps: _ProfileSolver, mu, phi, c, tol):
-    """Bordered Newton on (phi[1:-1], c) for the profile and speed equations.
+    """Bordered Newton on (phi[ps.free], c) for the profile and speed equations.
 
-    The interior Jacobian is banded: d dx taps[i-k+m] on band k, plus
-    f'(phi) - d - c/dx on the diagonal and c/dx above it.  Its border is
-    the upwind phi' (column) and -mu * flux weights (row); dc comes from
-    the scalar Schur complement.  Returns phi, c, the sup residual at the
-    start and after each iteration, and whether the iteration converged:
-    to NEWTON_TOL * u*, or to a rounding floor below tol where the
-    residual stopped falling (the better iterate is kept).  Above tol a
+    The Jacobian in the unknowns is banded: d dx taps[i-k+m] w_k on band k
+    (w_k the trapezoid weight, 0.5 at an unpinned end), plus f'(phi) - d -
+    c/dx on the diagonal and c/dx above it.  Its border is the upwind phi'
+    (column) and -mu * flux weights (row); dc comes from the scalar Schur
+    complement, and is 0 when mu = c = 0.  Returns phi, c, the sup residual
+    at the start and after each iteration, and whether the iteration
+    converged: to NEWTON_TOL * u*, or to a rounding floor below tol where
+    the residual stopped falling (the better iterate is kept).  Above tol a
     rising residual is the usual transient of a rough start.
     """
     from scipy.linalg import LinAlgError, solve_banded
 
-    mb, m = ps.band, ps.conv.m
+    mb, m, free = ps.band, ps.conv.m, ps.free
     band = ps.d * ps.dx * ps.conv.taps[m - mb:m + mb + 1]
-    border = -mu * ps.flux_w[1:-1]
+    border = -mu * ps.flux_w[free]
 
     def defects(phi, c):
-        r = ps.residual(phi, c)[1:-1]
+        r = ps.residual(phi, c)[free]
         g = c - mu * ps.flux(phi)
         return r, g, max(float(np.max(np.abs(r))), abs(g))
 
@@ -259,10 +277,10 @@ def _newton(ps: _ProfileSolver, mu, phi, c, tol):
         if len(history) > NEWTON_MAX_ITER:
             return phi, c, history, False
         ab = np.empty((2 * mb + 1, len(r)))
-        ab[:] = band[:, None]
-        ab[mb] += ps.reaction.f_prime(phi[1:-1]) - ps.d - c / ps.dx
+        ab[:] = band[:, None] * ps.w[free]
+        ab[mb] += ps.reaction.f_prime(phi[free]) - ps.d - c / ps.dx
         ab[mb - 1, 1:] += c / ps.dx
-        rhs = np.column_stack([r, _upwind(phi, ps.dx)[1:-1]])
+        rhs = np.column_stack([r, _upwind(phi, ps.dx)[free]])
         try:
             y = solve_banded((mb, mb), ab, rhs, overwrite_ab=True, overwrite_b=True,
                              check_finite=False)
@@ -270,7 +288,7 @@ def _newton(ps: _ProfileSolver, mu, phi, c, tol):
             return phi, c, history, False
         dc = (border @ y[:, 0] - g) / (1.0 - border @ y[:, 1])
         trial = phi.copy()
-        trial[1:-1] -= y[:, 0] + dc * y[:, 1]
+        trial[free] -= y[:, 0] + dc * y[:, 1]
         c_t = float(c + dc)
         r_t, g_t, res_t = defects(trial, c_t)
         history.append(res_t)
@@ -285,7 +303,7 @@ def _newton(ps: _ProfileSolver, mu, phi, c, tol):
 def _solution(ps: _ProfileSolver, mu, c0, phi, history=(), fallback=False):
     resid = ps.residual(phi, c0)
     return SemiWaveSolution(
-        c0=c0, x=ps.x, phi=phi, L=ps.L, residual=float(np.max(np.abs(resid[1:-1]))),
+        c0=c0, x=ps.x, phi=phi, L=ps.L, residual=float(np.max(np.abs(resid[ps.free]))),
         speed_defect=abs(c0 - mu * ps.flux(phi)), u_star=ps.u_star, d=ps.d, mu=mu,
         newton_iterations=max(len(history) - 1, 0), newton_residuals=tuple(history),
         fallback=fallback)
@@ -311,7 +329,7 @@ def _solve_at_L(kernel, reaction, d, mu, L, cfg: SemiWaveConfig,
     phi0 = ps.default_profile() if seed is None else np.interp(
         ps.x, seed.x, seed.phi, left=ps.u_star, right=0.0)
     ok, history = False, ()
-    if (2 * ps.band + 1) * len(ps.x) <= BAND_MAX_ENTRIES:
+    if ps.fits_band:
         if seed is not None:
             sol, ok = _newton_solution(ps, mu, phi0, seed.c0, cfg)
         if not ok:
@@ -365,7 +383,7 @@ def minimal_speed(kernel: Kernel, reaction, d: float) -> WaveSolution:
     if not fp0 > 0.0:
         raise ValidationError("minimal_speed needs f'(0) > 0")
 
-    lam_hi = min(mgf * (1.0 - 1e-9), 80.0) if math.isfinite(mgf) else 80.0
+    lam_hi = min(mgf * (1.0 - 1e-9), 80.0)
 
     def curve(lam):
         return (d * (kernel.exp_moment(lam) - 1.0) + fp0) / lam
@@ -383,8 +401,7 @@ def minimal_speed(kernel: Kernel, reaction, d: float) -> WaveSolution:
                                    bracket=(s_grid[i - 1], s_grid[i], s_grid[i + 1]),
                                    method="golden", options={"xtol": 1e-13})
     lam_star = math.exp(res.x)
-    return WaveSolution(c_star=float(curve(lam_star)), lambda_star=float(lam_star),
-                        curve_lambdas=lam_grid, curve_values=vals)
+    return WaveSolution(c_star=float(curve(lam_star)), lambda_star=float(lam_star))
 
 
 # ---------------------------------------------------------------------------
@@ -394,10 +411,10 @@ def minimal_speed(kernel: Kernel, reaction, d: float) -> WaveSolution:
 
 def _far_field_rate(kernel: Kernel, reaction, d: float) -> float | None:
     """kappa with Jhat(kappa) = 1 + |f'(u*)|/d: the decay rate of u* - U."""
-    if not kernel.mgf_abscissa() > 0.0:
+    mgf = kernel.mgf_abscissa()
+    if not mgf > 0.0:
         return None
     target = 1.0 + abs(float(reaction.f_prime(reaction.u_star))) / d
-    mgf = kernel.mgf_abscissa()
     hi = min(1.0, mgf / 2.0) if math.isfinite(mgf) else 1.0
     while kernel.exp_moment(hi) < target:
         hi = hi * 2.0 if not math.isfinite(mgf) else 0.5 * (hi + mgf)
@@ -413,70 +430,59 @@ def _far_field_rate(kernel: Kernel, reaction, d: float) -> float | None:
     return hi
 
 
-@dataclass(frozen=True)
-class StationaryConfig:
-    dx: float | None = None
-    L: float | None = None
-    stop: float = 1e-10            # successive sup-norm change
-    max_iter: int = 2_000_000
-
-
-def stationary_profile(kernel: Kernel, reaction, d: float,
-                       cfg: StationaryConfig | None = None) -> StationaryProfile:
+def stationary_profile(kernel: Kernel, reaction, d: float) -> StationaryProfile:
     """Long-time limit of the half-line dynamics started from u == u*.
 
     The window [-L, 0] adapts to the far-field decay rate of u* - U so the
-    u*-completion past -L stays honest for both tiny and huge d.
+    u*-completion past -L stays honest for both tiny and huge d.  Newton
+    from U == u*, or the relaxation when the band is too large or Newton is
+    rejected; the answer must decrease strictly, as the continuum one does.
     """
-    cfg = cfg or StationaryConfig()
     u_star = reaction.u_star
     if not u_star:
         raise ValidationError("stationary_profile needs a reaction with a positive zero")
     kappa = _far_field_rate(kernel, reaction, d)
     scale = kernel.quadrature_scale()
-    if cfg.L is not None:
-        L = cfg.L
-    elif kappa is not None:
+    if kappa is not None:
         # u* - U decays like exp(kappa x); stop the window where the gap is
         # still representable in doubles, else the strict-monotonicity
         # invariant drowns in rounding
         L = float(np.clip(20.0 / kappa, 2.0 * scale, 4000.0))
     else:
         L = 40.0 * min(kernel.interaction_length(), 25.0)
-    dx = cfg.dx if cfg.dx is not None else min(scale / 8.0,
-                                               (0.1 / kappa) if kappa else math.inf,
-                                               L / 50.0)
-    window = FarFieldWindow(kernel, L, dx, u_star)
-    x = window.x
-    kf = reaction.max_abs_fprime()
-    tau = 0.9 / (2.0 * d + kf)
+    dx = min(scale / 8.0, (0.1 / kappa) if kappa else math.inf, L / 50.0)
+    ps = _ProfileSolver(kernel, reaction, d, L, dx, pinned=False)
+    cfg = SemiWaveConfig()
+    start = np.full(len(ps.x), float(u_star))
+    if ps.fits_band:
+        U, _, history, converged = _newton(ps, 0.0, start, 0.0, cfg.residual_tol)
+        if converged:
+            # Newton from u* finds the maximal discrete solution; if not strict, no fallback helps
+            prof = _stationary(ps, U, len(history) - 1, fallback=False)
+            if prof.residual <= cfg.residual_tol:
+                return prof
+    U, sweeps = ps.solve(0.0, start, STATIONARY_STOP, cfg.max_inner)
+    prof = _stationary(ps, U, sweeps, fallback=True)
+    if prof.residual > cfg.residual_tol:
+        raise ConvergenceError(
+            "stationary relaxation fallback left a defect above residual_tol",
+            diagnostics={"residual": prof.residual, "sweeps": sweeps, "L": ps.L})
+    return prof
 
-    u = np.full(len(x), float(u_star))
-    it = 0
-    settled_at = None
-    for it in range(1, cfg.max_iter + 1):
-        new = u + tau * (d * (window.integral(u) - u) + reaction.f(u))
-        np.clip(new, 0.0, u_star, out=new)
-        delta = float(np.max(np.abs(new - u)))
-        u = new
-        if delta < cfg.stop:
-            # converged; keep polishing briefly until slow-mode remnants stop
-            # shadowing the tiny far-field gaps of the strict-decrease invariant
-            settled_at = settled_at or it
-            if np.all(np.diff(u) < 0.0):
-                break
-            if it - settled_at > 50_000:
-                raise ConvergenceError(
-                    "stationary profile settled but is not strictly decreasing "
-                    "(kernels with a density jump at the support edge induce an "
-                    "interior kink in U that the grid cannot order at large d)",
-                    diagnostics={"delta": delta, "iterations": it})
-    else:
-        raise ConvergenceError("stationary profile did not settle",
-                               diagnostics={"delta": delta, "iterations": it,
-                                            "strict": bool(np.all(np.diff(u) < 0.0))})
-    x0 = half_level_point(x, u, u_star / 2.0)
-    return StationaryProfile(x=x, U=u, x0=x0, d=d, u_star=u_star, iterations=it)
+
+def _stationary(ps: _ProfileSolver, U, iterations, fallback) -> StationaryProfile:
+    """Clamped U and its residual; raises unless U strictly decreases."""
+    if not np.all(np.diff(U) < 0.0):
+        raise ConvergenceError(
+            "stationary profile settled but is not strictly decreasing (a density jump "
+            "at the kernel's support edge kinks U beyond what the grid orders at large d)",
+            diagnostics={"iterations": iterations, "fallback": fallback, "nodes": len(U),
+                         "first_tie": int(np.argmax(np.diff(U) >= 0.0))})
+    U = ps.clamp(U)
+    return StationaryProfile(x=ps.x, U=U, x0=half_level_point(ps.x, U, ps.u_star / 2.0),
+                             d=ps.d, u_star=ps.u_star, iterations=iterations,
+                             residual=float(np.max(np.abs(ps.residual(U, 0.0)[ps.free]))),
+                             fallback=fallback)
 
 
 # ---------------------------------------------------------------------------
@@ -497,11 +503,9 @@ def half_level_point(x, values, level: float) -> float | None:
     slack = 1e-12 * max(1.0, float(np.max(np.abs(v))))
     if np.any(np.diff(v) > slack):
         raise ContractError("half_level_point requires a nonincreasing profile")
-    if level > v[0] + slack or level < v[-1] - slack:
+    if level > v[0] + slack or not level >= v[-1]:
         return None
-    idx = int(np.nonzero(v <= level + 0.0)[0][0]) if np.any(v <= level) else None
-    if idx is None:
-        return None
+    idx = int(np.flatnonzero(v <= level)[0])
     if idx == 0:
         return float(x[0])
     v0, v1 = v[idx - 1], v[idx]
@@ -515,13 +519,7 @@ def mu_curve(kernel: Kernel, reaction, d: float, mus,
              cfg: SemiWaveConfig | None = None) -> MuCurve:
     """Per-mu semi-wave solves plus the half-level depth l_mu."""
     mus = np.sort(np.asarray(mus, dtype=float))
-    sols = []
-    cs = []
-    ls = []
-    for mu in mus:
-        sol = solve_semiwave(kernel, reaction, d, float(mu), cfg)
-        cross = half_level_point(sol.x, sol.phi, sol.u_star / 2.0)
-        sols.append(sol)
-        cs.append(sol.c0)
-        ls.append(-cross if cross is not None else math.nan)
-    return MuCurve(mu=mus, c=np.asarray(cs), l=np.asarray(ls), solutions=tuple(sols))
+    sols = tuple(solve_semiwave(kernel, reaction, d, float(mu), cfg) for mu in mus)
+    cross = [half_level_point(s.x, s.phi, s.u_star / 2.0) for s in sols]
+    return MuCurve(mu=mus, c=np.array([s.c0 for s in sols]),
+                   l=np.array([math.nan if x is None else -x for x in cross]), solutions=sols)

@@ -4,8 +4,7 @@ import pytest
 from nlfront.errors import ValidationError
 from nlfront.reactions import (Reaction, custom, logistic, perturb,
                                positive_root, reaction_from_json,
-                               reaction_to_json, rho_constant, validate_F,
-                               zero_reaction)
+                               rho_constant, validate_F, zero_reaction)
 
 
 def test_logistic_passes_F():
@@ -75,8 +74,8 @@ def test_f_over_u_strictly_decreasing():
 
 def test_perturb_root():
     p = perturb(logistic(1, 1), 0.1)
-    assert abs(p.u_star_delta - 0.9) < 1e-11
-    assert validate_F(p.as_reaction()).passed
+    assert abs(p.u_star - 0.9) < 1e-11
+    assert validate_F(p).passed
 
 
 def test_perturb_contract():
@@ -91,7 +90,7 @@ def test_perturb_contract():
 
 def test_perturb_monotone_in_delta():
     r = logistic(1, 1)
-    roots = [perturb(r, d).u_star_delta for d in (0.2, 0.1, 0.05)]
+    roots = [perturb(r, d).u_star for d in (0.2, 0.1, 0.05)]
     assert np.all(np.diff(roots) > 0.0)
     assert roots[-1] < r.u_star
 
@@ -105,7 +104,7 @@ def test_zero_reaction_is_diagnostic_only():
 
 def test_json_roundtrip():
     for r in (logistic(1.5, 2.0), custom("cubic"), zero_reaction()):
-        back = reaction_from_json(reaction_to_json(r))
+        back = reaction_from_json(r.to_json())
         assert back.kind == r.kind
         assert back.params == r.params
     with pytest.raises(ValidationError):

@@ -167,3 +167,67 @@ def test_fallback_above_residual_tol_raises(monkeypatch):
     with pytest.raises(ConvergenceError, match="residual_tol") as err:
         solve_semiwave(CompactUniform(1.0), logistic(1, 1), 1.0, 1.0, cfg)
     assert err.value.diagnostics["residual"] > cfg.residual_tol
+
+
+# stationary profile: the c = 0, unpinned case of the same solver ---------------
+
+
+def _stationary_relaxation(kernel, d, prof):
+    """The shared relaxation at c = 0 on the window stationary_profile chose."""
+    ps = semiwave._ProfileSolver(kernel, logistic(1, 1), d, -prof.x[0], prof.x[1] - prof.x[0],
+                                 pinned=False)
+    assert np.allclose(ps.x, prof.x, rtol=0.0, atol=1e-12)
+    U, _ = ps.solve(0.0, np.full(len(ps.x), ps.u_star), semiwave.STATIONARY_STOP,
+                    SemiWaveConfig().max_inner)
+    return U
+
+
+@pytest.mark.parametrize("kernel, d", [(CompactCosine(1.0), 1.0), (CompactCosine(1.0), 100.0),
+                                       (LightExponential(1.0), 1.0)],
+                         ids=["cosine-d1", "cosine-d100", "exponential-d1"])
+def test_stationary_newton_matches_relaxation(kernel, d):
+    prof = stationary_profile(kernel, logistic(1, 1), d)
+    assert not prof.fallback and 1 <= prof.iterations <= 10
+    assert prof.residual <= SemiWaveConfig().residual_tol
+    assert np.all(np.diff(prof.U) < 0.0) and prof.U[0] < prof.u_star
+    U = _stationary_relaxation(kernel, d, prof)
+    assert np.max(np.abs(prof.U - U)) <= 1e-6 * prof.u_star
+    report = prof.to_json()
+    assert report["fallback"] is False and report["residual"] == prof.residual
+
+
+def test_stationary_heavy_tail_uses_relaxation():
+    # the taps span the window, so the band is too large to factor
+    prof = stationary_profile(AlgebraicTail(1.5, 1.0), logistic(1, 1), 1.0)
+    assert prof.fallback and prof.to_json()["fallback"] is True
+    assert np.all(np.diff(prof.U) < 0.0)
+    assert prof.U[-1] == pytest.approx(0.6301018943754649, rel=1e-6)
+
+
+def test_stationary_rejected_newton_falls_back(monkeypatch):
+    monkeypatch.setattr(semiwave, "_newton",
+                        lambda ps, mu, phi, c, tol: (phi, c, [1.0, 2.0], False))
+    prof = stationary_profile(CompactCosine(1.0), logistic(1, 1), 1.0)
+    assert prof.fallback and prof.iterations > 10
+    assert np.allclose(prof.U, _stationary_relaxation(CompactCosine(1.0), 1.0, prof),
+                       rtol=0.0, atol=1e-12)
+
+
+def test_stationary_non_strict_discrete_profile_raises():
+    # the uniform kernel's density jump puts a kink in U near x = -1 at large d
+    with pytest.raises(ConvergenceError, match="not strictly decreasing") as err:
+        stationary_profile(CompactUniform(1.0), logistic(1, 1), 1e3)
+    assert err.value.diagnostics["fallback"] is False
+
+
+def test_stationary_profile_truncated_kernel():
+    prof = stationary_profile(truncate(LightExponential(1.0), 4.0), logistic(1, 1), 1.0)
+    assert not prof.fallback
+    assert np.all(np.diff(prof.U) < 0.0)
+
+
+def test_minimal_speed_truncated_below_untruncated():
+    # J_n <= J, so every exponential moment and the dispersion curve drop
+    base = minimal_speed(LightExponential(1.0), logistic(1, 1), 1.0).c_star
+    cut = minimal_speed(truncate(LightExponential(1.0), 4.0), logistic(1, 1), 1.0).c_star
+    assert 0.0 < cut <= base

@@ -198,7 +198,7 @@ def test_truncated_kernel_composes_with_perturbed_reaction():
     from nlfront.kernels import LightExponential, truncate
     from nlfront.reactions import perturb
     kernel = truncate(LightExponential(1.0), 4.0)
-    reaction = perturb(logistic(1, 1), 0.05).as_reaction()
+    reaction = perturb(logistic(1, 1), 0.05)
     spec = ProblemSpec(variant="halfline-fb", kernel=kernel, reaction=reaction,
                        d=1.0, mu=1.0, h0=5.0)
     log = run(spec, SolverConfig(dx=0.1, dt=0.05, t_end=5.0, log_every=0.5))

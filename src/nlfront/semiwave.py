@@ -8,20 +8,19 @@ The semi-wave pair (c0, phi) solves, on a truncated window [-L, 0],
     c = mu * int_{-inf}^0 tail_mass(-x) phi(x) dx,
 
 with closed-form completion of all integrals past -L where phi == u*, and
-upwind differencing for phi'.  A loose relaxation warm start (a damped
-fixed point with a monotone clamp, inside a bisection on c: the induced
-flux decreases in c) hands a profile and a 10 % bracket of c to a bordered
-Newton solve on (phi, c), one banded solve per iteration.  The Newton
-answer is accepted only when, after the relaxation's clamp, it still
-satisfies the equations to ``residual_tol``; otherwise the relaxation
-alone, bisecting c to ``c_rtol``, gives the answer, and the solution says
-so (``fallback``).  The profile exists iff the kernel has a finite first
-moment; heavy-tailed kernels raise instead, which is the
-accelerated-spreading regime.
+upwind differencing for phi'.  Every profile is one bordered Newton solve
+on (phi, c).  At mu = 0 the speed is c = 0 and Newton needs no warm start
+from the step u* 1{x < 0}; continuation in mu climbs from there by decades,
+each rung seeded with the last.  An answer counts only if, clamped to a
+nonincreasing profile in [0, u*], it still meets ``residual_tol``.  The
+Jacobian band is solved directly when it holds the kernel's reach, and
+preconditions GMRES when BAND_MAX cuts it.  The profile exists iff the
+kernel has a finite first moment; heavy-tailed kernels raise instead,
+which is the accelerated-spreading regime.
 
 The stationary profile U is the case c = mu = 0 with no node pinned:
 Newton from the supersolution U == u* falls monotonically to the maximal
-solution (concave f), and the relaxation at c = 0 is the fallback.
+solution (concave f).
 """
 
 from __future__ import annotations
@@ -49,21 +48,16 @@ __all__ = [
     "mu_curve",
 ]
 
-# Warm start: relaxation stop (relative to u*) and the relative width of the
-# c bracket at which bisection hands over to Newton.
-WARM_TOL = 1e-4
-WARM_BRACKET = 0.1
 # Newton stops once the sup residual is at most NEWTON_TOL * u* or stops
 # falling, or after NEWTON_MAX_ITER iterations (not converged).
 NEWTON_TOL = 1e-12
 NEWTON_MAX_ITER = 30
-# Kernels of infinite support: the Jacobian band ends where tail_mass falls
-# below BAND_TAIL (the residual keeps every tap).  A band of more than
-# BAND_MAX_ENTRIES entries is not factored; the relaxation solves instead.
+# The Jacobian band reaches as far as the kernel's tail_mass stays above
+# BAND_TAIL (the residual keeps every tap), and at most BAND_MAX nodes off
+# the diagonal.  A band cut by BAND_MAX preconditions GMRES on the full
+# Jacobian instead of being solved directly.
 BAND_TAIL = 1e-8
-BAND_MAX_ENTRIES = 2 ** 23
-# Stationary relaxation fallback: sup-norm increment stop, relative to u*.
-STATIONARY_STOP = 1e-10
+BAND_MAX = 128
 
 
 @dataclass(frozen=True)
@@ -72,9 +66,6 @@ class SemiWaveConfig:
     L0: float | None = None        # default 40 interaction lengths
     max_doublings: int = 3
     L_rtol: float = 1e-4           # c0 movement that forces an L doubling
-    inner_tol: float = 1e-11       # relaxation fallback: sup-norm increment stop, relative to u*
-    max_inner: int = 300_000       # relaxation sweeps per trial speed or stationary fallback
-    c_rtol: float = 1e-9           # relaxation fallback: bisection bracket on c
     residual_tol: float = 1e-6     # acceptance, stationary profile included
 
 
@@ -99,7 +90,6 @@ class SemiWaveSolution:
     mu: float
     newton_iterations: int = 0
     newton_residuals: tuple = ()   # sup residual at the start and after each iteration
-    fallback: bool = False         # True: Newton was rejected, relaxation gave phi
 
     @property
     def dx(self) -> float:
@@ -118,8 +108,7 @@ class SemiWaveSolution:
                 "speed_defect": self.speed_defect, "u_star": self.u_star,
                 "d": self.d, "mu": self.mu, "dx": self.dx,
                 "newton_iterations": self.newton_iterations,
-                "newton_residuals": list(self.newton_residuals),
-                "fallback": self.fallback}
+                "newton_residuals": list(self.newton_residuals)}
 
 
 @dataclass(frozen=True)
@@ -138,9 +127,8 @@ class StationaryProfile:
     x0: float | None               # U(x0) = u*/2, or None when U(0) >= u*/2
     d: float
     u_star: float
-    iterations: int                # Newton iterations, or relaxation sweeps on the fallback
+    iterations: int                # Newton iterations
     residual: float                # sup-norm defect at the unknown nodes
-    fallback: bool                 # True: the relaxation gave U
 
     def U_at(self, xq):
         return np.interp(xq, self.x, self.U, left=self.u_star, right=float(self.U[-1]))
@@ -148,7 +136,7 @@ class StationaryProfile:
     def to_json(self) -> dict:
         return {"d": self.d, "x0": self.x0, "U0": float(self.U[-1]),
                 "u_star": self.u_star, "iterations": self.iterations,
-                "residual": self.residual, "fallback": self.fallback}
+                "residual": self.residual}
 
 
 @dataclass(frozen=True)
@@ -163,7 +151,7 @@ class MuCurve:
 
 
 # ---------------------------------------------------------------------------
-# the profile solver: relaxation warm start, bordered Newton, relaxation fallback
+# the profile solver: bordered Newton, banded or GMRES
 # ---------------------------------------------------------------------------
 
 
@@ -177,15 +165,14 @@ class _ProfileSolver(FarFieldWindow):
         super().__init__(kernel, L, dx, reaction.u_star)
         self.reaction = reaction
         self.d = d
-        self.kf = reaction.max_abs_fprime()
-        self.m1 = kernel.first_moment()
         self.pinned = pinned
         self.free = slice(1, -1) if pinned else slice(None)    # the unknown nodes
         reach = self.conv.m
         if not math.isfinite(kernel.support_radius()):
             reach = min(reach, int(math.ceil(kernel.interaction_length(BAND_TAIL) / dx)) + 1)
-        self.band = min(reach, len(self.x) - (3 if pinned else 1))  # below the unknowns
-        self.fits_band = (2 * self.band + 1) * len(self.x) <= BAND_MAX_ENTRIES
+        reach = min(reach, len(self.x) - (3 if pinned else 1))  # below the unknowns
+        self.band = min(reach, BAND_MAX)
+        self.cut = self.band < reach
 
     def residual(self, phi, c):
         r = self.d * (self.integral(phi) - phi)
@@ -201,70 +188,32 @@ class _ProfileSolver(FarFieldWindow):
         np.clip(phi, 0.0, self.u_star, out=phi)
         return np.maximum.accumulate(phi[::-1])[::-1] if self.pinned else phi
 
-    def solve(self, c, phi0, tol, max_iter):
-        tau = 0.8 / (2.0 * self.d + self.kf + c / self.dx)
-        phi = phi0.copy()
-        tol_abs = tol * self.u_star
-        for it in range(max_iter):
-            new = self.clamp(phi + tau * self.residual(phi, c))
-            delta = float(np.max(np.abs(new - phi)))
-            phi = new
-            if delta < tol_abs:
-                return phi, it + 1
-        raise ConvergenceError(
-            "profile relaxation stagnated",
-            diagnostics={"c": c, "delta": delta, "tau": tau, "L": self.L})
-
-    def default_profile(self):
-        width = max(2.0, 0.1 * self.L)
-        return self.u_star * np.clip(-self.x / width, 0.0, 1.0)
-
-    def bisect(self, mu, phi, tol, max_inner, width):
-        """Bisect c until the bracket is narrower than width * its top,
-        relaxing phi to tol at each trial speed; the bracket's midpoint and
-        the last profile."""
-        c_hi = 1.01 * mu * self.u_star * self.m1
-        c_lo = 1e-12 * c_hi
-        phi, _ = self.solve(c_lo, phi, tol, max_inner)
-        if mu * self.flux(phi) <= c_lo:
-            raise ConvergenceError("no positive front speed bracketed",
-                                   diagnostics={"c_lo": c_lo, "flux": self.flux(phi)})
-        lo, hi = c_lo, c_hi
-        while (hi - lo) > width * max(hi, 1e-300):
-            mid = 0.5 * (lo + hi)
-            phi, _ = self.solve(mid, phi, tol, max_inner)
-            if mu * self.flux(phi) > mid:
-                lo = mid
-            else:
-                hi = mid
-        return 0.5 * (lo + hi), phi
-
-
-def _relaxation(ps: _ProfileSolver, mu, phi, cfg: SemiWaveConfig):
-    """The relaxation path alone: bisect c to c_rtol, then polish phi."""
-    c0, phi = ps.bisect(mu, phi, max(cfg.inner_tol, 1e-9), cfg.max_inner, cfg.c_rtol)
-    phi, _ = ps.solve(c0, phi, cfg.inner_tol, cfg.max_inner)
-    return c0, phi
-
 
 def _newton(ps: _ProfileSolver, mu, phi, c, tol):
     """Bordered Newton on (phi[ps.free], c) for the profile and speed equations.
 
-    The Jacobian in the unknowns is banded: d dx taps[i-k+m] w_k on band k
-    (w_k the trapezoid weight, 0.5 at an unpinned end), plus f'(phi) - d -
-    c/dx on the diagonal and c/dx above it.  Its border is the upwind phi'
-    (column) and -mu * flux weights (row); dc comes from the scalar Schur
-    complement, and is 0 when mu = c = 0.  Returns phi, c, the sup residual
-    at the start and after each iteration, and whether the iteration
-    converged: to NEWTON_TOL * u*, or to a rounding floor below tol where
-    the residual stopped falling (the better iterate is kept).  Above tol a
-    rising residual is the usual transient of a rough start.
+    The Jacobian in the unknowns is d dx taps[i-k+m] w_k (w_k the
+    trapezoid weight, 0.5 at an unpinned end), plus f'(phi) - d - c/dx on
+    the diagonal and c/dx above it.  Its border is the upwind phi' (column)
+    and -mu * flux weights (row); dc comes from the scalar Schur complement
+    of the banded part, and is 0 when mu = c = 0.  The band, factored once
+    per iteration, gives the step directly when it holds the kernel's
+    reach; when BAND_MAX cut it, the bordered band solve preconditions
+    GMRES on the full Jacobian, whose product is the window's convolution
+    of the perturbation (no u* completion: the perturbation is 0 past -L).
+
+    Returns phi, c, the sup residual at the start and after each iteration,
+    and whether the iteration converged: to NEWTON_TOL * u*, or to a
+    rounding floor below tol where the residual stopped falling (the
+    better iterate is kept).  Above tol a rising residual is the usual
+    transient of a rough start.
     """
-    from scipy.linalg import LinAlgError, solve_banded
+    from scipy.linalg import get_lapack_funcs
 
     mb, m, free = ps.band, ps.conv.m, ps.free
     band = ps.d * ps.dx * ps.conv.taps[m - mb:m + mb + 1]
     border = -mu * ps.flux_w[free]
+    gbtrf, gbtrs = get_lapack_funcs(("gbtrf", "gbtrs"), (band,))
 
     def defects(phi, c):
         r = ps.residual(phi, c)[free]
@@ -276,20 +225,29 @@ def _newton(ps: _ProfileSolver, mu, phi, c, tol):
     while res > NEWTON_TOL * ps.u_star:
         if len(history) > NEWTON_MAX_ITER:
             return phi, c, history, False
-        ab = np.empty((2 * mb + 1, len(r)))
-        ab[:] = band[:, None] * ps.w[free]
-        ab[mb] += ps.reaction.f_prime(phi[free]) - ps.d - c / ps.dx
-        ab[mb - 1, 1:] += c / ps.dx
-        rhs = np.column_stack([r, _upwind(phi, ps.dx)[free]])
-        try:
-            y = solve_banded((mb, mb), ab, rhs, overwrite_ab=True, overwrite_b=True,
-                             check_finite=False)
-        except LinAlgError:
+        fp = ps.reaction.f_prime(phi[free])
+        slope = _upwind(phi, ps.dx)[free]
+        ab = np.zeros((3 * mb + 1, len(r)), order="F")    # LAPACK band storage
+        ab[mb:] = band[:, None] * ps.w[free]
+        ab[2 * mb] += fp - ps.d - c / ps.dx
+        ab[2 * mb - 1, 1:] += c / ps.dx
+        lu, piv, info = gbtrf(ab, mb, mb, overwrite_ab=True)
+        if info:
             return phi, c, history, False
-        dc = (border @ y[:, 0] - g) / (1.0 - border @ y[:, 1])
+        y_c = gbtrs(lu, mb, mb, slope, piv)[0]
+        schur = 1.0 - border @ y_c
+
+        def bordered_solve(v):
+            y = gbtrs(lu, mb, mb, v[:-1], piv)[0]
+            dc = (v[-1] - border @ y) / schur
+            return np.append(y - dc * y_c, dc)
+
+        rhs = np.append(r, g)
+        step = (_gmres(ps, fp, slope, border, c, bordered_solve, rhs) if ps.cut
+                else bordered_solve(rhs))
         trial = phi.copy()
-        trial[free] -= y[:, 0] + dc * y[:, 1]
-        c_t = float(c + dc)
+        trial[free] -= step[:-1]
+        c_t = float(c - step[-1])
         r_t, g_t, res_t = defects(trial, c_t)
         history.append(res_t)
         if not math.isfinite(res_t):
@@ -300,52 +258,75 @@ def _newton(ps: _ProfileSolver, mu, phi, c, tol):
     return phi, c, history, True
 
 
-def _solution(ps: _ProfileSolver, mu, c0, phi, history=(), fallback=False):
-    resid = ps.residual(phi, c0)
-    return SemiWaveSolution(
-        c0=c0, x=ps.x, phi=phi, L=ps.L, residual=float(np.max(np.abs(resid[ps.free]))),
-        speed_defect=abs(c0 - mu * ps.flux(phi)), u_star=ps.u_star, d=ps.d, mu=mu,
-        newton_iterations=max(len(history) - 1, 0), newton_residuals=tuple(history),
-        fallback=fallback)
+def _gmres(ps: _ProfileSolver, fp, slope, border, c, precondition, rhs):
+    """The bordered Newton step on the full Jacobian, by GMRES."""
+    from scipy.sparse.linalg import LinearOperator, gmres
+
+    free, size = ps.free, len(rhs)
+    z_full = np.zeros(len(ps.x))
+
+    def jacobian(z):
+        z_full[free] = z[:-1]
+        jz = ps.d * (ps.conv(z_full * ps.w) - z_full)
+        if c:
+            jz += c * _upwind(z_full, ps.dx)
+        return np.append(jz[free] + fp * z[:-1] + slope * z[-1], border @ z[:-1] + z[-1])
+
+    # scipy's 1e-5 relative tolerance keeps Newton fast; a stalled GMRES stops
+    # after NEWTON_MAX_ITER restarts, and the Newton residual judges its step
+    step, _ = gmres(LinearOperator((size, size), jacobian), rhs,
+                    M=LinearOperator((size, size), precondition), maxiter=NEWTON_MAX_ITER)
+    return step
 
 
 def _newton_solution(ps: _ProfileSolver, mu, phi, c, cfg: SemiWaveConfig):
-    """Newton from (phi, c) under the acceptance check: after the
-    relaxation's clamp, residual and speed defect within residual_tol."""
+    """Newton from (phi, c) under the acceptance check: after the clamp,
+    residual and speed defect within residual_tol."""
     phi, c, history, converged = _newton(ps, mu, phi, c, cfg.residual_tol)
-    sol = _solution(ps, mu, c, ps.clamp(phi.copy()), history)
+    phi = ps.clamp(phi.copy())
+    residual = float(np.max(np.abs(ps.residual(phi, c)[ps.free])))
+    sol = SemiWaveSolution(c0=c, x=ps.x, phi=phi, L=ps.L, residual=residual,
+                           speed_defect=abs(c - mu * ps.flux(phi)), u_star=ps.u_star, d=ps.d,
+                           mu=mu, newton_iterations=len(history) - 1,
+                           newton_residuals=tuple(history))
     return sol, converged and max(sol.residual, sol.speed_defect) <= cfg.residual_tol
 
 
 def _solve_at_L(kernel, reaction, d, mu, L, cfg: SemiWaveConfig,
                 seed: SemiWaveSolution | None = None) -> SemiWaveSolution:
-    """Warm start and Newton, or the relaxation when Newton is rejected.
+    """Newton from the seed (the solution on a shorter window), else, or
+    when that answer is rejected, continuation in mu from mu = c = 0.
 
-    With a seed (the solution on a shorter window) Newton first starts
-    from its profile and c0, and goes through the warm start only when
-    that result is rejected.
+    Newton solves the pinned problem at mu = 0 from the step u* 1{x < 0},
+    then each rung from the last accepted one: rungs stand whole decades
+    below mu, the first the one nearest 0.1/u* (mu itself below about
+    0.3/u*), so the last is exactly mu.  A rejected rung halves the step
+    in log10 mu; when the step no longer moves the rung, ConvergenceError
+    carries every Newton residual history.
     """
     ps = _ProfileSolver(kernel, reaction, d, L, cfg.dx)
-    phi0 = ps.default_profile() if seed is None else np.interp(
-        ps.x, seed.x, seed.phi, left=ps.u_star, right=0.0)
-    ok, history = False, ()
-    if ps.fits_band:
-        if seed is not None:
-            sol, ok = _newton_solution(ps, mu, phi0, seed.c0, cfg)
-        if not ok:
-            c, phi = ps.bisect(mu, phi0, WARM_TOL, cfg.max_inner, WARM_BRACKET)
-            sol, ok = _newton_solution(ps, mu, phi, c, cfg)
+    if seed is not None:
+        phi0 = np.interp(ps.x, seed.x, seed.phi, left=ps.u_star, right=0.0)
+        sol, ok = _newton_solution(ps, mu, phi0, seed.c0, cfg)
         if ok:
             return sol
-        history = sol.newton_residuals
-    c0, phi = _relaxation(ps, mu, phi0, cfg)
-    sol = _solution(ps, mu, c0, phi, history, fallback=True)
-    if max(sol.residual, sol.speed_defect) > cfg.residual_tol:
-        raise ConvergenceError(
-            "semi-wave relaxation fallback left a defect above residual_tol",
-            diagnostics={"residual": sol.residual, "speed_defect": sol.speed_defect,
-                         "c0": c0, "L": ps.L, "newton_residuals": list(history)})
-    return sol
+    sol, ok = _newton_solution(ps, 0.0, np.where(ps.x < 0.0, ps.u_star, 0.0), 0.0, cfg)
+    histories = [list(sol.newton_residuals)]
+    # decades below mu; mu = 0 stands one decade below the first rung
+    at, step = max(round(math.log10(10.0 * mu * ps.u_star)), 0) + 1.0, 1.0
+    while ok and (nxt := max(at - step, 0.0)) < at:
+        trial, accepted = _newton_solution(ps, mu * 10.0 ** -nxt, sol.phi, sol.c0, cfg)
+        histories.append(list(trial.newton_residuals))
+        if accepted and nxt == 0.0:
+            return trial
+        if accepted:
+            sol, at = trial, nxt
+        else:
+            step *= 0.5
+    raise ConvergenceError(
+        "semi-wave continuation in mu stalled before reaching mu",
+        diagnostics={"mu": mu, "mu_reached": sol.mu, "L": ps.L,
+                     "newton_residuals": histories})
 
 
 def solve_semiwave(kernel: Kernel, reaction, d: float, mu: float,
@@ -383,7 +364,9 @@ def minimal_speed(kernel: Kernel, reaction, d: float) -> WaveSolution:
     if not fp0 > 0.0:
         raise ValidationError("minimal_speed needs f'(0) > 0")
 
-    lam_hi = min(mgf * (1.0 - 1e-9), 80.0)
+    # exp(lam r) overflows past lam r ~ 709 for a kernel of support radius r
+    r = kernel.support_radius()
+    lam_hi = min(mgf * (1.0 - 1e-9), 80.0, 700.0 / r if math.isfinite(r) else math.inf)
 
     def curve(lam):
         return (d * (kernel.exp_moment(lam) - 1.0) + fp0) / lam
@@ -421,8 +404,7 @@ def _far_field_rate(kernel: Kernel, reaction, d: float) -> float | None:
         if hi > 1e6 or (math.isfinite(mgf) and mgf - hi < 1e-12):
             break
     lo = 0.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
+    while lo < (mid := 0.5 * (lo + hi)) < hi:     # until the bracket stops shrinking
         if kernel.exp_moment(mid) < target:
             lo = mid
         else:
@@ -435,8 +417,8 @@ def stationary_profile(kernel: Kernel, reaction, d: float) -> StationaryProfile:
 
     The window [-L, 0] adapts to the far-field decay rate of u* - U so the
     u*-completion past -L stays honest for both tiny and huge d.  Newton
-    from U == u*, or the relaxation when the band is too large or Newton is
-    rejected; the answer must decrease strictly, as the continuum one does.
+    from U == u*, a supersolution, falls to the maximal solution; the
+    answer must decrease strictly, as the continuum one does.
     """
     u_star = reaction.u_star
     if not u_star:
@@ -452,37 +434,24 @@ def stationary_profile(kernel: Kernel, reaction, d: float) -> StationaryProfile:
         L = 40.0 * min(kernel.interaction_length(), 25.0)
     dx = min(scale / 8.0, (0.1 / kappa) if kappa else math.inf, L / 50.0)
     ps = _ProfileSolver(kernel, reaction, d, L, dx, pinned=False)
-    cfg = SemiWaveConfig()
-    start = np.full(len(ps.x), float(u_star))
-    if ps.fits_band:
-        U, _, history, converged = _newton(ps, 0.0, start, 0.0, cfg.residual_tol)
-        if converged:
-            # Newton from u* finds the maximal discrete solution; if not strict, no fallback helps
-            prof = _stationary(ps, U, len(history) - 1, fallback=False)
-            if prof.residual <= cfg.residual_tol:
-                return prof
-    U, sweeps = ps.solve(0.0, start, STATIONARY_STOP, cfg.max_inner)
-    prof = _stationary(ps, U, sweeps, fallback=True)
-    if prof.residual > cfg.residual_tol:
-        raise ConvergenceError(
-            "stationary relaxation fallback left a defect above residual_tol",
-            diagnostics={"residual": prof.residual, "sweeps": sweeps, "L": ps.L})
-    return prof
-
-
-def _stationary(ps: _ProfileSolver, U, iterations, fallback) -> StationaryProfile:
-    """Clamped U and its residual; raises unless U strictly decreases."""
+    tol = SemiWaveConfig.residual_tol
+    U, _, history, converged = _newton(ps, 0.0, np.full(len(ps.x), float(u_star)), 0.0, tol)
+    diagnostics = {"newton_residuals": history, "nodes": len(U), "L": ps.L}
+    if not converged:
+        raise ConvergenceError("stationary Newton did not converge", diagnostics=diagnostics)
+    # Newton from u* finds the maximal discrete solution, which must be strict
     if not np.all(np.diff(U) < 0.0):
         raise ConvergenceError(
             "stationary profile settled but is not strictly decreasing (a density jump "
             "at the kernel's support edge kinks U beyond what the grid orders at large d)",
-            diagnostics={"iterations": iterations, "fallback": fallback, "nodes": len(U),
-                         "first_tie": int(np.argmax(np.diff(U) >= 0.0))})
+            diagnostics={**diagnostics, "first_tie": int(np.argmax(np.diff(U) >= 0.0))})
     U = ps.clamp(U)
-    return StationaryProfile(x=ps.x, U=U, x0=half_level_point(ps.x, U, ps.u_star / 2.0),
-                             d=ps.d, u_star=ps.u_star, iterations=iterations,
-                             residual=float(np.max(np.abs(ps.residual(U, 0.0)[ps.free]))),
-                             fallback=fallback)
+    residual = float(np.max(np.abs(ps.residual(U, 0.0))))
+    if residual > tol:
+        raise ConvergenceError("stationary profile left a defect above residual_tol",
+                               diagnostics={**diagnostics, "residual": residual})
+    return StationaryProfile(x=ps.x, U=U, x0=half_level_point(ps.x, U, u_star / 2.0), d=d,
+                             u_star=u_star, iterations=len(history) - 1, residual=residual)
 
 
 # ---------------------------------------------------------------------------

@@ -160,7 +160,8 @@ def test_window_off_the_field_is_a_contract_error():
 def test_cli_import_leaves_scipy_signal_unloaded():
     # scipy is imported where it is used, so starting the CLI loads none of it
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(nlfront.__file__)))
-    names = [f"scipy.{m}" for m in ("signal", "integrate", "optimize", "linalg", "fft")]
+    names = [f"scipy.{m}" for m in ("signal", "integrate", "optimize", "linalg", "fft",
+                                          "sparse")]
     code = f"import nlfront.cli, sys; print([m for m in {names!r} if m in sys.modules])"
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True)

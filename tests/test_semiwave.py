@@ -1,8 +1,14 @@
 import math
+import os
+import subprocess
+import sys
+import warnings
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
+import nlfront
 from nlfront import semiwave
 from nlfront.errors import (ContractError, ConvergenceError, NoSemiWaveError,
                             NoTravelingWaveError, ValidationError)
@@ -119,67 +125,111 @@ def test_stationary_profile_d_family(cosine_kernel, logistic_reaction):
 CROSS_CFG = SemiWaveConfig(dx=0.05, L0=20.0, max_doublings=0)
 
 
+# the relaxation oracle: a damped fixed point with the monotone clamp, and a
+# bisection on c around it (the induced flux decreases in c) ------------------
+
+
+def _relax(ps, c, phi, tol, max_iter=300_000):
+    """Sweep phi to a sup-norm increment below tol * u* at the speed c."""
+    tau = 0.8 / (2.0 * ps.d + ps.reaction.max_abs_fprime() + c / ps.dx)
+    for _ in range(max_iter):
+        new = ps.clamp(phi + tau * ps.residual(phi, c))
+        delta = float(np.max(np.abs(new - phi)))
+        phi = new
+        if delta < tol * ps.u_star:
+            return phi
+    raise AssertionError(f"relaxation oracle stagnated at c = {c}, delta = {delta}")
+
+
 def _relaxation_answer(kernel):
+    """At d = mu = 1 on CROSS_CFG's window: c0 bisected to 1e-9 relative
+    with sweeps to 1e-9, then phi swept to 1e-11."""
     ps = semiwave._ProfileSolver(kernel, logistic(1, 1), 1.0, CROSS_CFG.L0, CROSS_CFG.dx)
-    return semiwave._relaxation(ps, 1.0, ps.default_profile(), CROSS_CFG)
+    phi = ps.u_star * np.clip(-ps.x / max(2.0, 0.1 * ps.L), 0.0, 1.0)
+    hi = 1.01 * ps.u_star * kernel.first_moment()
+    lo = 1e-12 * hi
+    phi = _relax(ps, lo, phi, 1e-9)
+    assert ps.flux(phi) > lo, "no positive front speed bracketed"
+    while hi - lo > 1e-9 * hi:
+        mid = 0.5 * (lo + hi)
+        phi = _relax(ps, mid, phi, 1e-9)
+        if ps.flux(phi) > mid:
+            lo = mid
+        else:
+            hi = mid
+    c0 = 0.5 * (lo + hi)
+    return c0, _relax(ps, c0, phi, 1e-11)
 
 
 @pytest.mark.parametrize("kernel", [CompactUniform(1.0), CompactCosine(1.0),
                                     truncate(LightExponential(1.0), 4.0),
-                                    LightExponential(1.0)],   # infinite support: cut band
-                         ids=["uniform", "cosine", "truncated", "exponential"])
+                                    LightExponential(1.0), AlgebraicTail(2.5, 1.0)],
+                         ids=["uniform", "cosine", "truncated", "exponential", "algebraic"])
 def test_newton_matches_relaxation(kernel):
+    # at dx = 0.05 the truncated, exponential and algebraic bands are cut: GMRES
     sol = solve_semiwave(kernel, logistic(1, 1), 1.0, 1.0, CROSS_CFG)
     c0, phi = _relaxation_answer(kernel)
-    assert not sol.fallback and 1 <= sol.newton_iterations <= 10
+    assert 1 <= sol.newton_iterations <= 10
     assert len(sol.newton_residuals) == sol.newton_iterations + 1
     assert sol.residual <= CROSS_CFG.residual_tol
     assert sol.c0 == pytest.approx(c0, rel=1e-7)
     assert np.max(np.abs(sol.phi - phi)) <= 1e-6 * sol.u_star
     report = sol.to_json()
-    assert report["fallback"] is False
+    assert "fallback" not in report
     assert report["newton_residuals"] == list(sol.newton_residuals)
 
 
+def test_exponential_default_config_runs_newton():
+    # the kernel reaches 888 nodes, so BAND_MAX cuts the band and GMRES
+    # solves; the relaxation gave 0.271209555186
+    sol = solve_semiwave(LightExponential(1.0), logistic(1, 1), 1.0, 1.0)
+    assert sol.newton_iterations >= 1
+    assert sol.c0 == pytest.approx(0.271209555186, rel=1e-7)
+
+
 @pytest.mark.parametrize("spurious", ["non-monotone", "high-residual"])
-def test_rejected_newton_falls_back_to_relaxation(monkeypatch, spurious):
+def test_rejected_newton_raises(monkeypatch, spurious):
+    # a spurious root flagged as converged fails the acceptance check at
+    # mu = 0, so the continuation raises instead of returning it
     def fake_newton(ps, mu, phi, c, tol):
-        bad = ps.default_profile()
+        bad = ps.u_star * np.clip(-ps.x / 2.0, 0.0, 1.0)
         if spurious == "non-monotone":
             bad[len(bad) // 2] = 0.5 * ps.u_star * (1.0 + 1e-3)
             bad[len(bad) // 2 + 1] = ps.u_star
         return bad, 0.5 * c, [1.0, 1e-13], True
 
     monkeypatch.setattr(semiwave, "_newton", fake_newton)
-    sol = solve_semiwave(CompactUniform(1.0), logistic(1, 1), 1.0, 1.0, CROSS_CFG)
-    c0, phi = _relaxation_answer(CompactUniform(1.0))
-    assert sol.fallback and sol.to_json()["fallback"] is True
-    assert sol.c0 == c0 and np.array_equal(sol.phi, phi)
-    assert sol.newton_residuals == (1.0, 1e-13)
-    assert np.all(np.diff(sol.phi) <= 0.0) and sol.residual <= CROSS_CFG.residual_tol
+    with pytest.raises(ConvergenceError, match="continuation") as err:
+        solve_semiwave(CompactUniform(1.0), logistic(1, 1), 1.0, 1.0, CROSS_CFG)
+    assert err.value.diagnostics["mu_reached"] == 0.0
+    assert err.value.diagnostics["newton_residuals"] == [[1.0, 1e-13]]
 
 
-def test_fallback_above_residual_tol_raises(monkeypatch):
-    # a loose relaxation cannot meet residual_tol: no solution is returned
-    monkeypatch.setattr(semiwave, "_newton",
-                        lambda ps, mu, phi, c, tol: (phi, c, [1.0], False))
-    cfg = SemiWaveConfig(dx=0.05, L0=20.0, max_doublings=0, inner_tol=1e-3)
-    with pytest.raises(ConvergenceError, match="residual_tol") as err:
-        solve_semiwave(CompactUniform(1.0), logistic(1, 1), 1.0, 1.0, cfg)
-    assert err.value.diagnostics["residual"] > cfg.residual_tol
+def test_stalled_continuation_raises_with_histories(monkeypatch):
+    # Newton rejected above mu = 0.05: the log-step halves until the rung
+    # no longer moves, and every rung's residual history is reported
+    newton = semiwave._newton
+
+    def failing_above(ps, mu, phi, c, tol):
+        return newton(ps, mu, phi, c, tol) if mu <= 0.05 else (phi, c, [1.0], False)
+
+    monkeypatch.setattr(semiwave, "_newton", failing_above)
+    with pytest.raises(ConvergenceError, match="continuation") as err:
+        solve_semiwave(CompactUniform(1.0), logistic(1, 1), 1.0, 1.0, CROSS_CFG)
+    diag = err.value.diagnostics
+    assert 0.04 < diag["mu_reached"] <= 0.05
+    assert len(diag["newton_residuals"]) > 50 and [1.0] in diag["newton_residuals"]
 
 
 # stationary profile: the c = 0, unpinned case of the same solver ---------------
 
 
 def _stationary_relaxation(kernel, d, prof):
-    """The shared relaxation at c = 0 on the window stationary_profile chose."""
+    """The relaxation oracle at c = 0 on the window stationary_profile chose."""
     ps = semiwave._ProfileSolver(kernel, logistic(1, 1), d, -prof.x[0], prof.x[1] - prof.x[0],
                                  pinned=False)
     assert np.allclose(ps.x, prof.x, rtol=0.0, atol=1e-12)
-    U, _ = ps.solve(0.0, np.full(len(ps.x), ps.u_star), semiwave.STATIONARY_STOP,
-                    SemiWaveConfig().max_inner)
-    return U
+    return _relax(ps, 0.0, np.full(len(ps.x), ps.u_star), 1e-10)
 
 
 @pytest.mark.parametrize("kernel, d", [(CompactCosine(1.0), 1.0), (CompactCosine(1.0), 100.0),
@@ -187,42 +237,42 @@ def _stationary_relaxation(kernel, d, prof):
                          ids=["cosine-d1", "cosine-d100", "exponential-d1"])
 def test_stationary_newton_matches_relaxation(kernel, d):
     prof = stationary_profile(kernel, logistic(1, 1), d)
-    assert not prof.fallback and 1 <= prof.iterations <= 10
+    assert 1 <= prof.iterations <= 10
     assert prof.residual <= SemiWaveConfig().residual_tol
     assert np.all(np.diff(prof.U) < 0.0) and prof.U[0] < prof.u_star
     U = _stationary_relaxation(kernel, d, prof)
     assert np.max(np.abs(prof.U - U)) <= 1e-6 * prof.u_star
     report = prof.to_json()
-    assert report["fallback"] is False and report["residual"] == prof.residual
+    assert "fallback" not in report and report["residual"] == prof.residual
 
 
 def test_stationary_heavy_tail_uses_relaxation():
-    # the taps span the window, so the band is too large to factor
+    # the taps span the window, so the band is cut and GMRES solves each
+    # Newton step; U(0) is the relaxation's answer
     prof = stationary_profile(AlgebraicTail(1.5, 1.0), logistic(1, 1), 1.0)
-    assert prof.fallback and prof.to_json()["fallback"] is True
+    assert prof.iterations >= 1
     assert np.all(np.diff(prof.U) < 0.0)
     assert prof.U[-1] == pytest.approx(0.6301018943754649, rel=1e-6)
 
 
-def test_stationary_rejected_newton_falls_back(monkeypatch):
+def test_stationary_rejected_newton_raises(monkeypatch):
     monkeypatch.setattr(semiwave, "_newton",
                         lambda ps, mu, phi, c, tol: (phi, c, [1.0, 2.0], False))
-    prof = stationary_profile(CompactCosine(1.0), logistic(1, 1), 1.0)
-    assert prof.fallback and prof.iterations > 10
-    assert np.allclose(prof.U, _stationary_relaxation(CompactCosine(1.0), 1.0, prof),
-                       rtol=0.0, atol=1e-12)
+    with pytest.raises(ConvergenceError, match="did not converge") as err:
+        stationary_profile(CompactCosine(1.0), logistic(1, 1), 1.0)
+    assert err.value.diagnostics["newton_residuals"] == [1.0, 2.0]
 
 
 def test_stationary_non_strict_discrete_profile_raises():
     # the uniform kernel's density jump puts a kink in U near x = -1 at large d
     with pytest.raises(ConvergenceError, match="not strictly decreasing") as err:
         stationary_profile(CompactUniform(1.0), logistic(1, 1), 1e3)
-    assert err.value.diagnostics["fallback"] is False
+    assert len(err.value.diagnostics["newton_residuals"]) >= 2
 
 
 def test_stationary_profile_truncated_kernel():
     prof = stationary_profile(truncate(LightExponential(1.0), 4.0), logistic(1, 1), 1.0)
-    assert not prof.fallback
+    assert prof.iterations >= 1
     assert np.all(np.diff(prof.U) < 0.0)
 
 
@@ -231,3 +281,47 @@ def test_minimal_speed_truncated_below_untruncated():
     base = minimal_speed(LightExponential(1.0), logistic(1, 1), 1.0).c_star
     cut = minimal_speed(truncate(LightExponential(1.0), 4.0), logistic(1, 1), 1.0).c_star
     assert 0.0 < cut <= base
+
+
+def test_minimal_speed_wide_kernels_stay_finite():
+    # the lambda bracket stops where exp(lam r) is still finite
+    ws = minimal_speed(CompactUniform(10.0), logistic(1, 1), 1.0)
+    assert math.isfinite(ws.c_star) and ws.c_star > 0.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        cut = minimal_speed(truncate(LightExponential(1.0), 10.0), logistic(1, 1), 1.0)
+    assert 0.0 < cut.c_star <= minimal_speed(LightExponential(1.0), logistic(1, 1), 1.0).c_star
+
+
+def test_far_field_rate_stops_when_the_bracket_does():
+    calls = []
+
+    class CountingCosine(CompactCosine):
+        def exp_moment(self, lam):
+            calls.append(lam)
+            return super().exp_moment(lam)
+
+    reaction = logistic(1, 1)
+    kappa = semiwave._far_field_rate(CountingCosine(1.0), reaction, 1.0)
+    assert len(calls) <= 60
+    target = 1.0 + abs(float(reaction.f_prime(reaction.u_star)))
+    root = brentq(lambda k: CompactCosine(1.0).exp_moment(k) - target, 1e-3, 10.0,
+                  xtol=1e-15, rtol=1e-15)
+    assert kappa == pytest.approx(root, rel=1e-12)
+
+
+def test_compact_kernel_profiles_leave_scipy_sparse_unloaded():
+    # the band of a compact kernel holds its reach, so no solve imports GMRES
+    code = ("import sys\n"
+            "from nlfront.kernels import CompactCosine, CompactUniform\n"
+            "from nlfront.reactions import logistic\n"
+            "from nlfront.semiwave import SemiWaveConfig, solve_semiwave, stationary_profile\n"
+            "solve_semiwave(CompactUniform(1.0), logistic(1, 1), 1.0, 1.0,\n"
+            "               SemiWaveConfig(dx=0.04, L0=20.0, max_doublings=0))\n"
+            "for d in (1e-3, 1.0, 100.0):\n"
+            "    stationary_profile(CompactCosine(1.0), logistic(1, 1), d)\n"
+            "print('scipy.sparse' in sys.modules)")
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(nlfront.__file__)))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "False"

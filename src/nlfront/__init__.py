@@ -6,7 +6,7 @@ from .errors import (ContractError, ConvergenceError, InsufficientDataError,
                      NoSemiWaveError, NoTravelingWaveError, ResourceError,
                      ValidationError)
 from .kernels import (AlgebraicTail, CompactCosine, CompactUniform, Kernel,
-                      LightExponential, condition_report, truncate)
+                      LightExponential, truncate)
 from .reactions import (Reaction, custom, logistic, perturb, rho_constant,
                         validate_F, zero_reaction)
 from .semiwave import (SemiWaveConfig, minimal_speed, mu_curve, solve_semiwave,

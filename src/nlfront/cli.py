@@ -27,7 +27,7 @@ from .errors import (ContractError, ConvergenceError, InsufficientDataError,
 from .reactions import zero_reaction
 from .semiwave import (SemiWaveConfig, minimal_speed, solve_semiwave,
                        stationary_profile)
-from .solver import ProblemSpec, SolverConfig, run
+from .solver import ProblemSpec, SolverConfig, TrajectoryLog, run
 
 _FMT = ".17g"
 
@@ -182,10 +182,8 @@ def _sweep_one(args):
         with open(os.path.join(subdir, "semiwave.json")) as fh:
             summary["c0"] = json.load(fh)["semiwave"]["c0"]
     else:
-        data = np.genfromtxt(os.path.join(subdir, "trajectory.csv"),
-                             delimiter=",", names=True)
-        data = np.atleast_1d(data)
-        summary["h_end"] = float(data["h"][-1])
+        log = TrajectoryLog.from_csv(os.path.join(subdir, "trajectory.csv"))
+        summary["h_end"] = log.h[-1]
     return summary
 
 

@@ -11,6 +11,7 @@ CompactUniform(r)     J(x) = 1/(2r) on |x| <= r
 CompactCosine(r)      J(x) = (pi/4r) cos(pi x / 2r) on |x| <= r
 AlgebraicTail(g, a)   J(x) = c (a + |x|)^(-g), c = (g-1) a^(g-1) / 2
 LightExponential(l0)  J(x) = (l0/2) exp(-l0 |x|)
+truncate(J, n)        J_n(x) = xi(x/n) J(x), a sub-probability kernel
 
 The algebraic family keeps J continuous with J(0) > 0 while matching the
 |x|^(-gamma) tail exactly; the bounding constants sigma1/sigma2 and the
@@ -35,15 +36,8 @@ __all__ = [
     "LightExponential",
     "TruncatedKernel",
     "KernelReport",
-    "evaluate",
-    "tail_mass",
-    "halfline_mass",
-    "first_moment",
-    "exp_moment",
-    "condition_report",
     "truncate",
     "kernel_from_json",
-    "kernel_to_json",
 ]
 
 # Quadrature tolerances for the unit-mass audit.
@@ -114,8 +108,10 @@ class Kernel:
     # -- generic derived operations ---------------------------------------
 
     def halfline_mass(self, x):
-        """j(x) = int_0^inf J(x - y) dy = 1 - tail_mass(x) for x >= 0."""
-        return 1.0 - self.tail_mass(x)
+        """j(x) = int_0^inf J(x - y) dy = mass_exact() - tail_mass(x) for x >= 0."""
+        if np.any(np.asarray(x) < 0.0):
+            raise ValidationError("halfline_mass requires x >= 0")
+        return self.mass_exact() - self.tail_mass(x)
 
     def tail_mass_integral(self, s: float) -> float:
         """``int_s^inf tail_mass(z) dz``; +inf exactly when (J1) fails."""
@@ -148,8 +144,7 @@ class Kernel:
             hi *= 2.0
             if hi >= cap:
                 return cap
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
+        while lo < (mid := 0.5 * (lo + hi)) < hi:     # until the bracket stops shrinking
             if self.tail_mass(mid) > eps:
                 lo = mid
             else:
@@ -240,15 +235,32 @@ def _taps_cached(kernel, dx: float, m: int) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class CompactUniform(Kernel):
-    """Uniform density on [-r, r]."""
+class _Compact(Kernel):
+    """Families supported on [-r, r]: every exponential moment is finite."""
 
     r: float = 1.0
-    family = "compact-uniform"
 
     def __post_init__(self):
         if not self.r > 0.0:
-            raise ValidationError("uniform kernel needs r > 0")
+            raise ValidationError(f"{self.family.removeprefix('compact-')} kernel needs r > 0")
+
+    def _tail_integral_to_inf(self, s):
+        return self.tail_mass_integral_between(s, self.r) if s < self.r else 0.0
+
+    def mgf_abscissa(self):
+        return math.inf
+
+    def support_radius(self):
+        return self.r
+
+    def params(self):
+        return {"r": self.r}
+
+
+class CompactUniform(_Compact):
+    """Uniform density on [-r, r]."""
+
+    family = "compact-uniform"
 
     def evaluate(self, x):
         x = np.asarray(x, dtype=float)
@@ -266,9 +278,6 @@ class CompactUniform(Kernel):
         # int (r-z)/(2r) dz = -(r-z)^2/(4r)
         return ((self.r - a) ** 2 - (self.r - b) ** 2) / (4.0 * self.r)
 
-    def _tail_integral_to_inf(self, s):
-        return self.tail_mass_integral_between(s, self.r) if s < self.r else 0.0
-
     def first_moment(self):
         return self.r / 4.0
 
@@ -276,26 +285,11 @@ class CompactUniform(Kernel):
         z = lam * self.r
         return math.sinh(z) / z if z != 0.0 else 1.0
 
-    def mgf_abscissa(self):
-        return math.inf
 
-    def support_radius(self):
-        return self.r
-
-    def params(self):
-        return {"r": self.r}
-
-
-@dataclass(frozen=True)
-class CompactCosine(Kernel):
+class CompactCosine(_Compact):
     """Cosine bump (pi/4r) cos(pi x / 2r) on [-r, r]; C^0 at the support edge."""
 
-    r: float = 1.0
     family = "compact-cosine"
-
-    def __post_init__(self):
-        if not self.r > 0.0:
-            raise ValidationError("cosine kernel needs r > 0")
 
     @property
     def _a(self):
@@ -322,24 +316,12 @@ class CompactCosine(Kernel):
         f = lambda z: z / 2.0 + np.cos(a * z) / (2.0 * a)
         return f(hi) - f(lo)
 
-    def _tail_integral_to_inf(self, s):
-        return self.tail_mass_integral_between(s, self.r) if s < self.r else 0.0
-
     def first_moment(self):
         return self.r * (0.5 - 1.0 / math.pi)
 
     def exp_moment(self, lam):
         a = self._a
         return (math.pi / (4.0 * self.r)) * 2.0 * a * math.cosh(lam * self.r) / (lam * lam + a * a)
-
-    def mgf_abscissa(self):
-        return math.inf
-
-    def support_radius(self):
-        return self.r
-
-    def params(self):
-        return {"r": self.r}
 
 
 @dataclass(frozen=True)
@@ -475,16 +457,17 @@ def _plateau(z):
 
 
 @dataclass(frozen=True)
-class TruncatedKernel:
+class TruncatedKernel(Kernel):
     """Sub-probability kernel J_n = xi(x/n) J(x): equals J on |x|<=n, 0 past 2n.
 
-    Carries enough of the kernel interface (tails, taps, half-line mass) to
-    drive the solvers, so truncation composes with reaction perturbation the
+    Its tails, taps and half-line mass carry the missing mass through
+    ``mass_exact``, so truncation composes with reaction perturbation the
     way the approximating systems require.
     """
 
     base: Kernel
     n: float
+    family = "truncated"
 
     def __post_init__(self):
         if not self.n > 0.0:
@@ -530,13 +513,6 @@ class TruncatedKernel:
     def mass_exact(self) -> float:
         return self.mass()
 
-    def halfline_mass(self, x):
-        """j_n(x) = int_0^inf J_n(x-y) dy = mass - tail(x) for x >= 0."""
-        return self.mass() - self.tail_mass(x)
-
-    def taps(self, dx: float, m: int) -> np.ndarray:
-        return _taps_cached(self, float(dx), int(m))
-
     def first_moment(self) -> float:
         from scipy import integrate
 
@@ -557,43 +533,13 @@ class TruncatedKernel:
         """J_n vanishes past 2n, so every exponential moment is finite."""
         return math.inf
 
-    def to_json(self) -> dict:
-        return {"family": "truncated", "n": self.n, "base": self.base.to_json()}
+    def params(self) -> dict:
+        return {"n": self.n, "base": self.base.to_json()}
 
 
 # ---------------------------------------------------------------------------
-# operation-style wrappers and JSON interface
+# JSON interface
 # ---------------------------------------------------------------------------
-
-
-def evaluate(kernel, x):
-    return kernel.evaluate(x)
-
-
-def tail_mass(kernel, s):
-    if np.any(np.asarray(s) < 0.0):
-        raise ValidationError("tail_mass requires s >= 0")
-    return kernel.tail_mass(s)
-
-
-def halfline_mass(kernel, x):
-    if np.any(np.asarray(x) < 0.0):
-        raise ValidationError("halfline_mass requires x >= 0")
-    return kernel.halfline_mass(x)
-
-
-def first_moment(kernel):
-    return kernel.first_moment()
-
-
-def exp_moment(kernel, lam):
-    if not lam > 0.0:
-        raise ValidationError("exp_moment requires lambda > 0")
-    return kernel.exp_moment(lam)
-
-
-def condition_report(kernel):
-    return kernel.condition_report()
 
 
 def truncate(kernel, n):
@@ -620,7 +566,3 @@ def kernel_from_json(obj: dict) -> Kernel:
         raise ValidationError(f"unknown kernel keys {sorted(extra)} for family {fam!r}")
     kwargs = {k: float(obj[k]) for k in keys if k in obj}
     return cls(**kwargs)
-
-
-def kernel_to_json(kernel: Kernel) -> dict:
-    return kernel.to_json()

@@ -168,11 +168,15 @@ def perturb(r: Reaction, delta: float) -> Reaction:
             f"delta = {delta} >= f'(0) = {r.fprime0()}: perturbation kills monostability")
     tf = lambda u, _f=r.f, _d=delta: _f(u) - _d * np.asarray(u, dtype=float)
     tfp = lambda u, _fp=r.f_prime, _d=delta: _fp(u) - _d
-    params = {"base": r.to_json(), "delta": delta}
-    root = positive_root(Reaction(f=tf, f_prime=tfp, kind="perturbed", params=params))
-    rho = rho_constant(Reaction(f=tf, f_prime=tfp, kind="perturbed",
-                                params=params, u_star=root))
-    return Reaction(f=tf, f_prime=tfp, kind="perturbed", params=params, u_star=root, rho=rho)
+    return _monostable(tf, tfp, "perturbed", {"base": r.to_json(), "delta": delta})
+
+
+def _monostable(f, fp, kind: str, params: dict) -> Reaction:
+    """The reaction (f, fp) with its positive root as ``u_star`` and its
+    certified plateau constant as ``rho``."""
+    root = positive_root(Reaction(f=f, f_prime=fp))
+    rho = rho_constant(Reaction(f=f, f_prime=fp, u_star=root))
+    return Reaction(f=f, f_prime=fp, kind=kind, params=params, u_star=root, rho=rho)
 
 
 # ---------------------------------------------------------------------------
@@ -186,12 +190,7 @@ def logistic(a: float = 1.0, b: float = 1.0) -> Reaction:
         raise ValidationError("logistic needs a > 0 and b > 0")
     f = lambda u: np.asarray(u, dtype=float) * (a - b * np.asarray(u, dtype=float))
     fp = lambda u: a - 2.0 * b * np.asarray(u, dtype=float)
-    r = Reaction(f=f, f_prime=fp, kind="logistic", params={"a": a, "b": b})
-    root = positive_root(r)
-    rho = rho_constant(Reaction(f=f, f_prime=fp, kind="logistic",
-                                params={"a": a, "b": b}, u_star=root))
-    return Reaction(f=f, f_prime=fp, kind="logistic", params={"a": a, "b": b},
-                    u_star=root, rho=rho)
+    return _monostable(f, fp, "logistic", {"a": a, "b": b})
 
 
 def _cubic_f(u):
@@ -215,12 +214,7 @@ def custom(name: str) -> Reaction:
         raise ValidationError(f"unknown custom reaction {name!r}; "
                               f"registry has {sorted(CUSTOM_FORMS)}")
     f, fp = CUSTOM_FORMS[name]
-    r = Reaction(f=f, f_prime=fp, kind="custom", params={"name": name})
-    root = positive_root(r)
-    rho = rho_constant(Reaction(f=f, f_prime=fp, kind="custom",
-                                params={"name": name}, u_star=root))
-    return Reaction(f=f, f_prime=fp, kind="custom", params={"name": name},
-                    u_star=root, rho=rho)
+    return _monostable(f, fp, "custom", {"name": name})
 
 
 def zero_reaction() -> Reaction:

@@ -58,6 +58,8 @@ NEWTON_MAX_ITER = 30
 # Jacobian instead of being solved directly.
 BAND_TAIL = 1e-8
 BAND_MAX = 128
+# minimal_speed minimizes the dispersion curve over log lam to this tolerance
+LAM_XATOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -371,18 +373,16 @@ def minimal_speed(kernel: Kernel, reaction, d: float) -> WaveSolution:
     def curve(lam):
         return (d * (kernel.exp_moment(lam) - 1.0) + fp0) / lam
 
-    s_grid = np.linspace(math.log(1e-4), math.log(lam_hi), 400)
-    lam_grid = np.exp(s_grid)
-    vals = np.array([curve(l) for l in lam_grid])
-    i = int(np.argmin(vals))
-    if i == 0 or i == len(vals) - 1:
-        raise ConvergenceError("dispersion curve has no interior minimum on the bracket",
-                               diagnostics={"argmin": i, "lam": lam_grid[i]})
+    # lam * curve is convex, so the curve is unimodal in lam and in log lam
     from scipy import optimize
 
-    res = optimize.minimize_scalar(lambda s: curve(math.exp(s)),
-                                   bracket=(s_grid[i - 1], s_grid[i], s_grid[i + 1]),
-                                   method="golden", options={"xtol": 1e-13})
+    bounds = (math.log(1e-4), math.log(lam_hi))
+    res = optimize.minimize_scalar(lambda s: curve(math.exp(s)), bounds=bounds,
+                                   method="bounded", options={"xatol": LAM_XATOL})
+    # at an end of the bracket Brent stops about sqrt(eps)|s| + xatol short of it
+    if min(res.x - bounds[0], bounds[1] - res.x) < 100.0 * LAM_XATOL:
+        raise ConvergenceError("dispersion curve has no interior minimum on the bracket",
+                               diagnostics={"lam": math.exp(res.x), "bracket": bounds})
     lam_star = math.exp(res.x)
     return WaveSolution(c_star=float(curve(lam_star)), lambda_star=float(lam_star))
 

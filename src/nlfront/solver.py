@@ -162,10 +162,6 @@ class TrajectoryLog:
     meta: dict = field(default_factory=dict)
     truncated: bool = False
 
-    def arrays(self):
-        return {k: np.asarray(getattr(self, k), dtype=float)
-                for k in ("t", "h", "g", "mass", "sup_u", "flux")}
-
     def to_csv(self, path):
         cols = ("t", "h", "g", "mass", "sup_u", "flux")
         rows = zip(*(getattr(self, c) for c in cols))

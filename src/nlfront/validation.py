@@ -77,25 +77,64 @@ class ResidualReport:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SuperSemiwave:
+@dataclass(frozen=True, kw_only=True)
+class _Barrier:
+    """What every fixture shares: the model it is checked against, and by
+    default a lower barrier (``sense`` -1) with a front inequality, checked
+    on (0, h(t)) with no ridges."""
+
+    kernel: Kernel
+    reaction: object
+    d: float
+    mu: float
+    theta: float
+    sense = -1
+    has_front_check = True
+
+    def ridges(self, t):
+        return ()
+
+    def interior_domain(self, t):
+        return 0.0, self.h_front(t)
+
+
+@dataclass(frozen=True, kw_only=True)
+class _WaveBarrier(_Barrier):
+    """(1 + sense eps(t)) phi(x - h(t)) around one semi-wave phi."""
+
+    wave: SemiWaveSolution
+
+    def _phi(self, t, x):
+        """phi and phi' at x - h(t)."""
+        xi = np.asarray(x) - self.h_front(t)
+        return (self.wave.phi_at(xi),
+                np.interp(xi, self.wave.x, self.wave.phi_prime(), left=0.0, right=0.0))
+
+    def _missing(self, t):
+        """u* times the tail mass past the front, which the window omits."""
+        return self.wave.u_star * self.kernel.tail_mass_integral(self.h_front(t))
+
+    def u_at(self, t, x):
+        return (1.0 + self.sense * self.eps(t)) * self.wave.phi_at(np.asarray(x) - self.h_front(t))
+
+    def u_t_at(self, t, x):
+        phi, dphi = self._phi(t, x)
+        return self.sense * self.eps_prime(t) * phi \
+            - (1.0 + self.sense * self.eps(t)) * self.h_front_prime(t) * dphi
+
+
+@dataclass(frozen=True, kw_only=True)
+class SuperSemiwave(_WaveBarrier):
     """Upper barrier (1+eps(t)) phi(x - hbar(t)) with hbar ahead of c0 t.
 
     eps(t) = (t+theta)^-beta and hbar' = c0 (1 + eps); the inequality system
     must hold for beta > 1 and theta, l large.
     """
 
-    wave: SemiWaveSolution
-    kernel: Kernel
-    reaction: object
-    d: float
-    mu: float
-    theta: float
     beta: float
     l: float
-    kind: str = "super-semiwave"
-    sense: int = 1
-    has_front_check: bool = True
+    kind = "super-semiwave"
+    sense = 1
 
     def __post_init__(self):
         if not self.beta > 1.0:
@@ -120,30 +159,11 @@ class SuperSemiwave:
     def h_front_prime(self, t):
         return self.wave.c0 * (1.0 + self.eps(t))
 
-    def u_at(self, t, x):
-        return (1.0 + self.eps(t)) * self.wave.phi_at(np.asarray(x) - self.h_front(t))
-
-    def u_t_at(self, t, x):
-        xi = np.asarray(x) - self.h_front(t)
-        phi = self.wave.phi_at(xi)
-        dphi = np.interp(xi, self.wave.x, self.wave.phi_prime(),
-                         left=0.0, right=0.0)
-        return self.eps_prime(t) * phi \
-            - (1.0 + self.eps(t)) * self.h_front_prime(t) * dphi
-
-    def ridges(self, t):
-        return ()
-
-    def interior_domain(self, t):
-        return 0.0, self.h_front(t)
-
     # exact route: profile equation substituted into the inequality
     def algebraic_interior(self, t, x):
         x = np.asarray(x, dtype=float)
         ep = self.eps(t)
-        xi = x - self.h_front(t)
-        phi = self.wave.phi_at(xi)
-        dphi = np.interp(xi, self.wave.x, self.wave.phi_prime(), left=0.0, right=0.0)
+        phi, dphi = self._phi(t, x)
         f = self.reaction.f
         tail = self.kernel.tail_mass(np.maximum(x, 0.0))
         return (self.eps_prime(t) * phi
@@ -152,31 +172,21 @@ class SuperSemiwave:
                 + self.d * (1.0 + ep) * tail * (self.wave.u_star - phi))
 
     def algebraic_front(self, t):
-        ep = self.eps(t)
-        missing = self.wave.u_star * self.kernel.tail_mass_integral(self.h_front(t))
-        return (1.0 + ep) * (self.wave.speed_defect + self.mu * missing)
+        return (1.0 + self.eps(t)) * (self.wave.speed_defect + self.mu * self._missing(t))
 
 
-@dataclass(frozen=True)
-class SubSemiwave:
+@dataclass(frozen=True, kw_only=True)
+class SubSemiwave(_WaveBarrier):
     """Lower barrier (1-eps(t)) phi(x - hunder(t)) with a logarithmic lag.
 
     eps(t) = l1/(t+theta), hunder = c0 t + c0 theta - l2 ln((t+theta)/theta);
     the interior inequality is only claimed on (eta0*h, h).
     """
 
-    wave: SemiWaveSolution
-    kernel: Kernel
-    reaction: object
-    d: float
-    mu: float
-    theta: float
     l1: float
     l2: float
     eta0: float = 0.05
-    kind: str = "sub-semiwave"
-    sense: int = -1
-    has_front_check: bool = True
+    kind = "sub-semiwave"
 
     def __post_init__(self):
         if not (self.theta >= 1.0 and self.theta > self.l1):
@@ -200,19 +210,6 @@ class SubSemiwave:
     def h_front_prime(self, t):
         return self.wave.c0 - self.l2 / (t + self.theta)
 
-    def u_at(self, t, x):
-        return (1.0 - self.eps(t)) * self.wave.phi_at(np.asarray(x) - self.h_front(t))
-
-    def u_t_at(self, t, x):
-        xi = np.asarray(x) - self.h_front(t)
-        phi = self.wave.phi_at(xi)
-        dphi = np.interp(xi, self.wave.x, self.wave.phi_prime(), left=0.0, right=0.0)
-        return -self.eps_prime(t) * phi \
-            - (1.0 - self.eps(t)) * self.h_front_prime(t) * dphi
-
-    def ridges(self, t):
-        return ()
-
     def interior_domain(self, t):
         h = self.h_front(t)
         return self.eta0 * h, h
@@ -220,9 +217,7 @@ class SubSemiwave:
     def algebraic_interior(self, t, x):
         x = np.asarray(x, dtype=float)
         ep = self.eps(t)
-        xi = x - self.h_front(t)
-        phi = self.wave.phi_at(xi)
-        dphi = np.interp(xi, self.wave.x, self.wave.phi_prime(), left=0.0, right=0.0)
+        phi, dphi = self._phi(t, x)
         f = self.reaction.f
         tail = self.kernel.tail_mass(np.maximum(x, 0.0))
         delta_p = -self.l2 / (t + self.theta)
@@ -233,14 +228,12 @@ class SubSemiwave:
                 - self.d * (1.0 - ep) * tail * (self.wave.u_star - phi))
 
     def algebraic_front(self, t):
-        ep = self.eps(t)
-        missing = self.wave.u_star * self.kernel.tail_mass_integral(self.h_front(t))
         exact = (self.l2 - self.l1 * self.wave.c0) / (t + self.theta)
-        return exact - self.wave.speed_defect - (1.0 - ep) * self.mu * missing
+        return exact - self.wave.speed_defect - (1.0 - self.eps(t)) * self.mu * self._missing(t)
 
 
-@dataclass(frozen=True)
-class SubPlateau:
+@dataclass(frozen=True, kw_only=True)
+class SubPlateau(_Barrier):
     """Piecewise-linear plateau barrier feeding the 1/t interior estimate.
 
     hunder = 2 eta1 (t+theta); the profile is the plateau u* - rho1/hunder
@@ -249,17 +242,11 @@ class SubPlateau:
     interior PDE inequality and the boundary value are checked here.
     """
 
-    kernel: Kernel
-    reaction: object
-    d: float
-    mu: float
-    theta: float
     eta1: float
     rho1: float
     c0: float | None = None
-    kind: str = "sub-plateau"
-    sense: int = -1
-    has_front_check: bool = False
+    kind = "sub-plateau"
+    has_front_check = False
 
     def __post_init__(self):
         r = self.kernel.support_radius()
@@ -304,30 +291,16 @@ class SubPlateau:
     def ridges(self, t):
         return (self.h_front(t) / 2.0,)
 
-    def interior_domain(self, t):
-        return 0.0, self.h_front(t)
 
+@dataclass(frozen=True, kw_only=True)
+class _AcceleratedBarrier(_Barrier):
+    """A ramp up to the plateau l_eps = u* - sqrt(eps) behind an
+    accelerating front, for algebraic kernels with gamma in (1,2]."""
 
-@dataclass(frozen=True)
-class SubPowerFront:
-    """Accelerated-front barrier h = (l1 t + theta)^(1/(gamma-1)) with a
-    half-length ramp, for algebraic kernels with gamma in (1,2)."""
-
-    kernel: Kernel
-    reaction: object
-    d: float
-    mu: float
-    theta: float
     l1: float
     eps: float
-    kind: str = "sub-power-front"
-    sense: int = -1
-    has_front_check: bool = True
 
     def __post_init__(self):
-        if not isinstance(self.kernel, AlgebraicTail) or not 1.0 < self.kernel.gamma < 2.0:
-            raise ValidationError("the power-front barrier needs an algebraic "
-                                  "kernel with gamma in (1,2)")
         if not (0.0 < self.eps and math.sqrt(self.eps) < self.reaction.u_star):
             raise ValidationError("eps must be small and positive")
         if not (self.l1 > 0.0 and self.theta >= 1.0):
@@ -336,6 +309,20 @@ class SubPowerFront:
     @property
     def l_eps(self):
         return self.reaction.u_star - math.sqrt(self.eps)
+
+
+@dataclass(frozen=True, kw_only=True)
+class SubPowerFront(_AcceleratedBarrier):
+    """Accelerated-front barrier h = (l1 t + theta)^(1/(gamma-1)) with a
+    half-length ramp, for algebraic kernels with gamma in (1,2)."""
+
+    kind = "sub-power-front"
+
+    def __post_init__(self):
+        if not isinstance(self.kernel, AlgebraicTail) or not 1.0 < self.kernel.gamma < 2.0:
+            raise ValidationError("the power-front barrier needs an algebraic "
+                                  "kernel with gamma in (1,2)")
+        super().__post_init__()
 
     def h_front(self, t):
         g = self.kernel.gamma
@@ -359,26 +346,14 @@ class SubPowerFront:
     def ridges(self, t):
         return (self.h_front(t) / 2.0,)
 
-    def interior_domain(self, t):
-        return 0.0, self.h_front(t)
 
-
-@dataclass(frozen=True)
-class SubTLogTFront:
+@dataclass(frozen=True, kw_only=True)
+class SubTLogTFront(_AcceleratedBarrier):
     """Accelerated-front barrier h = l1 (t+theta) ln(t+theta) with a ramp of
     width (t+theta)^alpha, for algebraic kernels with gamma = 2."""
 
-    kernel: Kernel
-    reaction: object
-    d: float
-    mu: float
-    theta: float
-    l1: float
     alpha: float
-    eps: float
-    kind: str = "sub-tlogt-front"
-    sense: int = -1
-    has_front_check: bool = True
+    kind = "sub-tlogt-front"
 
     def __post_init__(self):
         if not isinstance(self.kernel, AlgebraicTail) or abs(self.kernel.gamma - 2.0) > 1e-12:
@@ -386,16 +361,9 @@ class SubTLogTFront:
                                   "with gamma = 2")
         if not 0.0 < self.alpha < 1.0:
             raise ValidationError("alpha must sit in (0,1)")
-        if not (0.0 < self.eps and math.sqrt(self.eps) < self.reaction.u_star):
-            raise ValidationError("eps must be small and positive")
-        if not (self.l1 > 0.0 and self.theta >= 1.0):
-            raise ValidationError("need l1 > 0 and theta >= 1")
+        super().__post_init__()
         if self.h_front(0.0) <= 2.0 * self.ramp_width(0.0):
             raise ValidationError("theta too small: the ramp swallows the front")
-
-    @property
-    def l_eps(self):
-        return self.reaction.u_star - math.sqrt(self.eps)
 
     def ramp_width(self, t):
         return (t + self.theta) ** self.alpha
@@ -424,12 +392,6 @@ class SubTLogTFront:
     def ridges(self, t):
         return (self.h_front(t) - self.ramp_width(t),)
 
-    def interior_domain(self, t):
-        return 0.0, self.h_front(t)
-
-
-_WAVE_KINDS = ("super-semiwave", "sub-semiwave")
-
 
 # ---------------------------------------------------------------------------
 # lattice evaluation
@@ -441,13 +403,13 @@ def _grid_for(fixture, t, lattice: Lattice, halve: bool = False):
     (shifted by the front) so the profile's own equation cancels exactly;
     shape fixtures use a uniform grid with the scale of the kernel core."""
     h = fixture.h_front(t)
-    if fixture.kind in _WAVE_KINDS:
+    if isinstance(fixture, _WaveBarrier):
         dxp = fixture.wave.dx
         n = int(math.floor(h / dxp + 1e-12))
         y = h - dxp * np.arange(n, -1, -1)
         return y, dxp
     dy0 = lattice.dy if lattice.dy is not None else fixture.kernel.quadrature_scale() / 6.0
-    if fixture.kind == "sub-tlogt-front":
+    if isinstance(fixture, SubTLogTFront):
         dy0 = min(dy0, fixture.ramp_width(t) / 8.0)
     if halve:
         dy0 /= 2.0
@@ -496,6 +458,7 @@ def verify_fixture(fixture, lattice: Lattice,
     consistency = 0.0
     shape_noise = 0.0
 
+    wave = isinstance(fixture, _WaveBarrier)
     for t in lattice.t_values:
         ys, m_int, dy, dropped, flux = _interior_margins(fixture, t, lattice)
         if dropped:
@@ -506,7 +469,7 @@ def verify_fixture(fixture, lattice: Lattice,
             if m_int[i] < margins["interior"]:
                 margins["interior"] = float(m_int[i])
                 worst["interior"] = (float(t), float(ys[i]))
-        if fixture.kind in _WAVE_KINDS:
+        if wave:
             alg = fixture.algebraic_interior(t, ys)
             consistency = max(consistency, float(np.max(np.abs(alg - m_int))))
         else:
@@ -517,7 +480,7 @@ def verify_fixture(fixture, lattice: Lattice,
         h = fixture.h_front(t)
         if fixture.has_front_check:
             m_front = fixture.sense * (fixture.h_front_prime(t) - fixture.mu * flux)
-            if fixture.kind in _WAVE_KINDS:
+            if wave:
                 consistency = max(consistency,
                                   abs(m_front - fixture.algebraic_front(t)))
             if m_front < margins["front"]:
@@ -538,7 +501,7 @@ def verify_fixture(fixture, lattice: Lattice,
         margins["initial_front"] = fixture.sense * (fixture.h_front(t0) - ref_h)
         worst["initial_front"] = (float(t0), float(ref_h))
 
-    if fixture.kind in _WAVE_KINDS:
+    if wave:
         base = 10.0 * fixture.wave.residual + 10.0 * consistency
         tol = {"interior": base,
                "front": 10.0 * fixture.wave.speed_defect + 10.0 * consistency,
@@ -558,7 +521,7 @@ def verify_fixture(fixture, lattice: Lattice,
     passed = all(margins[k] >= -tol[k] for k in margins)
     return ResidualReport(kind=fixture.kind, margins=margins, worst=worst,
                           tol=tol, passed=passed, notes=tuple(notes),
-                          consistency=consistency if fixture.kind in _WAVE_KINDS else shape_noise)
+                          consistency=consistency if wave else shape_noise)
 
 
 def margin_field_csv(fixture, lattice: Lattice, path):

@@ -5,11 +5,8 @@ import pytest
 from scipy import integrate
 
 from nlfront.errors import ValidationError
-from nlfront.kernels import (AlgebraicTail, CompactCosine, CompactUniform,
-                             LightExponential, condition_report, evaluate,
-                             exp_moment, first_moment, halfline_mass,
-                             kernel_from_json, kernel_to_json, tail_mass,
-                             truncate)
+from nlfront.kernels import (AlgebraicTail, CompactCosine, CompactUniform, Kernel,
+                             LightExponential, kernel_from_json, truncate)
 
 ALL_KERNELS = [
     CompactUniform(1.0),
@@ -26,25 +23,25 @@ ALL_KERNELS = [
 
 
 def test_uniform_eval_at_origin():
-    assert evaluate(CompactUniform(1.0), 0.0) == 0.5
+    assert CompactUniform(1.0).evaluate(0.0) == 0.5
 
 
 def test_algebraic_eval():
     k = AlgebraicTail(2.0, 1.0)
     assert k.c == pytest.approx(0.5)
-    assert evaluate(k, 1.0) == pytest.approx(0.125)
+    assert k.evaluate(1.0) == pytest.approx(0.125)
 
 
 @pytest.mark.parametrize("k", ALL_KERNELS, ids=lambda k: f"{k.family}-{k.params()}")
 @pytest.mark.parametrize("x", [0.1, 1.0, 7.0])
 def test_evenness(k, x):
-    assert evaluate(k, -x) == pytest.approx(evaluate(k, x), abs=1e-15)
+    assert k.evaluate(-x) == pytest.approx(k.evaluate(x), abs=1e-15)
 
 
 def test_tail_mass_examples():
-    assert tail_mass(CompactUniform(1.0), 0.5) == pytest.approx(0.25)
-    assert tail_mass(AlgebraicTail(2.0, 1.0), 1.0) == pytest.approx(0.25)
-    assert tail_mass(CompactUniform(1.0), 1.0) == 0.0
+    assert CompactUniform(1.0).tail_mass(0.5) == pytest.approx(0.25)
+    assert AlgebraicTail(2.0, 1.0).tail_mass(1.0) == pytest.approx(0.25)
+    assert CompactUniform(1.0).tail_mass(1.0) == 0.0
 
 
 @pytest.mark.parametrize("k", ALL_KERNELS, ids=lambda k: f"{k.family}-{k.params()}")
@@ -54,50 +51,66 @@ def test_tail_monotone_and_halfline_partition(k):
     assert tails[0] == pytest.approx(0.5, abs=1e-12)
     assert np.all(np.diff(tails) <= 1e-15)
     for x in (0.0, 0.3, 5.0):
-        assert halfline_mass(k, x) + tail_mass(k, x) == pytest.approx(1.0)
+        assert k.halfline_mass(x) + k.tail_mass(x) == pytest.approx(1.0)
 
 
 def test_halfline_examples():
     k = CompactUniform(1.0)
-    assert halfline_mass(k, 0.0) == pytest.approx(0.5)
-    assert halfline_mass(k, 1.0) == pytest.approx(1.0)
+    assert k.halfline_mass(0.0) == pytest.approx(0.5)
+    assert k.halfline_mass(1.0) == pytest.approx(1.0)
+    with pytest.raises(ValidationError):
+        k.halfline_mass(np.array([0.5, -1e-9]))
+
+
+def test_interaction_length_stops_when_the_bracket_does():
+    calls = []
+
+    class CountingExponential(LightExponential):
+        def tail_mass(self, s):
+            calls.append(s)
+            return super().tail_mass(s)
+
+    # tail_mass(s) = exp(-s)/2 reaches 1e-3 at s = ln 500
+    assert CountingExponential(1.0).interaction_length(1e-3) == pytest.approx(
+        math.log(500.0), rel=1e-14)
+    assert len(calls) <= 80
 
 
 def test_first_moment_uniform():
-    assert first_moment(CompactUniform(1.0)) == pytest.approx(0.25)
+    assert CompactUniform(1.0).first_moment() == pytest.approx(0.25)
 
 
 def test_first_moment_gamma3_against_quadrature():
     # analytic substitution u = 1 + x gives exactly 1/2 for (1+|x|)^-3
     k = AlgebraicTail(3.0, 1.0)
-    assert first_moment(k) == pytest.approx(0.5, rel=1e-12)
+    assert k.first_moment() == pytest.approx(0.5, rel=1e-12)
     val, _ = integrate.quad(lambda x: x * k.evaluate(x), 0.0, 200.0, limit=400)
     tail_part = 200.0 * k.tail_mass(200.0) + k.tail_mass_integral(200.0)
     assert val + tail_part == pytest.approx(0.5, rel=1e-8)
 
 
 def test_first_moment_divergent_gamma2():
-    assert math.isinf(first_moment(AlgebraicTail(2.0, 1.0)))
-    assert math.isinf(first_moment(AlgebraicTail(1.5, 1.0)))
+    assert math.isinf(AlgebraicTail(2.0, 1.0).first_moment())
+    assert math.isinf(AlgebraicTail(1.5, 1.0).first_moment())
 
 
 def test_exp_moment_uniform_closed_form():
-    got = exp_moment(CompactUniform(1.0), 1.0)
+    got = CompactUniform(1.0).exp_moment(1.0)
     assert got == pytest.approx(math.sinh(1.0), rel=1e-14)
     quad, _ = integrate.quad(lambda x: 0.5 * math.exp(x), -1.0, 1.0)
     assert got == pytest.approx(quad, rel=1e-10)
 
 
 def test_exp_moment_divergent_for_heavy_tails():
-    assert math.isinf(exp_moment(AlgebraicTail(1.5, 1.0), 0.5))
-    assert math.isinf(exp_moment(LightExponential(1.0), 1.0))
+    assert math.isinf(AlgebraicTail(1.5, 1.0).exp_moment(0.5))
+    assert math.isinf(LightExponential(1.0).exp_moment(1.0))
 
 
 @pytest.mark.parametrize("k", ALL_KERNELS, ids=lambda k: f"{k.family}-{k.params()}")
 def test_exp_moment_at_least_one(k):
     lam = 0.5 * min(k.mgf_abscissa(), 2.0)
     if lam > 0.0:
-        assert exp_moment(k, lam) >= 1.0
+        assert k.exp_moment(lam) >= 1.0
 
 
 @pytest.mark.parametrize("k,expect", [
@@ -109,7 +122,7 @@ def test_exp_moment_at_least_one(k):
     (AlgebraicTail(2.5, 1.0), (True, False)),
 ])
 def test_condition_report_flags(k, expect):
-    rep = condition_report(k)
+    rep = k.condition_report()
     assert rep.satisfies_J
     assert (rep.satisfies_J1, rep.satisfies_J2) == expect
     if rep.satisfies_J2:
@@ -117,10 +130,10 @@ def test_condition_report_flags(k, expect):
 
 
 def test_gamma_classes():
-    assert condition_report(AlgebraicTail(1.5, 1.0)).gamma_class == "(1,2]"
-    assert condition_report(AlgebraicTail(2.0, 1.0)).gamma_class == "(1,2]"
-    assert condition_report(AlgebraicTail(2.5, 1.0)).gamma_class == "(2,inf)"
-    assert condition_report(CompactUniform(1.0)).gamma_class is None
+    assert AlgebraicTail(1.5, 1.0).condition_report().gamma_class == "(1,2]"
+    assert AlgebraicTail(2.0, 1.0).condition_report().gamma_class == "(1,2]"
+    assert AlgebraicTail(2.5, 1.0).condition_report().gamma_class == "(2,inf)"
+    assert CompactUniform(1.0).condition_report().gamma_class is None
 
 
 @pytest.mark.parametrize("k", ALL_KERNELS, ids=lambda k: f"{k.family}-{k.params()}")
@@ -195,6 +208,24 @@ def test_truncate_pointwise_monotone_in_n():
         prev = cur
 
 
+def test_truncation_is_a_kernel_with_its_own_mass():
+    tr = truncate(AlgebraicTail(1.5, 1.0), 4.0)
+    assert isinstance(tr, Kernel)
+    assert tr.to_json() == {"family": "truncated", "n": 4.0,
+                            "base": {"family": "algebraic", "gamma": 1.5, "a": 1.0}}
+    xs = np.linspace(0.0, 10.0, 41)
+    assert np.array_equal(tr.halfline_mass(xs), tr.mass() - tr.tail_mass(xs))
+    taps = tr.taps(0.25, 40)
+    covered = tr.mass() - 2.0 * tr.tail_mass((40 + 0.5) * 0.25)
+    assert taps.sum() * 0.25 == pytest.approx(covered, abs=1e-14)
+    # cut past the support, truncation changes nothing, bit for bit
+    base = CompactUniform(1.0)
+    wide = truncate(base, 2.0)
+    assert wide.mass() == 1.0
+    assert np.array_equal(wide.taps(0.05, 30), base.taps(0.05, 30))
+    assert np.array_equal(wide.halfline_mass(xs), base.halfline_mass(xs))
+
+
 def test_taps_cover_exact_mass():
     k = CompactUniform(1.0)
     taps = k.taps(0.05, 21)
@@ -211,7 +242,7 @@ def test_taps_cover_exact_mass():
 
 @pytest.mark.parametrize("k", ALL_KERNELS, ids=lambda k: f"{k.family}-{k.params()}")
 def test_json_roundtrip(k):
-    assert kernel_from_json(kernel_to_json(k)) == k
+    assert kernel_from_json(k.to_json()) == k
 
 
 def test_json_rejects_unknown():

@@ -293,6 +293,29 @@ def test_minimal_speed_wide_kernels_stay_finite():
     assert 0.0 < cut.c_star <= minimal_speed(LightExponential(1.0), logistic(1, 1), 1.0).c_star
 
 
+def test_minimal_speed_minimizes_in_few_moment_calls():
+    calls = []
+
+    class CountingCosine(CompactCosine):
+        def exp_moment(self, lam):
+            calls.append(lam)
+            return super().exp_moment(lam)
+
+    ws = minimal_speed(CountingCosine(1.0), logistic(1, 1), 1.0)
+    assert len(calls) <= 40
+    # the dispersion curve (d (Jhat - 1) + f'(0)) / lam at d = f'(0) = 1, on a fine scan
+    lams = np.exp(np.linspace(math.log(0.5), math.log(8.0), 2001))
+    scan = min((CompactCosine(1.0).exp_moment(l) - 1.0 + 1.0) / l for l in lams)
+    assert ws.c_star <= scan
+    assert ws.c_star == pytest.approx(scan, rel=1e-6)
+
+
+def test_minimal_speed_rejects_a_minimum_at_the_bracket_end():
+    # the cut heavy tail keeps mass 0.8 < 1: at d = 10 the curve falls to -inf as lam -> 0
+    with pytest.raises(ConvergenceError, match="no interior minimum"):
+        minimal_speed(truncate(AlgebraicTail(1.5, 1.0), 20.0), logistic(1, 1), 10.0)
+
+
 def test_far_field_rate_stops_when_the_bracket_does():
     calls = []
 

@@ -239,3 +239,29 @@ def test_fixture_domination(power_fixture):
     assert rep["passed"]
     assert rep["max_u_violation"] <= 5e-3
     assert rep["max_h_violation"] <= 5e-3
+
+
+def _fixture_cases(uniform_semiwave):
+    k15, r = AlgebraicTail(1.5, 1.0), logistic(1, 1)
+    common = dict(reaction=r, d=1.0, mu=1.0)
+    return [
+        (SuperSemiwave, dict(common, wave=uniform_semiwave, kernel=CompactUniform(1.0),
+                             theta=40.0, beta=1.2, l=30.0)),
+        (SubSemiwave, dict(common, wave=uniform_semiwave, kernel=CompactUniform(1.0),
+                           theta=200.0, l1=2.0, l2=2.0, eta0=0.1)),
+        (SubPlateau, dict(common, kernel=CompactUniform(1.0), theta=2600.0,
+                          eta1=0.004, rho1=9.5)),
+        (SubPowerFront, dict(common, kernel=k15, theta=9.0, l1=0.01, eps=0.04)),
+        (SubTLogTFront, dict(common, kernel=AlgebraicTail(2.0, 1.0), theta=400.0,
+                             l1=0.02, alpha=0.5, eps=0.04)),
+    ]
+
+
+@pytest.mark.parametrize("name,value", [("kind", "other"), ("sense", 1),
+                                        ("has_front_check", False)])
+def test_fixture_orientation_is_not_settable(uniform_semiwave, name, value):
+    for cls, kwargs in _fixture_cases(uniform_semiwave):
+        fixture = cls(**kwargs)    # valid without the extra keyword
+        assert getattr(fixture, name) == getattr(cls, name)
+        with pytest.raises(TypeError, match="unexpected keyword"):
+            cls(**kwargs, **{name: value})

@@ -258,15 +258,16 @@ class MuLimitReport:
                 "h_monotone": self.h_monotone}
 
 
-def mu_limit_experiment(spec: ProblemSpec, mus, mode: str, cfg: SolverConfig,
-                        t_window: tuple = (1.0, 2.0),
-                        x_window: tuple | None = None) -> MuLimitReport:
+def mu_limit_experiment(spec: ProblemSpec, mus, mode: str,
+                        cfg: SolverConfig) -> MuLimitReport:
     """Compare free-boundary runs against their mu -> 0 / mu -> infinity limits.
 
-    ToZero: the limit is the frozen-domain problem on [0, h0]; differences are
-    measured on [0, h0] x t_window and must shrink as mu does, with
-    h_mu(t_end) - h0 shrinking alongside.  ToInfinity: the limit is the
-    half-line Cauchy problem; differences shrink as mu grows while
+    Each difference is max |u_mu - u_limit| over a fixed x window and the
+    snapshots both runs share with 1 <= t <= 2.  ToZero: the limit is the
+    frozen-domain problem on [0, h0], the x window is [0, h0], and the
+    differences must shrink as mu does, with h_mu(t_end) - h0 shrinking
+    alongside.  ToInfinity: the limit is the half-line Cauchy problem, the
+    x window is [0, 5], and the differences shrink as mu grows while
     h_mu(t_end) climbs.
     """
     if mode not in ("ToZero", "ToInfinity"):
@@ -276,30 +277,22 @@ def mu_limit_experiment(spec: ProblemSpec, mus, mode: str, cfg: SolverConfig,
     mus = sorted(float(m) for m in mus)
     if mode == "ToZero":
         mus = mus[::-1]           # report along decreasing mu
-        limit_variant = "fixed-domain"
-        xw = x_window or (0.0, spec.h0)
+        limit, xw = "fixed-domain", (0.0, spec.h0)
     else:
-        limit_variant = "cauchy-half"
-        xw = x_window or (0.0, 5.0)
+        limit, xw = "cauchy-half", (0.0, 5.0)
     if cfg.snapshot_stride <= 0:
         cfg = replace(cfg, snapshot_stride=1)
 
-    limit_spec = ProblemSpec(variant=limit_variant, kernel=spec.kernel,
-                             reaction=spec.reaction, d=spec.d, h0=spec.h0,
-                             mu=1.0, u0=spec.u0)
-    limit_log = run(limit_spec, cfg)
+    limit_log = run(replace(spec, variant=limit, mu=1.0), cfg)
     limit_snaps = {round(t, 9): f for t, f in limit_log.snapshots}
 
     sup_diffs, h_shift = [], []
     for mu in mus:
-        mu_spec = ProblemSpec(variant="halfline-fb", kernel=spec.kernel,
-                              reaction=spec.reaction, d=spec.d, h0=spec.h0,
-                              mu=mu, u0=spec.u0)
-        log = run(mu_spec, cfg)
+        log = run(replace(spec, mu=mu), cfg)
         worst = 0.0
         used = 0
         for t, snap in log.snapshots:
-            if not (t_window[0] - 1e-9 <= t <= t_window[1] + 1e-9):
+            if not (1.0 - 1e-9 <= t <= 2.0 + 1e-9):
                 continue
             ref = limit_snaps.get(round(t, 9))
             if ref is None:

@@ -41,7 +41,6 @@ _DEFAULTS = {
     "analysis": {
         "window_fraction": 0.5,
         "fits": ["linear"],
-        "level": 0.5,
         "c0": None,
         "drift_check": False,
     },
@@ -56,9 +55,6 @@ _DEFAULTS = {
         "parameter": "problem.mu",
         "values": [],
         "command": "simulate",
-    },
-    "output": {
-        "directory": "out",
     },
 }
 
@@ -92,10 +88,8 @@ class ScenarioConfig:
                             t_end=float(s["t_end"]),
                             log_every=None if s["log_every"] is None else float(s["log_every"]),
                             snapshot_stride=int(s["snapshot_stride"]),
-                            headroom=float(s["headroom"]),
                             max_nodes=int(s["max_nodes"]),
-                            scheme=s["scheme"],
-                            front_tol=float(s["front_tol"]))
+                            scheme=s["scheme"])
 
     def validate(self):
         spec = self.problem_spec()

@@ -152,7 +152,7 @@ class Kernel:
         return hi
 
     def total_mass(self) -> float:
-        """Unit-mass audit: adaptive quadrature on a core + closed-form tails."""
+        """Mass audit: adaptive quadrature on a core + closed-form tails."""
         r = self.support_radius()
         core = r if math.isfinite(r) else 10.0 * self.interaction_length(1e-2, cap=1e3)
         from scipy import integrate
@@ -209,9 +209,9 @@ class Kernel:
         if not float(self.evaluate(0.0)) > 0.0:
             raise ValidationError("kernel vanishes at the origin")
         tol = MASS_TOL_ALGEBRAIC if isinstance(self, AlgebraicTail) else MASS_TOL_SMOOTH
-        mass = self.total_mass()
-        if abs(mass - 1.0) > tol:
-            raise ValidationError(f"kernel mass {mass!r} deviates from 1 beyond {tol}")
+        mass, exact = self.total_mass(), self.mass_exact()
+        if abs(mass - exact) > tol:
+            raise ValidationError(f"kernel mass {mass!r} deviates from {exact!r} beyond {tol}")
 
     def to_json(self) -> dict:
         return {"family": self.family, **self.params()}

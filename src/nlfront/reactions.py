@@ -50,9 +50,6 @@ class Reaction:
     u_star: float | None = None
     rho: float | None = None
 
-    def __call__(self, u):
-        return self.f(u)
-
     def fprime0(self) -> float:
         return float(self.f_prime(0.0))
 
@@ -104,7 +101,7 @@ def positive_root(r: Reaction, u_max: float = 1e6) -> float:
     return _bisect(lambda u: float(r.f(u)), lo, hi)
 
 
-def validate_F(r: Reaction, n_grid: int = AUDIT_POINTS) -> FReport:
+def validate_F(r: Reaction) -> FReport:
     """Certify the monostability conditions on a dense grid.
 
     Failures are collected, not raised; the report lists each broken clause.
@@ -126,7 +123,7 @@ def validate_F(r: Reaction, n_grid: int = AUDIT_POINTS) -> FReport:
         fpu = float(r.f_prime(u_star))
         if not fpu < 0.0:
             failures.append(f"f'(u*) = {fpu} is not negative")
-        grid = np.linspace(0.0, 2.0 * u_star, n_grid + 1)[1:]
+        grid = np.linspace(0.0, 2.0 * u_star, AUDIT_POINTS + 1)[1:]
         ratio = r.f(grid) / grid
         if not np.all(np.diff(ratio) < 0.0):
             failures.append("f(u)/u is not strictly decreasing on the audit grid")
@@ -139,18 +136,18 @@ def validate_F(r: Reaction, n_grid: int = AUDIT_POINTS) -> FReport:
     return FReport(passed=not failures, failures=tuple(failures), u_star=u_star)
 
 
-def rho_constant(r: Reaction, margin: float = 0.01, n_grid: int = AUDIT_POINTS) -> float:
+def rho_constant(r: Reaction, margin: float = 0.01) -> float:
     """Largest grid-certified rho with f(u) >= rho*min(u, u*-u) on [0, u*].
 
     The grid minimum is reduced by ``margin`` so the certified constant keeps
     a documented gap to the continuum infimum.
     """
-    rep = validate_F(r, n_grid)
+    rep = validate_F(r)
     if not rep.passed:
         raise ValidationError("rho_constant requires a validated reaction: "
                               + "; ".join(rep.failures))
     u_star = rep.u_star
-    grid = np.linspace(0.0, u_star, n_grid + 1)[1:-1]
+    grid = np.linspace(0.0, u_star, AUDIT_POINTS + 1)[1:-1]
     denom = np.minimum(grid, u_star - grid)
     rho_raw = float(np.min(r.f(grid) / denom))
     if rho_raw <= 0.0:

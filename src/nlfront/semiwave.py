@@ -60,6 +60,8 @@ BAND_TAIL = 1e-8
 BAND_MAX = 128
 # minimal_speed minimizes the dispersion curve over log lam to this tolerance
 LAM_XATOL = 1e-8
+# a window doubling that moves c0 by at least this relative amount doubles again
+L_RTOL = 1e-4
 
 
 @dataclass(frozen=True)
@@ -67,7 +69,6 @@ class SemiWaveConfig:
     dx: float = 0.02
     L0: float | None = None        # default 40 interaction lengths
     max_doublings: int = 3
-    L_rtol: float = 1e-4           # c0 movement that forces an L doubling
     residual_tol: float = 1e-6     # acceptance, stationary profile included
 
 
@@ -345,7 +346,7 @@ def solve_semiwave(kernel: Kernel, reaction, d: float, mu: float,
     sol = _solve_at_L(kernel, reaction, d, mu, L, cfg)
     for _ in range(cfg.max_doublings):
         bigger = _solve_at_L(kernel, reaction, d, mu, 2.0 * sol.L, cfg, seed=sol)
-        if abs(bigger.c0 - sol.c0) < cfg.L_rtol * max(abs(sol.c0), 1e-12):
+        if abs(bigger.c0 - sol.c0) < L_RTOL * max(abs(sol.c0), 1e-12):
             return bigger
         sol = bigger
     return sol

@@ -1,12 +1,11 @@
 """Explicit time integration of the five nonlocal model variants.
 
-Variants
---------
-halfline-fb   moving right front h(t), fixed wall at x = 0, sink d*j(x)*u
-twosided-fb   moving fronts g(t) < 0 < h(t), sink d*u
-cauchy-full   whole line, no fronts (support tracked for logging)
-cauchy-half   half line x >= 0, no fronts, sink d*j(x)*u
-fixed-domain  frozen domain [0, h0], sink d*j(x)*u
+A variant is what bounds the two ends of its domain (``_ENDS``): a wall
+(x = 0 on the left, x = h0 on the right), a moving front (g(t) < 0 < h(t)),
+or nothing (open: the grid edge, grown ahead of the visible field, whose
+extent is logged as h).  A left wall makes the sink d*j(x)*u, otherwise it
+is d*u.  fixed-domain and cauchy-half are the mu -> 0 and mu -> inf limits
+of halfline-fb.
 
 The field lives on a uniform grid that grows with the front.  Fronts are
 continuous reals, never grid-snapped: the last quadrature cell [x_m, h]
@@ -42,9 +41,19 @@ __all__ = [
     "classify",
 ]
 
-VARIANTS = ("halfline-fb", "twosided-fb", "cauchy-full", "cauchy-half", "fixed-domain")
-_FRONT_VARIANTS = ("halfline-fb", "twosided-fb")
-_HALFLINE_SINK = ("halfline-fb", "cauchy-half", "fixed-domain")
+WALL, FRONT, OPEN = "wall", "front", "open"
+_ENDS = {                               # (left end, right end)
+    "halfline-fb": (WALL, FRONT),
+    "twosided-fb": (FRONT, FRONT),
+    "cauchy-full": (OPEN, OPEN),
+    "cauchy-half": (WALL, OPEN),
+    "fixed-domain": (WALL, WALL),
+}
+VARIANTS = tuple(_ENDS)
+# interaction lengths of grid kept ahead of a front, and the share of the
+# ceiling max(u*, sup u0) that counts as visible field at an open end
+HEADROOM = 4.0
+FRONT_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -94,8 +103,13 @@ class ProblemSpec:
             raise ValidationError("diffusion coefficient d must be positive")
         if not self.h0 > 0.0:
             raise ValidationError("initial front h0 must be positive")
-        if self.variant in _FRONT_VARIANTS and not self.mu > 0.0:
+        if FRONT in self.ends and not self.mu > 0.0:
             raise ValidationError("front coefficient mu must be positive")
+
+    @property
+    def ends(self) -> tuple:
+        """What bounds the (left, right) end: WALL, FRONT or OPEN."""
+        return _ENDS[self.variant]
 
     def initial_datum(self) -> Callable:
         if self.u0 is not None:
@@ -118,10 +132,8 @@ class SolverConfig:
     t_end: float = 10.0
     log_every: float | None = None   # defaults to t_end/200, at least dt
     snapshot_stride: int = 0         # keep every k-th checkpoint field; 0 = none
-    headroom: float = 4.0            # interaction lengths kept ahead of the front
     max_nodes: int = 4_000_000
     scheme: str = "euler"            # or "rk2" (midpoint)
-    front_tol: float = 1e-9          # relative support threshold for Cauchy fronts
 
     def __post_init__(self):
         if not self.dx > 0.0:
@@ -193,6 +205,7 @@ class _Engine:
         self.spec = spec
         self.cfg = cfg
         self.kernel = spec.kernel
+        self.left, self.right = spec.ends
         self.dx = cfg.dx
         budget = stability_budget(spec)
         self.dt = cfg.dt if cfg.dt is not None else 0.5 * budget
@@ -200,9 +213,8 @@ class _Engine:
             raise ValidationError(
                 f"dt = {self.dt} exceeds the stability budget {budget:.6g}")
         self.ell = min(self.kernel.interaction_length(), 25.0)
-        self.u_cap = spec.u_cap()
-        self.front_floor = cfg.front_tol * max(self.u_cap, 1e-300)
-        if spec.variant == "fixed-domain":
+        self.front_floor = FRONT_TOL * max(spec.u_cap(), 1e-300)
+        if self.right == WALL:
             ratio = spec.h0 / self.dx
             if abs(ratio - round(ratio)) > 1e-9:
                 raise ValidationError("fixed-domain runs need h0 to be a grid multiple of dx")
@@ -212,16 +224,11 @@ class _Engine:
 
     def _init_grid(self):
         spec, dx = self.spec, self.dx
-        pad = max(self.cfg.headroom * self.ell, 10 * dx)
-        if spec.variant == "fixed-domain":
-            lo, hi = 0.0, spec.h0
-        elif spec.variant in ("halfline-fb", "cauchy-half"):
-            lo, hi = 0.0, spec.h0 + pad
-        else:
-            lo, hi = -(spec.h0 + pad), spec.h0 + pad
+        pad = max(HEADROOM * self.ell, 10 * dx)
+        lo = 0.0 if self.left == WALL else -(spec.h0 + pad)
+        hi = spec.h0 if self.right == WALL else spec.h0 + pad
         n = int(round((hi - lo) / dx)) + 1
-        x0 = lo
-        x = x0 + dx * np.arange(n)
+        x = lo + dx * np.arange(n)
         u0 = spec.initial_datum()
         u = np.asarray(u0(x), dtype=float)
         if np.any(u < -1e-12):
@@ -230,13 +237,11 @@ class _Engine:
         if not np.max(u) > 0.0:
             raise ValidationError("initial datum must be positive somewhere inside")
         edge = float(u0(spec.h0))
-        if abs(edge) > 1e-9 * max(1.0, np.max(u)) and spec.variant != "fixed-domain":
+        if abs(edge) > 1e-9 * max(1.0, np.max(u)) and self.right != WALL:
             raise ValidationError("initial datum must vanish at the moving front")
-        u[x > spec.h0 + 1e-12] = 0.0
-        if spec.variant in ("halfline-fb", "twosided-fb", "cauchy-full"):
-            u[x < -spec.h0 - 1e-12] = 0.0
-        g0 = -spec.h0 if spec.variant == "twosided-fb" else -math.inf
-        self.state = State(t=0.0, x0=x0, dx=dx, u=u, h=spec.h0, g=g0)
+        u[np.abs(x) > spec.h0 + 1e-12] = 0.0
+        g0 = -spec.h0 if self.left == FRONT else -math.inf
+        self.state = State(t=0.0, x0=lo, dx=dx, u=u, h=spec.h0, g=g0)
         self._refresh_taps()
 
     def _refresh_taps(self):
@@ -244,7 +249,7 @@ class _Engine:
         n = len(self.state.u)
         self.conv = quadrature.plan(self.kernel, self.dx, n)
         self.x = self.state.x0 + self.dx * np.arange(n)
-        if self.spec.variant in _HALFLINE_SINK:
+        if self.left == WALL:
             self.sink = self.spec.d * self.kernel.halfline_mass(np.maximum(self.x, 0.0))
         else:
             self.sink = np.full(n, self.spec.d)
@@ -254,12 +259,12 @@ class _Engine:
         st = self.state
         n = len(st.u)
         right_edge = st.x0 + (n - 1) * self.dx
-        chunk = max(self.cfg.headroom * self.ell, 0.25 * (right_edge - st.x0), 50 * self.dx)
+        chunk = max(HEADROOM * self.ell, 0.25 * (right_edge - st.x0), 50 * self.dx)
         add_r = 0
         if need_right > right_edge - 2 * self.ell:
             add_r = int(math.ceil((need_right + chunk - right_edge) / self.dx))
         add_l = 0
-        if need_left < st.x0 + 2 * self.ell and self.spec.variant in ("twosided-fb", "cauchy-full"):
+        if need_left < st.x0 + 2 * self.ell and self.left != WALL:
             add_l = int(math.ceil((st.x0 - (need_left - chunk)) / self.dx))
         if add_r == 0 and add_l == 0:
             return
@@ -272,16 +277,27 @@ class _Engine:
         st.x0 -= add_l * self.dx
         self._refresh_taps()
 
+    def _extent(self, st: State):
+        """(left, right): each end's front or wall, or at an open end the
+        outermost node carrying visible field."""
+        if OPEN not in (self.left, self.right):
+            return st.g, st.h
+        idx = np.nonzero(st.u > self.front_floor)[0]
+        lo, hi = (self.x[idx[0]], self.x[idx[-1]]) if len(idx) else (st.x0, st.x0)
+        return lo if self.left == OPEN else st.g, hi if self.right == OPEN else st.h
+
     # -- quadrature ----------------------------------------------------------
 
     def _pieces(self, st: State) -> quadrature.Pieces:
-        """Trapezoid weights over the active nodes plus the partial front cells."""
-        v = self.spec.variant
-        lo, hi = {"halfline-fb": (0.0, st.h), "twosided-fb": (st.g, st.h),
-                  "fixed-domain": (0.0, self.spec.h0)}.get(v, (st.x0, math.inf))
-        return quadrature.pieces(st.x0, self.dx, st.u, lo, hi,
-                                 lo_end=0.0 if v == "twosided-fb" else None,
-                                 hi_end=0.0 if v in _FRONT_VARIANTS else None)
+        """Trapezoid weights over the active nodes plus the partial front cells.
+
+        g is -inf and h stays h0 at an end without a front, so an open end
+        clips to the grid edge and a right wall sits at h0."""
+        return quadrature.pieces(st.x0, self.dx, st.u,
+                                 0.0 if self.left == WALL else st.g,
+                                 math.inf if self.right == OPEN else st.h,
+                                 lo_end=0.0 if self.left == FRONT else None,
+                                 hi_end=0.0 if self.right == FRONT else None)
 
     def _rhs(self, st: State):
         """Rate at every node (zero off the window) and the front fluxes.
@@ -300,27 +316,25 @@ class _Engine:
         rate[sl] = (spec.d * quadrature.window_integral(self.kernel, self.conv, x, wu, p.cells)
                     - self.sink[sl] * u + spec.reaction.f(u))
         flux_r = flux_l = 0.0
-        if spec.variant in _FRONT_VARIANTS:
+        if self.right == FRONT:
             flux_r = quadrature.front_flux(self.kernel, st.h, x, wu, self.dx, p.cells)
-            if spec.variant == "twosided-fb":
-                flux_l = quadrature.front_flux(self.kernel, st.g, x, wu, self.dx,
-                                               p.cells, side=-1.0)
+        if self.left == FRONT:
+            flux_l = quadrature.front_flux(self.kernel, st.g, x, wu, self.dx,
+                                           p.cells, side=-1.0)
         out = rate, flux_r, flux_l
         self._cached_rhs = (st, out)
         return out
 
     def _apply(self, st: State, rate, flux_r, flux_l, dt) -> State:
-        spec = self.spec
         u = st.u + dt * rate
-        h = st.h + dt * spec.mu * flux_r if spec.variant in _FRONT_VARIANTS else st.h
-        g = st.g - dt * spec.mu * flux_l if spec.variant == "twosided-fb" else st.g
         np.maximum(u, 0.0, out=u)
-        if spec.variant in _FRONT_VARIANTS:
+        h, g = st.h, st.g
+        if self.right == FRONT:
+            h = st.h + dt * self.spec.mu * flux_r
             u[self.x.searchsorted(h):] = 0.0                 # x >= h
-            if spec.variant == "twosided-fb":
-                u[:self.x.searchsorted(g, "right")] = 0.0    # x <= g
-            else:
-                u[:self.x.searchsorted(0.0)] = 0.0           # x < 0
+        if self.left == FRONT:
+            g = st.g - dt * self.spec.mu * flux_l
+            u[:self.x.searchsorted(g, "right")] = 0.0        # x <= g
         return State(t=st.t + dt, x0=st.x0, dx=st.dx, u=u, h=h, g=g)
 
     def step_once(self, dt: float):
@@ -336,13 +350,6 @@ class _Engine:
 
     # -- logging --------------------------------------------------------------
 
-    def _effective_fronts(self, st: State):
-        """Rightmost/leftmost positions carrying visible field (Cauchy logging)."""
-        idx = np.nonzero(st.u > self.front_floor)[0]
-        if len(idx) == 0:
-            return st.x0, st.x0
-        return self.x[idx[0]], self.x[idx[-1]]
-
     def observables(self, st: State):
         p = self._pieces(st)
         u = st.u[p.sl]
@@ -353,15 +360,8 @@ class _Engine:
             width = c.area / c.mean if c.mean > 0.0 else 0.0
             rint += width * float(self.spec.reaction.f(c.mean))
         sup = float(np.max(st.u)) if len(st.u) else 0.0
-        fr = 0.0
-        if self.spec.variant in _FRONT_VARIANTS:
-            _, fr, _ = self._rhs(st)
-        if self.spec.variant in _FRONT_VARIANTS or self.spec.variant == "fixed-domain":
-            h_log, g_log = st.h, st.g
-        else:
-            _, h_log = self._effective_fronts(st)
-            g_log = -math.inf
-        return h_log, g_log, mass, sup, fr, rint
+        fr = self._rhs(st)[1] if self.right == FRONT else 0.0
+        return self._extent(st)[1], st.g, mass, sup, fr, rint
 
 
 def run(spec: ProblemSpec, cfg: SolverConfig) -> TrajectoryLog:
@@ -420,14 +420,7 @@ def run(spec: ProblemSpec, cfg: SolverConfig) -> TrajectoryLog:
     checkpoint(0)
     try:
         for k in range(1, n_steps + 1):
-            st = eng.state
-            if spec.variant in _FRONT_VARIANTS:
-                need_r, need_l = st.h, st.g if spec.variant == "twosided-fb" else 0.0
-            elif spec.variant == "fixed-domain":
-                need_r, need_l = spec.h0, 0.0
-            else:
-                need_l, need_r = eng._effective_fronts(st)
-            eng._grow(need_l, need_r)
+            eng._grow(*eng._extent(eng.state))
             eng.step_once(eng.dt if k < n_steps else last_dt)
             if k % stride == 0 or k == n_steps:
                 checkpoint(k)
@@ -450,16 +443,14 @@ def step(spec: ProblemSpec, cfg: SolverConfig, state: State) -> State:
     return eng.state
 
 
-def classify(log: TrajectoryLog, spec: ProblemSpec, *,
-             spread_lengths: float = 5.0, spread_level: float = 0.5,
-             vanish_growth: float | None = None, vanish_level: float = 0.01) -> str:
+def classify(log: TrajectoryLog, spec: ProblemSpec) -> str:
     """Finite-time surrogate of the spreading/vanishing dichotomy.
 
-    Spreading: over the last half of the run the front gained at least
-    ``spread_lengths`` interaction lengths and the field still sits above
-    ``spread_level * u*``.  Vanishing: the front plateaued (growth below one
-    cell) and the field fell under ``vanish_level * u*``.  Anything else is
-    undecided; the thresholds are judgment calls and stay overridable.
+    Spreading: over the last half of the run the front gained at least 5
+    interaction lengths and the field still sits above u*/2.  Vanishing:
+    the front gained less than one cell (dx) and the field fell under
+    u*/100.  Anything else is undecided.  The thresholds are fixed judgment
+    calls, not settings.
     """
     t = np.asarray(log.t)
     h = np.asarray(log.h)
@@ -473,10 +464,9 @@ def classify(log: TrajectoryLog, spec: ProblemSpec, *,
     half = np.searchsorted(t, t[-1] / 2.0)
     growth = h[-1] - h[half]
     sup_end = log.sup_u[-1]
-    if growth >= spread_lengths * ell and sup_end > spread_level * u_star:
+    if growth >= 5.0 * ell and sup_end > 0.5 * u_star:
         return "spreading"
-    cap = vanish_growth if vanish_growth is not None else dx
-    if growth < cap and sup_end < vanish_level * u_star:
+    if growth < dx and sup_end < 0.01 * u_star:
         return "vanishing"
     return "undecided"
 

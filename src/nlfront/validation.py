@@ -44,11 +44,13 @@ __all__ = [
 ]
 
 
+# quadrature nodes per lattice time of a shape fixture, at most
+LATTICE_MAX_NODES = 400_000
+
+
 @dataclass(frozen=True)
 class Lattice:
     t_values: tuple
-    max_nodes: int = 400_000
-    dy: float | None = None        # default: kernel scale / 6 (shape fixtures)
 
     def __post_init__(self):
         if len(self.t_values) == 0:
@@ -63,7 +65,7 @@ class ResidualReport:
     tol: dict
     passed: bool
     notes: tuple = ()
-    consistency: float | None = None  # wave fixtures: max |direct - algebraic|
+    consistency: float | None = None  # max |margin - second route| (see verify_fixture)
 
     def to_json(self) -> dict:
         return {"kind": self.kind, "margins": self.margins,
@@ -233,7 +235,35 @@ class SubSemiwave(_WaveBarrier):
 
 
 @dataclass(frozen=True, kw_only=True)
-class SubPlateau(_Barrier):
+class _RampBarrier(_Barrier):
+    """The plateau p(t) up to the ridge h(t) - w(t), then a linear ramp down
+    to 0 at the front h(t); subclasses give p, h and their rates, and w
+    when the ramp is not the outer half of [0, h]."""
+
+    def ramp_width(self, t):
+        return self.h_front(t) / 2.0
+
+    def ramp_width_prime(self, t):
+        return self.h_front_prime(t) / 2.0
+
+    def u_at(self, t, x):
+        s = (self.h_front(t) - np.asarray(x, dtype=float)) / self.ramp_width(t)
+        return self.plateau(t) * np.clip(np.minimum(1.0, s), 0.0, None)
+
+    def u_t_at(self, t, x):
+        x = np.asarray(x, dtype=float)
+        h, w, p_t = self.h_front(t), self.ramp_width(t), self.plateau_prime(t)
+        s = (h - x) / w                  # 1 at the ridge, 0 at the front
+        ramp_t = p_t * s + self.plateau(t) * (self.h_front_prime(t) / w
+                                              - s * self.ramp_width_prime(t) / w)
+        return np.where(x <= h - w, p_t, ramp_t)
+
+    def ridges(self, t):
+        return (self.h_front(t) - self.ramp_width(t),)
+
+
+@dataclass(frozen=True, kw_only=True)
+class SubPlateau(_RampBarrier):
     """Piecewise-linear plateau barrier feeding the 1/t interior estimate.
 
     hunder = 2 eta1 (t+theta); the profile is the plateau u* - rho1/hunder
@@ -272,29 +302,16 @@ class SubPlateau(_Barrier):
     def h_front_prime(self, t):
         return 2.0 * self.eta1
 
-    def u_at(self, t, x):
-        x = np.asarray(x, dtype=float)
-        h = self.h_front(t)
-        p = self.reaction.u_star - self.rho1 / h
-        ramp = 2.0 * p * (1.0 - x / h)
-        return np.clip(np.where(x <= h / 2.0, p, ramp), 0.0, None)
+    def plateau(self, t):
+        return self.reaction.u_star - self.rho1 / self.h_front(t)
 
-    def u_t_at(self, t, x):
-        x = np.asarray(x, dtype=float)
-        h = self.h_front(t)
-        hp = self.h_front_prime(t)
-        p = self.reaction.u_star - self.rho1 / h
-        p_t = self.rho1 * hp / h ** 2
-        ramp_t = 2.0 * p_t * (1.0 - x / h) + 2.0 * p * x * hp / h ** 2
-        return np.where(x <= h / 2.0, p_t, ramp_t)
-
-    def ridges(self, t):
-        return (self.h_front(t) / 2.0,)
+    def plateau_prime(self, t):
+        return self.rho1 * self.h_front_prime(t) / self.h_front(t) ** 2
 
 
 @dataclass(frozen=True, kw_only=True)
-class _AcceleratedBarrier(_Barrier):
-    """A ramp up to the plateau l_eps = u* - sqrt(eps) behind an
+class _AcceleratedBarrier(_RampBarrier):
+    """A ramp up to the fixed plateau l_eps = u* - sqrt(eps) behind an
     accelerating front, for algebraic kernels with gamma in (1,2]."""
 
     l1: float
@@ -306,9 +323,11 @@ class _AcceleratedBarrier(_Barrier):
         if not (self.l1 > 0.0 and self.theta >= 1.0):
             raise ValidationError("need l1 > 0 and theta >= 1")
 
-    @property
-    def l_eps(self):
+    def plateau(self, t):
         return self.reaction.u_star - math.sqrt(self.eps)
+
+    def plateau_prime(self, t):
+        return 0.0
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -332,20 +351,6 @@ class SubPowerFront(_AcceleratedBarrier):
         g = self.kernel.gamma
         return self.l1 / (g - 1.0) * (self.l1 * t + self.theta) ** ((2.0 - g) / (g - 1.0))
 
-    def u_at(self, t, x):
-        x = np.asarray(x, dtype=float)
-        h = self.h_front(t)
-        return self.l_eps * np.clip(np.minimum(1.0, 2.0 * (h - x) / h), 0.0, None)
-
-    def u_t_at(self, t, x):
-        x = np.asarray(x, dtype=float)
-        h = self.h_front(t)
-        hp = self.h_front_prime(t)
-        return np.where(x <= h / 2.0, 0.0, 2.0 * self.l_eps * x * hp / h ** 2)
-
-    def ridges(self, t):
-        return (self.h_front(t) / 2.0,)
-
 
 @dataclass(frozen=True, kw_only=True)
 class SubTLogTFront(_AcceleratedBarrier):
@@ -368,29 +373,14 @@ class SubTLogTFront(_AcceleratedBarrier):
     def ramp_width(self, t):
         return (t + self.theta) ** self.alpha
 
+    def ramp_width_prime(self, t):
+        return self.alpha * (t + self.theta) ** (self.alpha - 1.0)
+
     def h_front(self, t):
         return self.l1 * (t + self.theta) * math.log(t + self.theta)
 
     def h_front_prime(self, t):
         return self.l1 * (math.log(t + self.theta) + 1.0)
-
-    def u_at(self, t, x):
-        x = np.asarray(x, dtype=float)
-        h = self.h_front(t)
-        w = self.ramp_width(t)
-        return self.l_eps * np.clip(np.minimum(1.0, (h - x) / w), 0.0, None)
-
-    def u_t_at(self, t, x):
-        x = np.asarray(x, dtype=float)
-        h = self.h_front(t)
-        w = self.ramp_width(t)
-        hp = self.h_front_prime(t)
-        ramp_t = self.l_eps * (hp / w
-                               - self.alpha * (h - x) / ((t + self.theta) * w))
-        return np.where(x <= h - w, 0.0, ramp_t)
-
-    def ridges(self, t):
-        return (self.h_front(t) - self.ramp_width(t),)
 
 
 # ---------------------------------------------------------------------------
@@ -398,29 +388,30 @@ class SubTLogTFront(_AcceleratedBarrier):
 # ---------------------------------------------------------------------------
 
 
-def _grid_for(fixture, t, lattice: Lattice, halve: bool = False):
+def _grid_for(fixture, t, halve: bool = False):
     """Quadrature grid on [0, h(t)].  Wave fixtures align to the profile grid
     (shifted by the front) so the profile's own equation cancels exactly;
-    shape fixtures use a uniform grid with the scale of the kernel core."""
+    shape fixtures use a uniform grid of a sixth of the kernel's quadrature
+    scale."""
     h = fixture.h_front(t)
     if isinstance(fixture, _WaveBarrier):
         dxp = fixture.wave.dx
         n = int(math.floor(h / dxp + 1e-12))
         y = h - dxp * np.arange(n, -1, -1)
         return y, dxp
-    dy0 = lattice.dy if lattice.dy is not None else fixture.kernel.quadrature_scale() / 6.0
+    dy0 = fixture.kernel.quadrature_scale() / 6.0
     if isinstance(fixture, SubTLogTFront):
         dy0 = min(dy0, fixture.ramp_width(t) / 8.0)
     if halve:
         dy0 /= 2.0
-    nq = min(max(64, int(math.ceil(h / dy0))), lattice.max_nodes)
+    nq = min(max(64, int(math.ceil(h / dy0))), LATTICE_MAX_NODES)
     dy = h / nq
     return dy * np.arange(nq + 1), dy
 
 
-def _interior_margins(fixture, t, lattice, halve=False):
+def _interior_margins(fixture, t, halve=False):
     """Interior margins on the quadrature grid of time t, and the front flux."""
-    y, dy = _grid_for(fixture, t, lattice, halve=halve)
+    y, dy = _grid_for(fixture, t, halve=halve)
     kernel = fixture.kernel
     vals = np.asarray(fixture.u_at(t, y), dtype=float)
     wu = vals * quadrature.trapezoid(len(y))
@@ -444,23 +435,24 @@ def _interior_margins(fixture, t, lattice, halve=False):
     return y[keep], margin[keep], dy, dropped, flux
 
 
-def verify_fixture(fixture, lattice: Lattice,
-                   reference: tuple | None = None) -> ResidualReport:
+def verify_fixture(fixture, lattice: Lattice) -> ResidualReport:
     """Pointwise margins of the fixture's inequality system on the lattice.
 
     Margins are oriented so that nonnegative means the inequality holds.
-    ``reference`` optionally supplies (Field, h) to check the initial
-    ordering against a simulated state at the fixture's t = 0.
+    The tolerance scales with the noise of a second route to the same
+    margins: the algebraic form for wave fixtures, a halved grid for the
+    others.
     """
-    margins = {"interior": math.inf, "front": math.inf, "boundary": math.inf}
-    worst = {k: (math.nan, math.nan) for k in margins}
+    keys = ("interior", "front", "boundary") if fixture.has_front_check \
+        else ("interior", "boundary")
+    margins = dict.fromkeys(keys, math.inf)
+    worst = dict.fromkeys(keys, (math.nan, math.nan))
     notes = []
-    consistency = 0.0
-    shape_noise = 0.0
+    noise = 0.0
 
     wave = isinstance(fixture, _WaveBarrier)
     for t in lattice.t_values:
-        ys, m_int, dy, dropped, flux = _interior_margins(fixture, t, lattice)
+        ys, m_int, dy, dropped, flux = _interior_margins(fixture, t)
         if dropped:
             notes.append(f"t={t:g}: dropped {dropped} lattice points at the "
                          "non-smooth ridge")
@@ -470,19 +462,17 @@ def verify_fixture(fixture, lattice: Lattice,
                 margins["interior"] = float(m_int[i])
                 worst["interior"] = (float(t), float(ys[i]))
         if wave:
-            alg = fixture.algebraic_interior(t, ys)
-            consistency = max(consistency, float(np.max(np.abs(alg - m_int))))
+            second = fixture.algebraic_interior(t, ys)
         else:
-            ys2, m2, _, _, _ = _interior_margins(fixture, t, lattice, halve=True)
-            ref = np.interp(ys, ys2, m2)
-            shape_noise = max(shape_noise, float(np.max(np.abs(ref - m_int))))
+            ys2, m2, _, _, _ = _interior_margins(fixture, t, halve=True)
+            second = np.interp(ys, ys2, m2)
+        noise = max(noise, float(np.max(np.abs(second - m_int))))
 
         h = fixture.h_front(t)
         if fixture.has_front_check:
             m_front = fixture.sense * (fixture.h_front_prime(t) - fixture.mu * flux)
             if wave:
-                consistency = max(consistency,
-                                  abs(m_front - fixture.algebraic_front(t)))
+                noise = max(noise, abs(m_front - fixture.algebraic_front(t)))
             if m_front < margins["front"]:
                 margins["front"] = float(m_front)
                 worst["front"] = (float(t), float(h))
@@ -491,37 +481,16 @@ def verify_fixture(fixture, lattice: Lattice,
             margins["boundary"] = m_bnd
             worst["boundary"] = (float(t), float(h))
 
-    if reference is not None:
-        ref_field, ref_h = reference
-        t0 = lattice.t_values[0]
-        vals = fixture.u_at(t0, ref_field.x)
-        gap = fixture.sense * (vals - ref_field.values)
-        margins["initial"] = float(np.min(gap))
-        worst["initial"] = (float(t0), float(ref_field.x[int(np.argmin(gap))]))
-        margins["initial_front"] = fixture.sense * (fixture.h_front(t0) - ref_h)
-        worst["initial_front"] = (float(t0), float(ref_h))
-
     if wave:
-        base = 10.0 * fixture.wave.residual + 10.0 * consistency
-        tol = {"interior": base,
-               "front": 10.0 * fixture.wave.speed_defect + 10.0 * consistency,
-               "boundary": 1e-12}
+        floor = {"interior": 10.0 * fixture.wave.residual,
+                 "front": 10.0 * fixture.wave.speed_defect}
     else:
-        tol = {"interior": 10.0 * shape_noise + 1e-12,
-               "front": 10.0 * shape_noise + 1e-12,
-               "boundary": 1e-12}
-    for k in ("initial", "initial_front"):
-        if k in margins:
-            tol[k] = 1e-9
-
-    if not fixture.has_front_check:
-        margins.pop("front")
-        worst.pop("front")
-        tol.pop("front")
-    passed = all(margins[k] >= -tol[k] for k in margins)
+        floor = {"interior": 1e-12, "front": 1e-12}
+    tol = {k: 1e-12 if k == "boundary" else floor[k] + 10.0 * noise for k in keys}
+    passed = all(margins[k] >= -tol[k] for k in keys)
     return ResidualReport(kind=fixture.kind, margins=margins, worst=worst,
                           tol=tol, passed=passed, notes=tuple(notes),
-                          consistency=consistency if wave else shape_noise)
+                          consistency=noise)
 
 
 def margin_field_csv(fixture, lattice: Lattice, path):
@@ -529,7 +498,7 @@ def margin_field_csv(fixture, lattice: Lattice, path):
     with open(path, "w") as fh:
         fh.write("t,x,margin\n")
         for t in lattice.t_values:
-            ys, margins, _, _, _ = _interior_margins(fixture, t, lattice)
+            ys, margins, _, _, _ = _interior_margins(fixture, t)
             for x, m in zip(ys, margins):
                 fh.write(f"{t:.17g},{x:.17g},{m:.17g}\n")
 
@@ -552,10 +521,10 @@ class PsiReport:
                 "eps": self.eps, "kappa1": self.kappa1, "kappa2": self.kappa2}
 
 
-def psi_inequality_check(P: Kernel, kappa1: float, kappa2: float, eps: float,
-                         dx: float | None = None) -> PsiReport:
+def psi_inequality_check(P: Kernel, kappa1: float, kappa2: float, eps: float) -> PsiReport:
     """Smallest kappa so that int_0^k2 P(x-y) psi(y) dy >= (1-eps) psi(x)
     holds on [kappa, kappa2], with psi the plateau cutoff of width kappa1.
+    The grid step is at most kappa1/64 and an eighth of P's quadrature scale.
 
     kappa_eps sits one grid step past the last node where the inequality
     fails (0 when it holds everywhere).
@@ -564,8 +533,7 @@ def psi_inequality_check(P: Kernel, kappa1: float, kappa2: float, eps: float,
         raise ContractError("need kappa2 > kappa1 > 0")
     if not 0.0 < eps < 1.0:
         raise ContractError("eps must sit in (0,1)")
-    dx = dx if dx is not None else min(kappa1 / 64.0, P.quadrature_scale() / 8.0)
-    n = int(math.ceil(kappa2 / dx))
+    n = int(math.ceil(kappa2 / min(kappa1 / 64.0, P.quadrature_scale() / 8.0)))
     dx = kappa2 / n
     x = dx * np.arange(n + 1)
     psi = np.minimum(1.0, (kappa2 - np.abs(x)) / kappa1)
@@ -651,6 +619,10 @@ def comparison_order_check(spec_a: ProblemSpec, spec_b: ProblemSpec,
                             checked_times=n_checked)
 
 
+# a run started at a lower barrier may dip this far below it
+DOMINATION_TOL = 5e-3
+
+
 @dataclass(frozen=True)
 class RefinementReport:
     h_values: tuple
@@ -679,10 +651,10 @@ def refinement_order(spec: ProblemSpec, cfg: SolverConfig,
     return RefinementReport(tuple(hs), diffs, orders, float(np.median(orders)), False)
 
 
-def fixture_domination_check(fixture, cfg: SolverConfig, t_end: float,
-                             tol: float = 5e-3) -> dict:
+def fixture_domination_check(fixture, cfg: SolverConfig, t_end: float) -> dict:
     """Soundness of a sub-fixture against the solver: a run started at the
-    barrier stays above it (the fitted lag T is zero for an equal start)."""
+    barrier stays above it (the fitted lag T is zero for an equal start), to
+    DOMINATION_TOL in u and in h."""
     if fixture.sense != -1:
         raise ContractError("domination checks apply to lower barriers")
     h0 = fixture.h_front(0.0)
@@ -693,7 +665,6 @@ def fixture_domination_check(fixture, cfg: SolverConfig, t_end: float,
                       snapshot_stride=max(1, cfg.snapshot_stride))
     log = run(spec, run_cfg)
     worst_u = 0.0
-    worst_h = 0.0
     for t, snap in log.snapshots:
         hb = fixture.h_front(t)
         sel = snap.x <= min(hb, snap.x[-1])
@@ -702,5 +673,5 @@ def fixture_domination_check(fixture, cfg: SolverConfig, t_end: float,
     th = np.asarray(log.t)
     hh = np.asarray(log.h)
     worst_h = float(np.max([fixture.h_front(t) - h for t, h in zip(th, hh)]))
-    return {"passed": worst_u <= tol and worst_h <= tol,
+    return {"passed": worst_u <= DOMINATION_TOL and worst_h <= DOMINATION_TOL,
             "max_u_violation": worst_u, "max_h_violation": worst_h}

@@ -52,6 +52,18 @@ def test_unknown_key_listed(tmp_path, capsys):
     assert "solver.dtt" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("override,message", [
+    ("solver.front_tol=1e-9", "unknown config key"),
+    ("solver.headroom=4.0", "unknown config key"),
+    ("analysis.level=0.5", "unknown config key"),
+    ('output.directory="out"', "unknown config path"),
+])
+def test_retired_config_keys_rejected(tmp_path, capsys, override, message):
+    rc = main(["simulate", "--out", str(tmp_path / "x"), "--set", override])
+    assert rc == 1
+    assert message in capsys.readouterr().err
+
+
 def test_kernel_override_echoed(tmp_path):
     cfg = write_cfg(tmp_path, BASE)
     out = tmp_path / "run"

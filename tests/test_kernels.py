@@ -226,6 +226,16 @@ def test_truncation_is_a_kernel_with_its_own_mass():
     assert np.array_equal(wide.halfline_mass(xs), base.halfline_mass(xs))
 
 
+def test_truncation_condition_report_audits_its_own_mass():
+    # the audit compares the quadrature mass with mass_exact(), not with 1
+    tr = truncate(AlgebraicTail(1.5, 1.0), 4.0)
+    assert tr.mass_exact() < 0.7
+    assert abs(tr.total_mass() - tr.mass_exact()) < 1e-12
+    rep = tr.condition_report()
+    assert rep.satisfies_J and rep.satisfies_J1 and rep.satisfies_J2
+    assert rep.first_moment == pytest.approx(tr.first_moment(), rel=0.0, abs=0.0)
+
+
 def test_taps_cover_exact_mass():
     k = CompactUniform(1.0)
     taps = k.taps(0.05, 21)

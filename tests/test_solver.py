@@ -6,8 +6,8 @@ import pytest
 from nlfront.errors import ContractError, ConvergenceError, ResourceError, ValidationError
 from nlfront.kernels import AlgebraicTail, CompactUniform
 from nlfront.reactions import Reaction, logistic, zero_reaction
-from nlfront.solver import (Field, ProblemSpec, SolverConfig, TrajectoryLog,
-                            boundary_flux, classify, make_plateau,
+from nlfront.solver import (VARIANTS, Field, ProblemSpec, SolverConfig, TrajectoryLog,
+                            _Engine, boundary_flux, classify, make_plateau,
                             nonlocal_operator, run, stability_budget, step)
 
 
@@ -174,6 +174,45 @@ def test_fixed_domain_front_is_static():
     log = run(spec, SolverConfig(dx=0.05, dt=0.05, t_end=4.0, log_every=0.5))
     assert all(h == 5.0 for h in log.h)
     assert log.sup_u[-1] > 0.2
+
+
+# variant: (h moves, g moves, grows left, window ends from the state and the grid edges)
+BOUNDARIES = {
+    "halfline-fb": (True, False, False, lambda st, x: (0.0, st.h)),
+    "twosided-fb": (True, True, True, lambda st, x: (st.g, st.h)),
+    "cauchy-full": (False, False, True, lambda st, x: (x[0], x[-1])),
+    "cauchy-half": (False, False, False, lambda st, x: (0.0, x[-1])),
+    "fixed-domain": (False, False, False, lambda st, x: (0.0, 3.0)),
+}
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_boundary_table(variant):
+    h_moves, g_moves, grows_left, window = BOUNDARIES[variant]
+    spec = ProblemSpec(variant=variant, kernel=CompactUniform(1.0), reaction=logistic(1, 1),
+                       d=1.0, mu=10.0, h0=3.0)
+    cfg = SolverConfig(dx=0.1, dt=0.05, t_end=6.0)
+    eng = _Engine(spec, cfg)
+    x0_start = eng.state.x0
+    st = run(spec, cfg).final_state
+    assert st.h > 3.0 if h_moves else st.h == 3.0
+    assert -math.inf < st.g < -3.0 if g_moves else st.g == -math.inf
+    assert (st.x0 < x0_start) == grows_left
+    assert st.x0 <= x0_start
+
+    eng.state = st
+    eng._refresh_taps()
+    p = eng._pieces(st)
+    x = eng.x
+    lo, hi = window(st, x)
+    assert lo - 1e-9 <= x[p.i_lo] < lo + cfg.dx
+    assert hi - cfg.dx < x[p.i_hi] <= hi + 1e-9
+    # a partial cell at each moving front, between its last node and the front
+    assert len(p.cells) == h_moves + g_moves
+    if h_moves:
+        assert x[p.i_hi] < p.cells[0].centroid < st.h
+    if g_moves:
+        assert st.g < p.cells[-1].centroid < x[p.i_lo]
 
 
 def test_rk2_scheme_runs():

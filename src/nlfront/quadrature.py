@@ -8,12 +8,18 @@ mass * constant, truncated kernels included.  A window end between two
 nodes leaves a partial cell on which u is linear: zero at a front, the
 known value at a wall or strip; it enters as its area at its centroid.
 
-The convolution against the taps is planned once per grid (``plan``):
-rows of at most ``DIRECT_MAX_TAPS`` taps go through ``np.convolve``,
-longer ones (heavy tails, whose taps span the window) multiply by an rFFT
-of the taps computed with the plan.  Kernels of finite support radius r
-only see nodes within r, so the front flux and the partial-cell terms skip
-the others.
+The convolution against the taps is planned once per grid (``plan``) and
+takes one of three paths (``Convolution``).  A flat row, equal taps around
+the centre with at most one nonzero tap next to each end of the run (the
+uniform kernel), is a box sum from blocked prefix sums plus the two end
+taps, O(n) per call, once the grid has ``BOX_MIN_NODES`` nodes and
+``BOX_MIN_WORK`` tap-node products.  Other rows of at most
+``DIRECT_MAX_TAPS`` taps convolve directly, and longer ones (heavy tails,
+whose taps span the window) multiply by an rFFT of the taps computed with
+the plan.  The size rules are measured crossovers, not settings.  Kernels
+of finite support radius r only see nodes within r, so the front flux and
+the partial-cell terms skip the others; at a front, one cut serves both
+(``front_reach``).
 """
 
 from __future__ import annotations
@@ -23,14 +29,25 @@ from typing import NamedTuple
 
 import numpy as np
 
-__all__ = ["Cell", "Pieces", "Convolution", "FarFieldWindow", "DIRECT_MAX_TAPS", "plan",
-           "trapezoid", "cell_averages", "partial_cell", "pieces", "window_integral",
+__all__ = ["Cell", "Pieces", "Convolution", "FarFieldWindow", "DIRECT_MAX_TAPS",
+           "BOX_MIN_NODES", "BOX_MIN_WORK", "plan", "front_reach", "trapezoid",
+           "cell_averages", "partial_cell", "pieces", "window_integral",
            "point_integral", "front_flux"]
 
 # Tap rows up to this length convolve directly, longer ones by rFFT.  With
 # the tap spectrum cached, the rFFT path wins above about 150-300 taps for
 # 1e3 to 4e4 nodes (numpy 2.4 / scipy 1.17, one thread, 2-vCPU x86 host).
 DIRECT_MAX_TAPS = 200
+# A flat row (see ``Convolution``) of k taps on n nodes takes the box path
+# when n >= BOX_MIN_NODES and k n >= BOX_MIN_WORK: its cost is O(n) against
+# the direct path's O(k n), but it makes about ten passes over the signal.
+# Measured as DIRECT_MAX_TAPS was, it loses below about 1000 nodes at 43
+# taps and wins by a quarter at 1200; at 23 taps it wins above about 1500.
+BOX_MIN_NODES = 1200
+BOX_MIN_WORK = 36_000
+# outputs per block of the box path's prefix sums; rows of this many taps
+# or more convolve directly or by rFFT
+BOX_BLOCK = 256
 
 
 class Cell(NamedTuple):
@@ -44,6 +61,7 @@ class Pieces(NamedTuple):
     i_lo: int
     i_hi: int
     cells: tuple           # partial end cells, the right end first
+    sides: tuple           # each cell's end: 1.0 right, -1.0 left
 
     @property
     def sl(self) -> slice:
@@ -54,33 +72,101 @@ class Convolution:
     """``dx * sum_j taps[j] v[i + m - j]`` at every node i of a signal v of at
     most n nodes (the centred part of the full convolution), m = len(taps) // 2.
 
-    The path is fixed when the plan is made: direct for short tap rows,
-    otherwise through the rFFT of the taps, which the plan keeps, at a
-    length N >= n + m.  The cyclic convolution of length N folds the full
-    one's outputs j and j + N together, and j + N >= n + 2m lies past the
-    full convolution for every centred output j >= m, so the outputs kept
-    are exact without padding to n + 2m.  A grid of another size needs a
-    new plan.
+    The path is fixed when the plan is made:
+
+    * ``box`` for a flat row, whose taps around the centre are equal up to
+      rounding (the uniform kernel's 0, 1/4, 1/2 ... 1/2, 1/4, 0) and are
+      nonzero outside that run only next to its ends, once the size rule
+      above says it pays.  The run is a box sum, taken as
+      differences of prefix sums within blocks of ``BOX_BLOCK`` outputs (a
+      block total carries a sum across a block edge), so rounding stays at
+      the size of one block's sum however long the signal; the end taps
+      are shifted adds.  Outputs match the direct path to rounding.
+    * ``direct`` for other rows of at most ``DIRECT_MAX_TAPS`` taps:
+      ``np.correlate`` with the reversed taps, as ``np.convolve`` does; a
+      signal shorter than the row goes through ``np.convolve`` itself,
+      which swaps the operands.
+    * ``fft`` for longer rows: the rFFT of the taps, which the plan keeps,
+      at a length N >= n + m.  The cyclic convolution of length N folds the
+      full one's outputs j and j + N together, and j + N >= n + 2m lies past
+      the full convolution for every centred output j >= m, so the outputs
+      kept are exact without padding to n + 2m.
+
+    A grid of another size needs a new plan.
     """
 
     def __init__(self, tap_row: np.ndarray, n: int, dx: float):
         self.taps, self.dx = tap_row, dx
         self.m = (len(tap_row) - 1) // 2
         self.nfft = None
-        if len(tap_row) > DIRECT_MAX_TAPS:
-            from scipy import fft
+        run = (_flat_run(tap_row) if n >= BOX_MIN_NODES and len(tap_row) * n >= BOX_MIN_WORK
+               else None)
+        if run is not None:
+            self._box_plan(*run)
+        elif len(tap_row) > DIRECT_MAX_TAPS:
+            from scipy.fft import next_fast_len
 
-            self.fft = fft
-            self.nfft = fft.next_fast_len(n + self.m, real=True)
-            self.spectrum = fft.rfft(tap_row, self.nfft)
+            self.path = "fft"
+            self.nfft = next_fast_len(n + self.m, real=True)
+            self.spectrum = np.fft.rfft(tap_row, self.nfft)
+        else:
+            self.path = "direct"
+            self.reversed = tap_row[::-1].copy()
+
+    def _box_plan(self, a: int, b: int):
+        row, m = self.taps, self.m
+        self.path = "box"
+        self.width = b - a + 1
+        self.lead = b - m + 1          # z[j] = v[j - lead]; output i sums z[i+1 .. i+width]
+        self.level = float(np.mean(row[a:b + 1])) * self.dx
+        # the end taps next to the run: output i gets them times z[i + width + 1] and z[i]
+        self.ends = (float(row[a - 1]) * self.dx if a > 0 else 0.0,
+                     float(row[b + 1]) * self.dx if b + 1 < len(row) else 0.0)
 
     def __call__(self, v: np.ndarray) -> np.ndarray:
-        if self.nfft is None:
-            full = np.convolve(v, self.taps)
-        else:
-            fft = self.fft
-            full = fft.irfft(fft.rfft(v, self.nfft) * self.spectrum, self.nfft)
+        if self.path == "box":
+            return self._box(v)
+        if self.path == "direct":
+            if len(v) >= len(self.taps):
+                return np.correlate(v, self.reversed, "same") * self.dx
+            return np.convolve(v, self.taps)[self.m:self.m + len(v)] * self.dx
+        full = np.fft.irfft(np.fft.rfft(v, self.nfft) * self.spectrum, self.nfft)
         return full[self.m:self.m + len(v)] * self.dx
+
+    def _box(self, v: np.ndarray) -> np.ndarray:
+        n, w, B = len(v), self.width, BOX_BLOCK
+        rows = -(-n // B)
+        z = np.zeros((rows + 1) * B)
+        z[self.lead:self.lead + n] = v
+        sums = np.cumsum(z.reshape(rows + 1, B), axis=1)
+        flat = sums.reshape(-1)
+        box = flat[w:w + rows * B] - flat[:rows * B]
+        # a window that crosses into the next block adds its own block's total
+        box.reshape(rows, B)[:, B - w:] += sums[:rows, -1:]
+        out = box[:n]
+        out *= self.level
+        t_lo, t_hi = self.ends
+        if t_lo:
+            out += t_lo * z[w + 1:w + 1 + n]
+        if t_hi:
+            out += t_hi * z[:n]
+        return out
+
+
+def _flat_run(row: np.ndarray):
+    """(a, b) when row[a..b] is the run of taps around the centre that equal
+    it up to rounding (a tap is a difference of tails over dx, so within a
+    few ulps of the row's total) and only the taps next to it, if any, are
+    nonzero outside it; None otherwise."""
+    m = (len(row) - 1) // 2
+    if len(row) >= BOX_BLOCK:
+        return None
+    other = np.flatnonzero(np.abs(row - row[m]) > 4.0 * np.finfo(float).eps * np.abs(row).sum())
+    a = int(other[other < m].max()) + 1 if np.any(other < m) else 0
+    b = int(other[other > m].min()) - 1 if np.any(other > m) else len(row) - 1
+    if np.any(row[:max(a - 1, 0)]) or np.any(row[b + 2:]):
+        return None
+    return a, b
 
 
 def plan(kernel, dx: float, n: int) -> Convolution:
@@ -99,9 +185,26 @@ def _reach(kernel, y, z: float) -> slice:
     return slice(int(y.searchsorted(z - r)), int(y.searchsorted(z + r, "right")))
 
 
+def front_reach(kernel, y, front: float, side: float = 1.0) -> tuple:
+    """The cuts of a right (side = 1) or left (side = -1) front whose nodes y
+    all lie inside it: the nodes within the support radius of the front
+    (its flux), and those one node more inward, which hold every node
+    within reach of the front's partial cell (its centroid lies less than
+    a node inward; the extra node may see J = 0)."""
+    r = kernel.support_radius()
+    if not math.isfinite(r):
+        return slice(None), slice(None)
+    if side > 0.0:
+        j = int(y.searchsorted(front - r))
+        return slice(j, None), slice(max(j - 1, 0), None)
+    j = int(y.searchsorted(front + r, "right"))
+    return slice(None, j), slice(None, j + 1)
+
+
 def trapezoid(n: int) -> np.ndarray:
+    """Weights of n >= 1 consecutive nodes; a lone node spans no cell."""
     w = np.ones(n)
-    w[0] = w[-1] = 0.5
+    w[0] = w[-1] = 0.5 if n > 1 else 0.0
     return w
 
 
@@ -125,12 +228,14 @@ def partial_cell(x_node: float, u_node: float, x_end: float, u_end: float = 0.0)
 
 
 def pieces(x0: float, dx: float, u: np.ndarray, lo: float, hi: float,
-           lo_end: float | None = None, hi_end: float | None = None) -> Pieces:
+           lo_end: float | None = None, hi_end: float | None = None,
+           w: np.ndarray | None = None) -> Pieces:
     """Weights and partial cells of [lo, hi], clipped to the grid x0 + k dx.
 
     ``lo_end``/``hi_end`` is u at that end (0.0 at a front); None marks an
     end on the grid edge, which gets no partial cell.  The window must reach
-    the grid: the caller checks that.
+    the grid: the caller checks that.  ``w``, the weights of an earlier
+    call, is kept when the window has as many nodes.
     """
     n = len(u)
     hi = min(hi, x0 + (n - 1) * dx)
@@ -145,25 +250,28 @@ def pieces(x0: float, dx: float, u: np.ndarray, lo: float, hi: float,
     if x_lo < lo:
         i_lo += 1
         x_lo += dx
-    w = np.ones(max(i_hi - i_lo + 1, 1))
-    w[0] = 0.5
-    w[-1] = 0.5 if i_hi > i_lo else 0.0
-    cells = []
+    cells, sides = [], []
     if hi_end is not None and hi > x_hi:
         cells.append(partial_cell(x_hi, u[i_hi], hi, hi_end))
+        sides.append(1.0)
     if lo_end is not None and x_lo > lo:
         cells.append(partial_cell(x_lo, u[i_lo], lo, lo_end))
-    return Pieces(w, i_lo, i_hi, tuple(cells))
+        sides.append(-1.0)
+    count = max(i_hi - i_lo + 1, 1)
+    if w is None or len(w) != count:
+        w = trapezoid(count)
+    return Pieces(w, i_lo, i_hi, tuple(cells), tuple(sides))
 
 
-def window_integral(kernel, conv: Convolution, x, wu, cells) -> np.ndarray:
+def window_integral(kernel, conv: Convolution, x, wu, cells, near=None) -> np.ndarray:
     """``int_window J(x - y) u(y) dy`` at the consecutive grid nodes x that
-    carry wu = u * weights (and at no other node of the window)."""
+    carry wu = u * weights (and at no other node of the window).  ``near``
+    may give each cell the nodes it reaches (``front_reach``)."""
     out = conv(wu)
-    for c in cells:
+    for k, c in enumerate(cells):
         if c.area != 0.0:
-            near = _reach(kernel, x, c.centroid)
-            out[near] += c.area * kernel.evaluate(x[near] - c.centroid)
+            sl = near[k] if near else _reach(kernel, x, c.centroid)
+            out[sl] += c.area * kernel.evaluate(x[sl] - c.centroid)
     return out
 
 
@@ -175,15 +283,21 @@ def point_integral(kernel, xq: float, y, wu, dx: float, cells) -> float:
     return val
 
 
-def front_flux(kernel, front: float, y, wu, dx: float, cells, side: float = 1.0) -> float:
-    """``int tail_mass(side * (front - y)) u(y) dy``: the flux through a right
+def front_flux(kernel, front: float, y, wu, dx: float, cells, side: float = 1.0,
+               near: slice | None = None) -> float:
+    """``int tail_mass(|front - y|) u(y) dy``: the flux through a right
     (side = 1) or left (side = -1) front, from wu = u * weights on the sorted
-    nodes y; nodes beyond the support radius carry no tail and are skipped."""
-    near = _reach(kernel, y, front)
-    y, wu = y[near], wu[near]
-    flux = float(np.dot(kernel.tail_mass(np.maximum(side * (front - y), 0.0)), wu)) * dx
+    nodes y and the cells, all inside the front; nodes beyond the support
+    radius carry no tail and are skipped (``near``, from ``front_reach``,
+    when the caller has it)."""
+    if near is None:
+        near = _reach(kernel, y, front)
+    right = side > 0.0
+    y = y[near]
+    flux = float(np.dot(kernel.tail_mass(front - y if right else y - front), wu[near])) * dx
     for c in cells:
-        flux += c.area * float(kernel.tail_mass(max(side * (front - c.centroid), 0.0)))
+        z = c.centroid
+        flux += c.area * float(kernel.tail_mass(front - z if right else z - front))
     return flux
 
 

@@ -199,7 +199,13 @@ def stability_budget(spec: ProblemSpec) -> float:
 
 
 class _Engine:
-    """Owns the grid, taps and weights of one run; mutates one State."""
+    """Owns the grid, taps and weights of one run and steps its State in place.
+
+    A step writes u only on the window's nodes (the nodes outside it stay
+    0 behind a front or are never reached), with one scratch copy of the
+    window for RK2.  ``version`` counts the changes of state and grid, and
+    keys the cached right-hand side.
+    """
 
     def __init__(self, spec: ProblemSpec, cfg: SolverConfig):
         self.spec = spec
@@ -218,6 +224,9 @@ class _Engine:
             ratio = spec.h0 / self.dx
             if abs(ratio - round(ratio)) > 1e-9:
                 raise ValidationError("fixed-domain runs need h0 to be a grid multiple of dx")
+        self.version = 0
+        self._rhs_cache = (-1, None)
+        self._w = None
         self._init_grid()
 
     # -- grid ---------------------------------------------------------------
@@ -245,29 +254,34 @@ class _Engine:
         self._refresh_taps()
 
     def _refresh_taps(self):
-        """Plan the convolution and lay out nodes and sink for the current grid."""
-        n = len(self.state.u)
-        self.conv = quadrature.plan(self.kernel, self.dx, n)
-        self.x = self.state.x0 + self.dx * np.arange(n)
+        """Plan the convolution and lay out nodes, sink and growth thresholds
+        for the current grid."""
+        st, dx = self.state, self.dx
+        n = len(st.u)
+        self.conv = quadrature.plan(self.kernel, dx, n)
+        self.x = st.x0 + dx * np.arange(n)
         if self.left == WALL:
             self.sink = self.spec.d * self.kernel.halfline_mass(np.maximum(self.x, 0.0))
         else:
-            self.sink = np.full(n, self.spec.d)
-        self._cached_rhs = None
+            self.sink = self.spec.d
+        # an end grows when what it must hold comes within 2 interaction
+        # lengths of the grid edge; a wall never grows
+        self.right_edge = st.x0 + (n - 1) * dx
+        self._grow_right = math.inf if self.right == WALL else self.right_edge - 2 * self.ell
+        self._grow_left = -math.inf if self.left == WALL else st.x0 + 2 * self.ell
+        self.version += 1
 
     def _grow(self, need_left: float, need_right: float):
+        if need_right <= self._grow_right and need_left >= self._grow_left:
+            return
         st = self.state
         n = len(st.u)
-        right_edge = st.x0 + (n - 1) * self.dx
-        chunk = max(HEADROOM * self.ell, 0.25 * (right_edge - st.x0), 50 * self.dx)
-        add_r = 0
-        if need_right > right_edge - 2 * self.ell:
-            add_r = int(math.ceil((need_right + chunk - right_edge) / self.dx))
-        add_l = 0
-        if need_left < st.x0 + 2 * self.ell and self.left != WALL:
+        chunk = max(HEADROOM * self.ell, 0.25 * (self.right_edge - st.x0), 50 * self.dx)
+        add_r = add_l = 0
+        if need_right > self._grow_right:
+            add_r = int(math.ceil((need_right + chunk - self.right_edge) / self.dx))
+        if need_left < self._grow_left:
             add_l = int(math.ceil((st.x0 - (need_left - chunk)) / self.dx))
-        if add_r == 0 and add_l == 0:
-            return
         if n + add_l + add_r > self.cfg.max_nodes:
             raise ResourceError("computational window exceeded max_nodes",
                                 partial=self.log)
@@ -277,9 +291,10 @@ class _Engine:
         st.x0 -= add_l * self.dx
         self._refresh_taps()
 
-    def _extent(self, st: State):
+    def _extent(self):
         """(left, right): each end's front or wall, or at an open end the
         outermost node carrying visible field."""
+        st = self.state
         if OPEN not in (self.left, self.right):
             return st.g, st.h
         idx = np.nonzero(st.u > self.front_floor)[0]
@@ -288,70 +303,93 @@ class _Engine:
 
     # -- quadrature ----------------------------------------------------------
 
-    def _pieces(self, st: State) -> quadrature.Pieces:
+    def _pieces(self) -> quadrature.Pieces:
         """Trapezoid weights over the active nodes plus the partial front cells.
 
         g is -inf and h stays h0 at an end without a front, so an open end
-        clips to the grid edge and a right wall sits at h0."""
-        return quadrature.pieces(st.x0, self.dx, st.u,
-                                 0.0 if self.left == WALL else st.g,
-                                 math.inf if self.right == OPEN else st.h,
-                                 lo_end=0.0 if self.left == FRONT else None,
-                                 hi_end=0.0 if self.right == FRONT else None)
+        clips to the grid edge and a right wall sits at h0.  The weights are
+        kept while the window has as many nodes."""
+        st = self.state
+        p = quadrature.pieces(st.x0, self.dx, st.u,
+                              0.0 if self.left == WALL else st.g,
+                              math.inf if self.right == OPEN else st.h,
+                              lo_end=0.0 if self.left == FRONT else None,
+                              hi_end=0.0 if self.right == FRONT else None, w=self._w)
+        self._w = p.w
+        return p
 
-    def _rhs(self, st: State):
-        """Rate at every node (zero off the window) and the front fluxes.
+    def _rhs(self):
+        """(sl, rate, flux_r, flux_l): the window's slice, the rate on its nodes
+        and the front fluxes of the current state.
 
-        The last evaluation is kept: a checkpoint's observables and the step
-        that follows it share one.
+        The last evaluation is kept until the state changes: a checkpoint's
+        observables and the step that follows it share one.  Each front has
+        one support-radius cut (``quadrature.front_reach``) for its flux and
+        its partial cell.
         """
-        if self._cached_rhs is not None and self._cached_rhs[0] is st:
-            return self._cached_rhs[1]
-        spec = self.spec
-        p = self._pieces(st)
+        version, out = self._rhs_cache
+        if version == self.version:
+            return out
+        st, spec, kernel, dx = self.state, self.spec, self.kernel, self.dx
+        p = self._pieces()
         sl = p.sl
         u, x = st.u[sl], self.x[sl]
         wu = u * p.w
-        rate = np.zeros(len(st.u))
-        rate[sl] = (spec.d * quadrature.window_integral(self.kernel, self.conv, x, wu, p.cells)
-                    - self.sink[sl] * u + spec.reaction.f(u))
-        flux_r = flux_l = 0.0
+        cut_r = cut_l = None
         if self.right == FRONT:
-            flux_r = quadrature.front_flux(self.kernel, st.h, x, wu, self.dx, p.cells)
+            cut_r = quadrature.front_reach(kernel, x, st.h)
         if self.left == FRONT:
-            flux_l = quadrature.front_flux(self.kernel, st.g, x, wu, self.dx,
-                                           p.cells, side=-1.0)
-        out = rate, flux_r, flux_l
-        self._cached_rhs = (st, out)
+            cut_l = quadrature.front_reach(kernel, x, st.g, -1.0)
+        near = [(cut_r if side > 0.0 else cut_l)[1] for side in p.sides]
+        sink = self.sink[sl] if self.left == WALL else self.sink
+        rate = (spec.d * quadrature.window_integral(kernel, self.conv, x, wu, p.cells, near)
+                - sink * u + spec.reaction.f(u))
+        flux_r = flux_l = 0.0
+        if cut_r is not None:
+            flux_r = quadrature.front_flux(kernel, st.h, x, wu, dx, p.cells, near=cut_r[0])
+        if cut_l is not None:
+            flux_l = quadrature.front_flux(kernel, st.g, x, wu, dx, p.cells, side=-1.0,
+                                           near=cut_l[0])
+        out = sl, rate, flux_r, flux_l
+        self._rhs_cache = (self.version, out)
         return out
 
-    def _apply(self, st: State, rate, flux_r, flux_l, dt) -> State:
-        u = st.u + dt * rate
+    def _advance(self, sl: slice, rate, flux_r: float, flux_l: float, dt: float):
+        """u += dt * rate on the window sl, clipped at 0; the fronts move by
+        dt * mu * flux, and window nodes they leave outside fall to 0."""
+        st = self.state
+        u = st.u[sl]
+        u += dt * rate
         np.maximum(u, 0.0, out=u)
-        h, g = st.h, st.g
+        st.t += dt
         if self.right == FRONT:
-            h = st.h + dt * self.spec.mu * flux_r
-            u[self.x.searchsorted(h):] = 0.0                 # x >= h
+            st.h += dt * self.spec.mu * flux_r
+            if sl.stop > sl.start and self.x[sl.stop - 1] >= st.h:       # x >= h
+                st.u[self.x.searchsorted(st.h):sl.stop] = 0.0
         if self.left == FRONT:
-            g = st.g - dt * self.spec.mu * flux_l
-            u[:self.x.searchsorted(g, "right")] = 0.0        # x <= g
-        return State(t=st.t + dt, x0=st.x0, dx=st.dx, u=u, h=h, g=g)
+            st.g -= dt * self.spec.mu * flux_l
+            if sl.stop > sl.start and self.x[sl.start] <= st.g:          # x <= g
+                st.u[sl.start:self.x.searchsorted(st.g, "right")] = 0.0
+        self.version += 1
 
     def step_once(self, dt: float):
-        st = self.state
-        rate, fr, fl = self._rhs(st)
+        sl, rate, flux_r, flux_l = self._rhs()
         if self.cfg.scheme == "rk2":
-            mid = self._apply(st, rate, fr, fl, 0.5 * dt)
-            rate2, fr2, fl2 = self._rhs(mid)
-            new = self._apply(st, rate2, fr2, fl2, dt)
+            st = self.state
+            start = st.t, st.h, st.g, st.u[sl].copy()
+            self._advance(sl, rate, flux_r, flux_l, 0.5 * dt)
+            mid = self._rhs()
+            st.t, st.h, st.g, st.u[sl] = start
+            self.version += 1
+            self._advance(*mid, dt)
         else:
-            new = self._apply(st, rate, fr, fl, dt)
-        self.state = new
+            self._advance(sl, rate, flux_r, flux_l, dt)
 
     # -- logging --------------------------------------------------------------
 
-    def observables(self, st: State):
-        p = self._pieces(st)
+    def observables(self):
+        st = self.state
+        p = self._pieces()
         u = st.u[p.sl]
         mass = float(np.sum(u * p.w)) * self.dx + sum(c.area for c in p.cells)
         rint = float(np.sum(self.spec.reaction.f(u) * p.w)) * self.dx
@@ -360,8 +398,8 @@ class _Engine:
             width = c.area / c.mean if c.mean > 0.0 else 0.0
             rint += width * float(self.spec.reaction.f(c.mean))
         sup = float(np.max(st.u)) if len(st.u) else 0.0
-        fr = self._rhs(st)[1] if self.right == FRONT else 0.0
-        return self._extent(st)[1], st.g, mass, sup, fr, rint
+        fr = self._rhs()[2] if self.right == FRONT else 0.0
+        return self._extent()[1], st.g, mass, sup, fr, rint
 
 
 def run(spec: ProblemSpec, cfg: SolverConfig) -> TrajectoryLog:
@@ -405,7 +443,7 @@ def run(spec: ProblemSpec, cfg: SolverConfig) -> TrajectoryLog:
     def checkpoint(k):
         guard(k, check_field=True)
         st = eng.state
-        h_log, g_log, mass, sup, fr, rint = eng.observables(st)
+        h_log, g_log, mass, sup, fr, rint = eng.observables()
         log.t.append(st.t)
         log.h.append(h_log)
         log.g.append(g_log)
@@ -420,7 +458,7 @@ def run(spec: ProblemSpec, cfg: SolverConfig) -> TrajectoryLog:
     checkpoint(0)
     try:
         for k in range(1, n_steps + 1):
-            eng._grow(*eng._extent(eng.state))
+            eng._grow(*eng._extent())
             eng.step_once(eng.dt if k < n_steps else last_dt)
             if k % stride == 0 or k == n_steps:
                 checkpoint(k)

@@ -67,16 +67,16 @@ def test_stepper_matches_pointwise_operators(variant, kernel, dx, grown=False):
         n, conv = len(st.u), eng.conv
         eng._grow(eng.x[0], eng.x[-1])             # the run's growth rule, on both sides
         assert len(st.u) > n and eng.conv is not conv
-    rate, flux_r, _ = eng._rhs(st)
-    p = eng._pieces(st)
-    assert p.cells
+    sl, rate, flux_r, _ = eng._rhs()
+    p = eng._pieces()
+    assert p.cells and sl == p.sl
 
     u = st.as_field()
     lo = 0.0 if variant == "halfline-fb" else st.g
     form = "halfline" if variant == "halfline-fb" else "full"
     for i in range(p.i_lo, p.i_hi + 1):
         op = nonlocal_operator(kernel, u, (lo, st.h), u.x[i], d=spec.d, form=form)
-        assert rate[i] == pytest.approx(op + reaction.f(st.u[i]), rel=0.0, abs=1e-12)
+        assert rate[i - p.i_lo] == pytest.approx(op + reaction.f(st.u[i]), rel=0.0, abs=1e-12)
     assert boundary_flux(kernel, u, st.h, lo) == pytest.approx(flux_r, rel=1e-12)
 
 
@@ -84,6 +84,24 @@ def test_stepper_matches_pointwise_operators(variant, kernel, dx, grown=False):
 @pytest.mark.parametrize("kernel,dx", CASES, ids=["uniform", "cosine", "algebraic", "truncated"])
 def test_stepper_matches_pointwise_operators_after_growth(variant, kernel, dx):
     test_stepper_matches_pointwise_operators(variant, kernel, dx, grown=True)
+
+
+def test_stepper_on_the_box_path_matches_pointwise_operators():
+    reaction = logistic(1.0, 1.0)
+    spec = ProblemSpec(variant="halfline-fb", kernel=CompactUniform(1.0), reaction=reaction,
+                       d=1.0, mu=1.0, h0=62.0, u0=lambda x: np.clip(62.0 - x, 0.0, 1.0))
+    cfg = SolverConfig(dx=0.05, dt=0.05, t_end=1.0)
+    st = run(spec, cfg).final_state
+    eng = _Engine(spec, cfg)
+    eng.state = st
+    eng._refresh_taps()
+    assert eng.conv.path == "box"
+    sl, rate, flux_r, _ = eng._rhs()
+    u = st.as_field()
+    for i in list(range(sl.start, sl.stop, 37)) + list(range(sl.stop - 30, sl.stop)):
+        op = nonlocal_operator(spec.kernel, u, (0.0, st.h), u.x[i], d=spec.d)
+        assert rate[i - sl.start] == pytest.approx(op + reaction.f(st.u[i]), rel=0.0, abs=1e-12)
+    assert boundary_flux(spec.kernel, u, st.h) == pytest.approx(flux_r, rel=1e-12)
 
 
 def _direct(v, tap_row, dx):
@@ -97,6 +115,7 @@ def test_convolution_plan_matches_direct(n, k):
     rng = np.random.default_rng(k)
     tap_row = rng.random(k)
     conv = quadrature.Convolution(tap_row, n, 0.1)
+    assert conv.path == ("direct" if k <= quadrature.DIRECT_MAX_TAPS else "fft")
     assert (conv.nfft is None) == (k <= quadrature.DIRECT_MAX_TAPS)
     v = rng.random(n)
     ref = _direct(v, tap_row, 0.1)
@@ -104,6 +123,36 @@ def test_convolution_plan_matches_direct(n, k):
     # a shorter signal (the active nodes of a wider grid) uses the same plan
     assert np.max(np.abs(conv(v[:n // 3]) - _direct(v[:n // 3], tap_row, 0.1))) \
         <= 1e-13 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("dx", [0.1, 0.05, 0.025])
+def test_box_path_matches_direct(dx):
+    # the uniform kernel's flat row; a plan for 1e5 nodes serves shorter signals
+    conv = quadrature.plan(CompactUniform(1.0), dx, 100_000)
+    assert conv.path == "box"
+    errs = []
+    for n in (1_000, 24_000, 100_000):
+        v = np.random.default_rng(n).random(n)
+        ref = _direct(v, conv.taps, dx)
+        errs.append(np.max(np.abs(conv(v) - ref)) / np.max(np.abs(ref)))
+    assert max(errs) <= 1e-13
+    # prefix sums within blocks: the rounding does not grow with the signal
+    assert errs[-1] <= 3.0 * errs[0]
+
+
+def test_plan_picks_the_box_path_only_for_flat_rows_past_the_size_rule():
+    uniform = CompactUniform(1.0)
+    for dx in (0.1, 0.05, 0.025):
+        k = len(uniform.taps(dx, int(np.ceil(1.0 / dx)) + 1))
+        n_min = max(quadrature.BOX_MIN_NODES, -(-quadrature.BOX_MIN_WORK // k))
+        assert quadrature.plan(uniform, dx, n_min).path == "box"
+        assert quadrature.plan(uniform, dx, n_min - 1).path == "direct"
+    assert quadrature.plan(uniform, 0.1, 1200).path == "direct"     # 23 taps: too short
+    for kernel, dx in [(CompactCosine(1.0), 0.05), (AlgebraicTail(1.5, 1.0), 0.25),
+                       (AlgebraicTail(1.5, 1.0), 0.05),
+                       (truncate(AlgebraicTail(1.5, 1.0), 4.0), 0.25)]:
+        for n in (300, 5_000, 50_000):
+            assert quadrature.plan(kernel, dx, n).path != "box"
 
 
 def test_convolution_plan_is_rebuilt_on_growth():

@@ -81,6 +81,22 @@ def test_semiwave_below_minimal_speed(uniform_semiwave):
     assert uniform_semiwave.c0 < CSTAR_UNIFORM
 
 
+COARSE = SemiWaveConfig(dx=0.04, L0=20.0, max_doublings=0)
+
+
+@pytest.mark.parametrize("kernel,mu,cfg", [
+    (CompactUniform(1.0), 0.01, COARSE),
+    (CompactUniform(1.0), 1.0, COARSE),
+    (CompactUniform(1.0), 100.0, COARSE),
+    (CompactCosine(1.0), 1.0, COARSE),
+    (LightExponential(1.0), 1.0, SemiWaveConfig(dx=0.1, max_doublings=0)),
+], ids=["uniform-mu0.01", "uniform-mu1", "uniform-mu100", "cosine", "exponential"])
+def test_semiwave_speed_stays_below_minimal_speed(kernel, mu, cfg):
+    # a posteriori: the free boundary slows the front, 0 < c0 < c* for every mu
+    c0 = solve_semiwave(kernel, logistic(1, 1), 1.0, mu, cfg).c0
+    assert 0.0 < c0 < minimal_speed(kernel, logistic(1, 1), 1.0).c_star
+
+
 def test_semiwave_truncation_insensitive(uniform_semiwave, coarse_swcfg):
     base = solve_semiwave(CompactUniform(1.0), logistic(1, 1), 1.0, 1.0,
                           SemiWaveConfig(dx=0.02, L0=80.0, max_doublings=0))

@@ -1,10 +1,12 @@
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
+from nlfront import quadrature
 from nlfront.errors import ContractError, ConvergenceError, ResourceError, ValidationError
-from nlfront.kernels import AlgebraicTail, CompactUniform
+from nlfront.kernels import AlgebraicTail, CompactCosine, CompactUniform, truncate
 from nlfront.reactions import Reaction, logistic, zero_reaction
 from nlfront.solver import (VARIANTS, Field, ProblemSpec, SolverConfig, TrajectoryLog,
                             _Engine, boundary_flux, classify, make_plateau,
@@ -168,6 +170,23 @@ def test_fixed_domain_grid_alignment():
         run(spec, SolverConfig(dx=0.1, dt=0.05, t_end=1.0))
 
 
+def test_fixed_domain_grid_stays_inside_its_walls(monkeypatch):
+    # the right wall at h0 never grows: one grid of 61 nodes, one taps plan
+    calls = []
+    taps = CompactUniform.taps
+
+    def counted(kernel, dx, m):
+        calls.append((dx, m))
+        return taps(kernel, dx, m)
+
+    monkeypatch.setattr(CompactUniform, "taps", counted)
+    spec = ProblemSpec(variant="fixed-domain", kernel=CompactUniform(1.0),
+                       reaction=logistic(1, 1), d=1.0, h0=3.0)
+    log = run(spec, SolverConfig(dx=0.05, dt=0.05, t_end=2.0))
+    assert len(log.final_state.u) == 61
+    assert len(calls) == 1
+
+
 def test_fixed_domain_front_is_static():
     spec = ProblemSpec(variant="fixed-domain", kernel=CompactUniform(1.0),
                        reaction=logistic(1, 1), d=1.0, h0=5.0)
@@ -202,7 +221,7 @@ def test_boundary_table(variant):
 
     eng.state = st
     eng._refresh_taps()
-    p = eng._pieces(st)
+    p = eng._pieces()
     x = eng.x
     lo, hi = window(st, x)
     assert lo - 1e-9 <= x[p.i_lo] < lo + cfg.dx
@@ -319,3 +338,128 @@ def test_run_stops_on_nonfinite_state(variant):
     assert log.truncated and len(log.t) >= 1
     assert np.all(np.isfinite(log.sup_u)) and np.all(np.isfinite(log.h))
     assert err.value.diagnostics["t"] < 2.0
+
+
+# in-place stepping ------------------------------------------------------------
+
+# sha256 (first 16 hex digits) of t, h, g, mass, sup_u, flux, rint and the
+# final u between its outermost nonzero nodes, for short runs off the box
+# path (the uniform grids stay below the size rule).  Recorded with the
+# allocating stepper that the in-place one replaced; the one exception is
+# the algebraic fixed-domain pair, recorded once the right wall stopped the
+# grid growing: its 13-node grid convolves directly where the 413-node grid
+# took the rFFT path, which moves it by 1e-15 relative.  Last bits depend
+# on numpy's version and on the SIMD code it dispatches to (powers, sines,
+# dot products), so the digests hold on that platform only.
+DIGEST_PLATFORM = ("2.4.6", "AVX512_SPR")
+DIGESTS = {
+    "cosine": {
+        "halfline-fb": ("f15a2fff507603cb", "de23fa721ce5b02b"),
+        "twosided-fb": ("4c40b7bb86db509a", "d9fad3eafff8b53c"),
+        "cauchy-full": ("e69fa9a48b78fc86", "bc9a61cfa306d40e"),
+        "cauchy-half": ("0973cde2c5170774", "7a7b61938ba7924f"),
+        "fixed-domain": ("510dad177a4ea3ce", "19cf8cf25d0beb48"),
+    },
+    "algebraic": {
+        "halfline-fb": ("2b6cc181f2f7fdc2", "4aa5e712185f2f63"),
+        "twosided-fb": ("f157c331086aedc0", "2f08f4b99b6161e8"),
+        "cauchy-full": ("6bb3d157b270be77", "afa7f6d13266be37"),
+        "cauchy-half": ("b2854e4ea59cf2de", "589d6284a0ed9c10"),
+        "fixed-domain": ("6bc1477730eb26d9", "ce1ceb2dc934a308"),
+    },
+    "truncated": {
+        "halfline-fb": ("3d5dab03c7731d26", "4acc42c0437200e2"),
+        "twosided-fb": ("c2efd6988db91001", "79ff0c24fa05b85c"),
+        "cauchy-full": ("5005e8e1bf733bdd", "2c9af9c69a3c20f0"),
+        "cauchy-half": ("3520d9a1c37c5f8c", "a6f4f2a6f9f300c2"),
+        "fixed-domain": ("240263bc3c43c3b4", "ab77ce27e9696a27"),
+    },
+    "uniform": {
+        "halfline-fb": ("818f1fc7f1635732", "845dc6cf39ee11dd"),
+        "twosided-fb": ("6c5ee0ab8257106a", "44ef777b2cf98593"),
+        "cauchy-full": ("1eac51e7198fd388", "28e33523976845d6"),
+        "cauchy-half": ("3138eebeaee6baf1", "672186ec7bc1c939"),
+        "fixed-domain": ("660c4e872ad6a540", "69e94219dd929914"),
+    },
+}
+DIGEST_KERNELS = {
+    "cosine": (CompactCosine(1.0), 0.05),
+    "algebraic": (AlgebraicTail(2.5, 1.0), 0.25),
+    "truncated": (truncate(AlgebraicTail(1.5, 1.0), 4.0), 0.25),
+    "uniform": (CompactUniform(1.0), 0.05),
+}
+
+
+def _numeric_platform() -> tuple:
+    """numpy's version and the highest SIMD target it dispatches to here."""
+    try:
+        from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+    except ImportError:
+        return np.__version__, None
+    enabled = [t for t in __cpu_dispatch__ if __cpu_features__.get(t)]
+    return np.__version__, enabled[-1] if enabled else None
+
+
+def _run_digest(log) -> str:
+    h = hashlib.sha256()
+    for name in ("t", "h", "g", "mass", "sup_u", "flux", "rint"):
+        h.update(np.asarray(getattr(log, name), dtype=float).tobytes())
+    h.update(np.trim_zeros(log.final_state.u).tobytes())
+    return h.hexdigest()[:16]
+
+
+@pytest.mark.parametrize("scheme", ["euler", "rk2"])
+@pytest.mark.parametrize("variant", VARIANTS)
+@pytest.mark.parametrize("name", list(DIGESTS))
+def test_runs_are_byte_identical_to_the_recorded_digests(name, variant, scheme):
+    if _numeric_platform() != DIGEST_PLATFORM:
+        pytest.skip(f"digests recorded with numpy {DIGEST_PLATFORM[0]} dispatching to "
+                    f"{DIGEST_PLATFORM[1]}, here {_numeric_platform()}")
+    kernel, dx = DIGEST_KERNELS[name]
+    spec = ProblemSpec(variant=variant, kernel=kernel, reaction=logistic(1, 1),
+                       d=1.0, mu=2.0, h0=3.0)
+    log = run(spec, SolverConfig(dx=dx, dt=0.05, t_end=2.0, log_every=0.25, scheme=scheme))
+    if name == "uniform":
+        assert len(log.final_state.u) < quadrature.BOX_MIN_NODES
+    assert _run_digest(log) == DIGESTS[name][variant][scheme == "rk2"]
+
+
+@pytest.mark.parametrize("scheme", ["euler", "rk2"])
+def test_logged_fields_do_not_alias_the_stepped_state(scheme):
+    spec = halfline_spec(h0=3.0)
+    cfg = SolverConfig(dx=0.05, dt=0.05, t_end=2.0, log_every=0.25, snapshot_stride=1,
+                       scheme=scheme)
+    short = run(spec, cfg)
+    long = run(spec, SolverConfig(dx=0.05, dt=0.05, t_end=4.0, log_every=0.25,
+                                  snapshot_stride=1, scheme=scheme))
+    # later steps leave earlier snapshots and the final state as they were
+    for (ta, fa), (tb, fb) in zip(short.snapshots, long.snapshots):
+        assert ta == tb and fa.values.tobytes() == fb.values.tobytes()
+    fields = [f.values for _, f in long.snapshots] + [long.final_state.u]
+    for i, a in enumerate(fields):
+        assert not any(np.shares_memory(a, b) for b in fields[i + 1:])
+    # step() works on a copy of the state it is given
+    st = short.final_state
+    before = (st.t, st.h, st.g, st.u.copy())
+    after = step(spec, cfg, st)
+    assert after is not st and not np.shares_memory(after.u, st.u)
+    assert (st.t, st.h, st.g) == before[:3] and st.u.tobytes() == before[3].tobytes()
+    assert after.t > st.t and after.h > st.h
+
+
+def test_partial_log_does_not_alias_the_stepped_state():
+    def f(u):
+        u = np.asarray(u, dtype=float)
+        return np.where(u > 0.5, np.nan, u * (1.0 - u))
+
+    nan_reaction = Reaction(f=f, f_prime=lambda u: 1.0 - 2.0 * np.asarray(u), u_star=1.0)
+    spec = halfline_spec(reaction=nan_reaction, h0=2.0, u0=make_plateau(2.0, m=0.45))
+    with pytest.raises(ConvergenceError) as err:
+        run(spec, SolverConfig(dx=0.1, dt=0.05, t_end=4.0, log_every=0.05,
+                               snapshot_stride=1))
+    log = err.value.partial
+    assert len(log.snapshots) >= 2
+    fields = [fv.values for _, fv in log.snapshots] + [log.final_state.u]
+    for i, a in enumerate(fields):
+        assert not any(np.shares_memory(a, b) for b in fields[i + 1:])
+    assert np.all(np.isfinite(log.snapshots[0][1].values))

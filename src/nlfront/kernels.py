@@ -268,8 +268,6 @@ class CompactUniform(_Compact):
         return out if out.ndim else float(out)
 
     def tail_mass(self, s):
-        if isinstance(s, float):       # one point, as at a partial cell: no 0-d array
-            return float(max(self.r - s, 0.0) / (2.0 * self.r))
         s = np.asarray(s, dtype=float)
         out = np.maximum(self.r - s, 0.0) / (2.0 * self.r)
         return out if out.ndim else float(out)

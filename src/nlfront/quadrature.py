@@ -18,8 +18,7 @@ taps, O(n) per call, once the grid has ``BOX_MIN_NODES`` nodes and
 whose taps span the window) multiply by an rFFT of the taps computed with
 the plan.  The size rules are measured crossovers, not settings.  Kernels
 of finite support radius r only see nodes within r, so the front flux and
-the partial-cell terms skip the others; at a front, one cut serves both
-(``front_reach``).
+the partial-cell terms skip the others.
 """
 
 from __future__ import annotations
@@ -30,7 +29,7 @@ from typing import NamedTuple
 import numpy as np
 
 __all__ = ["Cell", "Pieces", "Convolution", "FarFieldWindow", "DIRECT_MAX_TAPS",
-           "BOX_MIN_NODES", "BOX_MIN_WORK", "plan", "front_reach", "trapezoid",
+           "BOX_MIN_NODES", "BOX_MIN_WORK", "plan", "trapezoid",
            "cell_averages", "partial_cell", "pieces", "window_integral",
            "point_integral", "front_flux"]
 
@@ -61,7 +60,6 @@ class Pieces(NamedTuple):
     i_lo: int
     i_hi: int
     cells: tuple           # partial end cells, the right end first
-    sides: tuple           # each cell's end: 1.0 right, -1.0 left
 
     @property
     def sl(self) -> slice:
@@ -185,26 +183,9 @@ def _reach(kernel, y, z: float) -> slice:
     return slice(int(y.searchsorted(z - r)), int(y.searchsorted(z + r, "right")))
 
 
-def front_reach(kernel, y, front: float, side: float = 1.0) -> tuple:
-    """The cuts of a right (side = 1) or left (side = -1) front whose nodes y
-    all lie inside it: the nodes within the support radius of the front
-    (its flux), and those one node more inward, which hold every node
-    within reach of the front's partial cell (its centroid lies less than
-    a node inward; the extra node may see J = 0)."""
-    r = kernel.support_radius()
-    if not math.isfinite(r):
-        return slice(None), slice(None)
-    if side > 0.0:
-        j = int(y.searchsorted(front - r))
-        return slice(j, None), slice(max(j - 1, 0), None)
-    j = int(y.searchsorted(front + r, "right"))
-    return slice(None, j), slice(None, j + 1)
-
-
 def trapezoid(n: int) -> np.ndarray:
-    """Weights of n >= 1 consecutive nodes; a lone node spans no cell."""
     w = np.ones(n)
-    w[0] = w[-1] = 0.5 if n > 1 else 0.0
+    w[0] = w[-1] = 0.5
     return w
 
 
@@ -228,14 +209,12 @@ def partial_cell(x_node: float, u_node: float, x_end: float, u_end: float = 0.0)
 
 
 def pieces(x0: float, dx: float, u: np.ndarray, lo: float, hi: float,
-           lo_end: float | None = None, hi_end: float | None = None,
-           w: np.ndarray | None = None) -> Pieces:
+           lo_end: float | None = None, hi_end: float | None = None) -> Pieces:
     """Weights and partial cells of [lo, hi], clipped to the grid x0 + k dx.
 
     ``lo_end``/``hi_end`` is u at that end (0.0 at a front); None marks an
     end on the grid edge, which gets no partial cell.  The window must reach
-    the grid: the caller checks that.  ``w``, the weights of an earlier
-    call, is kept when the window has as many nodes.
+    the grid: the caller checks that.
     """
     n = len(u)
     hi = min(hi, x0 + (n - 1) * dx)
@@ -250,28 +229,25 @@ def pieces(x0: float, dx: float, u: np.ndarray, lo: float, hi: float,
     if x_lo < lo:
         i_lo += 1
         x_lo += dx
-    cells, sides = [], []
+    w = np.ones(max(i_hi - i_lo + 1, 1))
+    w[0] = 0.5
+    w[-1] = 0.5 if i_hi > i_lo else 0.0
+    cells = []
     if hi_end is not None and hi > x_hi:
         cells.append(partial_cell(x_hi, u[i_hi], hi, hi_end))
-        sides.append(1.0)
     if lo_end is not None and x_lo > lo:
         cells.append(partial_cell(x_lo, u[i_lo], lo, lo_end))
-        sides.append(-1.0)
-    count = max(i_hi - i_lo + 1, 1)
-    if w is None or len(w) != count:
-        w = trapezoid(count)
-    return Pieces(w, i_lo, i_hi, tuple(cells), tuple(sides))
+    return Pieces(w, i_lo, i_hi, tuple(cells))
 
 
-def window_integral(kernel, conv: Convolution, x, wu, cells, near=None) -> np.ndarray:
+def window_integral(kernel, conv: Convolution, x, wu, cells) -> np.ndarray:
     """``int_window J(x - y) u(y) dy`` at the consecutive grid nodes x that
-    carry wu = u * weights (and at no other node of the window).  ``near``
-    may give each cell the nodes it reaches (``front_reach``)."""
+    carry wu = u * weights (and at no other node of the window)."""
     out = conv(wu)
-    for k, c in enumerate(cells):
+    for c in cells:
         if c.area != 0.0:
-            sl = near[k] if near else _reach(kernel, x, c.centroid)
-            out[sl] += c.area * kernel.evaluate(x[sl] - c.centroid)
+            near = _reach(kernel, x, c.centroid)
+            out[near] += c.area * kernel.evaluate(x[near] - c.centroid)
     return out
 
 
@@ -283,15 +259,12 @@ def point_integral(kernel, xq: float, y, wu, dx: float, cells) -> float:
     return val
 
 
-def front_flux(kernel, front: float, y, wu, dx: float, cells, side: float = 1.0,
-               near: slice | None = None) -> float:
+def front_flux(kernel, front: float, y, wu, dx: float, cells, side: float = 1.0) -> float:
     """``int tail_mass(|front - y|) u(y) dy``: the flux through a right
     (side = 1) or left (side = -1) front, from wu = u * weights on the sorted
-    nodes y and the cells, all inside the front; nodes beyond the support
-    radius carry no tail and are skipped (``near``, from ``front_reach``,
-    when the caller has it)."""
-    if near is None:
-        near = _reach(kernel, y, front)
+    nodes y and the cells, none of them past the front; nodes beyond the
+    support radius carry no tail and are skipped."""
+    near = _reach(kernel, y, front)
     right = side > 0.0
     y = y[near]
     flux = float(np.dot(kernel.tail_mass(front - y if right else y - front), wu[near])) * dx

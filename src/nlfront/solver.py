@@ -199,7 +199,7 @@ def stability_budget(spec: ProblemSpec) -> float:
 
 
 class _Engine:
-    """Owns the grid, taps and weights of one run and steps its State in place.
+    """Owns the grid and taps of one run and steps its State in place.
 
     A step writes u only on the window's nodes (the nodes outside it stay
     0 behind a front or are never reached), with one scratch copy of the
@@ -226,7 +226,6 @@ class _Engine:
                 raise ValidationError("fixed-domain runs need h0 to be a grid multiple of dx")
         self.version = 0
         self._rhs_cache = (-1, None)
-        self._w = None
         self._init_grid()
 
     # -- grid ---------------------------------------------------------------
@@ -307,25 +306,20 @@ class _Engine:
         """Trapezoid weights over the active nodes plus the partial front cells.
 
         g is -inf and h stays h0 at an end without a front, so an open end
-        clips to the grid edge and a right wall sits at h0.  The weights are
-        kept while the window has as many nodes."""
+        clips to the grid edge and a right wall sits at h0."""
         st = self.state
-        p = quadrature.pieces(st.x0, self.dx, st.u,
-                              0.0 if self.left == WALL else st.g,
-                              math.inf if self.right == OPEN else st.h,
-                              lo_end=0.0 if self.left == FRONT else None,
-                              hi_end=0.0 if self.right == FRONT else None, w=self._w)
-        self._w = p.w
-        return p
+        return quadrature.pieces(st.x0, self.dx, st.u,
+                                 0.0 if self.left == WALL else st.g,
+                                 math.inf if self.right == OPEN else st.h,
+                                 lo_end=0.0 if self.left == FRONT else None,
+                                 hi_end=0.0 if self.right == FRONT else None)
 
     def _rhs(self):
         """(sl, rate, flux_r, flux_l): the window's slice, the rate on its nodes
         and the front fluxes of the current state.
 
         The last evaluation is kept until the state changes: a checkpoint's
-        observables and the step that follows it share one.  Each front has
-        one support-radius cut (``quadrature.front_reach``) for its flux and
-        its partial cell.
+        observables and the step that follows it share one.
         """
         version, out = self._rhs_cache
         if version == self.version:
@@ -335,21 +329,14 @@ class _Engine:
         sl = p.sl
         u, x = st.u[sl], self.x[sl]
         wu = u * p.w
-        cut_r = cut_l = None
-        if self.right == FRONT:
-            cut_r = quadrature.front_reach(kernel, x, st.h)
-        if self.left == FRONT:
-            cut_l = quadrature.front_reach(kernel, x, st.g, -1.0)
-        near = [(cut_r if side > 0.0 else cut_l)[1] for side in p.sides]
         sink = self.sink[sl] if self.left == WALL else self.sink
-        rate = (spec.d * quadrature.window_integral(kernel, self.conv, x, wu, p.cells, near)
+        rate = (spec.d * quadrature.window_integral(kernel, self.conv, x, wu, p.cells)
                 - sink * u + spec.reaction.f(u))
         flux_r = flux_l = 0.0
-        if cut_r is not None:
-            flux_r = quadrature.front_flux(kernel, st.h, x, wu, dx, p.cells, near=cut_r[0])
-        if cut_l is not None:
-            flux_l = quadrature.front_flux(kernel, st.g, x, wu, dx, p.cells, side=-1.0,
-                                           near=cut_l[0])
+        if self.right == FRONT:
+            flux_r = quadrature.front_flux(kernel, st.h, x, wu, dx, p.cells)
+        if self.left == FRONT:
+            flux_l = quadrature.front_flux(kernel, st.g, x, wu, dx, p.cells, side=-1.0)
         out = sl, rate, flux_r, flux_l
         self._rhs_cache = (self.version, out)
         return out

@@ -420,7 +420,9 @@ def _interior_margins(fixture, t, halve=False):
         quadrature.partial_cell(y[0], vals[0], 0.0, float(fixture.u_at(t, 0.0))),)
     conv = quadrature.window_integral(kernel, quadrature.plan(kernel, dy, len(y)),
                                       y, wu, strip)
-    flux = quadrature.front_flux(kernel, fixture.h_front(t), y, wu, dy, strip)
+    # dy * nq may pass h by an ulp: no node may lie past the front
+    h = fixture.h_front(t)
+    flux = quadrature.front_flux(kernel, h, np.minimum(y, h), wu, dy, strip)
     j = kernel.halfline_mass(np.maximum(y, 0.0))
     rhs = fixture.d * conv - fixture.d * j * vals + fixture.reaction.f(vals)
     ut = np.asarray(fixture.u_t_at(t, y), dtype=float)

@@ -11,9 +11,13 @@ with closed-form completion of all integrals past -L where phi == u*, and
 upwind differencing for phi'.  Every profile is one bordered Newton solve
 on (phi, c).  At mu = 0 the speed is c = 0 and Newton needs no warm start
 from the step u* 1{x < 0}; continuation in mu climbs from there by decades,
-each rung seeded with the last.  An answer counts only if, clamped to a
-nonincreasing profile in [0, u*], it still meets ``residual_tol``.  The
-Jacobian band is solved directly when it holds the kernel's reach, and
+each rung seeded with the last.  When a grid of twice the spacing still
+resolves the kernel, the ladder climbs there, and the fine grid needs one
+Newton from its answer; it climbs the ladder itself only when that stage
+fails.  ``mu_curve`` climbs one ladder along its sorted mus.  An answer
+counts only if, clamped to a nonincreasing profile in [0, u*], it still
+meets ``residual_tol``.  The Jacobian band, whose kernel rows are filled
+once per window, is solved directly when it holds the kernel's reach, and
 preconditions GMRES when BAND_MAX cuts it.  The profile exists iff the
 kernel has a finite first moment; heavy-tailed kernels raise instead,
 which is the accelerated-spreading regime.
@@ -26,7 +30,8 @@ solution (concave f).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -62,6 +67,15 @@ BAND_MAX = 128
 LAM_XATOL = 1e-8
 # a window doubling that moves c0 by at least this relative amount doubles again
 L_RTOL = 1e-4
+# The first window's mu ladder climbs on a grid COARSEN times coarser when
+# the kernel's quadrature_scale() spans at least COARSE_MIN_CELLS of its
+# cells; one Newton on the fine grid finishes from that answer.  Measured
+# with the uniform kernel (L0 = 20, one thread, 2-vCPU x86 host), the coarse
+# stage cut a solve at mu = 1 or 100 by 0-10% at 5 coarse cells, 10-20% at
+# 8, 25-40% at 10-12.5 and 45-60% at 25; a three-point mu_curve lost up to
+# a fifth below 10 cells, broke even at 10 and gained a fifth at 12.5.
+COARSEN = 2
+COARSE_MIN_CELLS = 8
 
 
 @dataclass(frozen=True)
@@ -177,6 +191,25 @@ class _ProfileSolver(FarFieldWindow):
         self.band = min(reach, BAND_MAX)
         self.cut = self.band < reach
 
+    @cached_property
+    def _kernel_band(self):
+        """The kernel's rows of the Jacobian in LAPACK band storage, filled
+        once per window, and the buffer each Newton iteration factors."""
+        mb, m = self.band, self.conv.m
+        rows = (self.d * self.dx * self.conv.taps[m - mb:m + mb + 1])[:, None] * self.w[self.free]
+        return rows, np.empty((3 * mb + 1, rows.shape[1]), order="F")
+
+    def jacobian_band(self, diagonal, c):
+        """The band of the Jacobian in the unknowns: the kernel's rows plus
+        ``diagonal`` and c/dx above it.  The buffer is reused by the next call."""
+        rows, ab = self._kernel_band
+        mb = self.band
+        ab[:mb] = 0.0
+        ab[mb:] = rows
+        ab[2 * mb] += diagonal
+        ab[2 * mb - 1, 1:] += c / self.dx
+        return ab
+
     def residual(self, phi, c):
         r = self.d * (self.integral(phi) - phi)
         if c:
@@ -213,10 +246,9 @@ def _newton(ps: _ProfileSolver, mu, phi, c, tol):
     """
     from scipy.linalg import get_lapack_funcs
 
-    mb, m, free = ps.band, ps.conv.m, ps.free
-    band = ps.d * ps.dx * ps.conv.taps[m - mb:m + mb + 1]
+    mb, free = ps.band, ps.free
     border = -mu * ps.flux_w[free]
-    gbtrf, gbtrs = get_lapack_funcs(("gbtrf", "gbtrs"), (band,))
+    gbtrf, gbtrs = get_lapack_funcs(("gbtrf", "gbtrs"), (ps.w,))
 
     def defects(phi, c):
         r = ps.residual(phi, c)[free]
@@ -230,10 +262,7 @@ def _newton(ps: _ProfileSolver, mu, phi, c, tol):
             return phi, c, history, False
         fp = ps.reaction.f_prime(phi[free])
         slope = _upwind(phi, ps.dx)[free]
-        ab = np.zeros((3 * mb + 1, len(r)), order="F")    # LAPACK band storage
-        ab[mb:] = band[:, None] * ps.w[free]
-        ab[2 * mb] += fp - ps.d - c / ps.dx
-        ab[2 * mb - 1, 1:] += c / ps.dx
+        ab = ps.jacobian_band(fp - ps.d - c / ps.dx, c)
         lu, piv, info = gbtrf(ab, mb, mb, overwrite_ab=True)
         if info:
             return phi, c, history, False
@@ -296,32 +325,47 @@ def _newton_solution(ps: _ProfileSolver, mu, phi, c, cfg: SemiWaveConfig):
 
 
 def _solve_at_L(kernel, reaction, d, mu, L, cfg: SemiWaveConfig,
-                seed: SemiWaveSolution | None = None) -> SemiWaveSolution:
-    """Newton from the seed (the solution on a shorter window), else, or
-    when that answer is rejected, continuation in mu from mu = c = 0.
+                seed: SemiWaveSolution | None = None, start: SemiWaveSolution | None = None,
+                report: dict | None = None) -> tuple[SemiWaveSolution, list]:
+    """Newton from the seed (an answer on a coarser grid or a shorter
+    window), else, or when that answer is rejected, continuation in mu from
+    ``start`` (an answer at a smaller mu on this window and grid) or from
+    mu = c = 0.
 
-    Newton solves the pinned problem at mu = 0 from the step u* 1{x < 0},
-    then each rung from the last accepted one: rungs stand whole decades
-    below mu, the first the one nearest 0.1/u* (mu itself below about
-    0.3/u*), so the last is exactly mu.  A rejected rung halves the step
-    in log10 mu; when the step no longer moves the rung, ConvergenceError
-    carries every Newton residual history.
+    At mu = 0, Newton solves the pinned problem from the step u* 1{x < 0}.
+    Each rung then starts from the last accepted one: rungs stand whole
+    decades below mu, the first the one nearest 0.1/u* (mu itself below
+    about 0.3/u*), or whole decades above ``start`` when that is nearer to
+    mu, so the last is exactly mu.  A rejected rung halves the step in
+    log10 mu.  Returns the answer and every Newton residual history run.
+    When the step no longer moves the rung, ConvergenceError carries the
+    continuation's histories under ``newton_residuals``, a rejected seeded
+    Newton's under ``seeded_newton_residuals``, and ``report`` (the
+    histories of earlier stages).
     """
     ps = _ProfileSolver(kernel, reaction, d, L, cfg.dx)
+    report = dict(report or {})
     if seed is not None:
         phi0 = np.interp(ps.x, seed.x, seed.phi, left=ps.u_star, right=0.0)
         sol, ok = _newton_solution(ps, mu, phi0, seed.c0, cfg)
         if ok:
-            return sol
-    sol, ok = _newton_solution(ps, 0.0, np.where(ps.x < 0.0, ps.u_star, 0.0), 0.0, cfg)
-    histories = [list(sol.newton_residuals)]
+            return sol, [list(sol.newton_residuals)]
+        report["seeded_newton_residuals"] = list(sol.newton_residuals)
+    histories = []
+    if start is None:
+        sol, ok = _newton_solution(ps, 0.0, np.where(ps.x < 0.0, ps.u_star, 0.0), 0.0, cfg)
+        histories.append(list(sol.newton_residuals))
+    else:
+        sol, ok = start, True
     # decades below mu; mu = 0 stands one decade below the first rung
     at, step = max(round(math.log10(10.0 * mu * ps.u_star)), 0) + 1.0, 1.0
+    if sol.mu:
+        at = min(at, math.log10(mu / sol.mu))
     while ok and (nxt := max(at - step, 0.0)) < at:
         trial, accepted = _newton_solution(ps, mu * 10.0 ** -nxt, sol.phi, sol.c0, cfg)
         histories.append(list(trial.newton_residuals))
         if accepted and nxt == 0.0:
-            return trial
+            return trial, histories
         if accepted:
             sol, at = trial, nxt
         else:
@@ -329,13 +373,25 @@ def _solve_at_L(kernel, reaction, d, mu, L, cfg: SemiWaveConfig,
     raise ConvergenceError(
         "semi-wave continuation in mu stalled before reaching mu",
         diagnostics={"mu": mu, "mu_reached": sol.mu, "L": ps.L,
-                     "newton_residuals": histories})
+                     "newton_residuals": histories, **report})
 
 
 def solve_semiwave(kernel: Kernel, reaction, d: float, mu: float,
                    cfg: SemiWaveConfig | None = None) -> SemiWaveSolution:
     """The unique (c0, phi) pair; raises NoSemiWaveError when (J1) fails."""
-    cfg = cfg or SemiWaveConfig()
+    return _semiwave(kernel, reaction, d, mu, cfg or SemiWaveConfig())[0]
+
+
+def _semiwave(kernel: Kernel, reaction, d: float, mu: float, cfg: SemiWaveConfig,
+              previous=(None, None)):
+    """solve_semiwave's answer, and the (coarse, fine) answers on the first
+    window, where the ladder to a larger mu starts (``previous``: those of
+    a smaller mu; None climbs from mu = 0).
+
+    The coarse stage climbs at COARSEN * dx; the fine grid then needs one
+    Newton from its answer.  When it raises, or that Newton is rejected,
+    the fine grid climbs the ladder itself.
+    """
     if not math.isfinite(kernel.first_moment()):
         raise NoSemiWaveError(
             "condition (J1) fails: the kernel has no finite first moment, "
@@ -343,13 +399,22 @@ def solve_semiwave(kernel: Kernel, reaction, d: float, mu: float,
     if not (d > 0.0 and mu > 0.0):
         raise ValidationError("solve_semiwave needs d > 0 and mu > 0")
     L = cfg.L0 if cfg.L0 is not None else 40.0 * kernel.interaction_length()
-    sol = _solve_at_L(kernel, reaction, d, mu, L, cfg)
+    coarse, report = None, {}
+    if kernel.quadrature_scale() >= COARSE_MIN_CELLS * COARSEN * cfg.dx:
+        try:
+            coarse, report["coarse_newton_residuals"] = _solve_at_L(
+                kernel, reaction, d, mu, L, replace(cfg, dx=COARSEN * cfg.dx), start=previous[0])
+        except ConvergenceError as err:
+            report["coarse_newton_residuals"] = err.diagnostics["newton_residuals"]
+    first, _ = _solve_at_L(kernel, reaction, d, mu, L, cfg, seed=coarse, start=previous[1],
+                           report=report)
+    sol = first
     for _ in range(cfg.max_doublings):
-        bigger = _solve_at_L(kernel, reaction, d, mu, 2.0 * sol.L, cfg, seed=sol)
+        bigger, _ = _solve_at_L(kernel, reaction, d, mu, 2.0 * sol.L, cfg, seed=sol)
         if abs(bigger.c0 - sol.c0) < L_RTOL * max(abs(sol.c0), 1e-12):
-            return bigger
+            return bigger, (coarse, first)
         sol = bigger
-    return sol
+    return sol, (coarse, first)
 
 
 def minimal_speed(kernel: Kernel, reaction, d: float) -> WaveSolution:
@@ -487,9 +552,21 @@ def half_level_point(x, values, level: float) -> float | None:
 
 def mu_curve(kernel: Kernel, reaction, d: float, mus,
              cfg: SemiWaveConfig | None = None) -> MuCurve:
-    """Per-mu semi-wave solves plus the half-level depth l_mu."""
+    """Semi-wave solves over the sorted mus plus the half-level depth l_mu.
+
+    One ladder climbs the whole curve: each mu's first window starts from
+    the last mu's answers there, and a repeated mu reuses its solution.
+    """
+    cfg = cfg or SemiWaveConfig()
     mus = np.sort(np.asarray(mus, dtype=float))
-    sols = tuple(solve_semiwave(kernel, reaction, d, float(mu), cfg) for mu in mus)
+    sols, first = [], (None, None)
+    for i, mu in enumerate(mus):
+        if i and mu == mus[i - 1]:
+            sols.append(sols[-1])
+            continue
+        sol, first = _semiwave(kernel, reaction, d, float(mu), cfg, first)
+        sols.append(sol)
     cross = [half_level_point(s.x, s.phi, s.u_star / 2.0) for s in sols]
     return MuCurve(mu=mus, c=np.array([s.c0 for s in sols]),
-                   l=np.array([math.nan if x is None else -x for x in cross]), solutions=sols)
+                   l=np.array([math.nan if x is None else -x for x in cross]),
+                   solutions=tuple(sols))

@@ -237,6 +237,116 @@ def test_stalled_continuation_raises_with_histories(monkeypatch):
     assert len(diag["newton_residuals"]) > 50 and [1.0] in diag["newton_residuals"]
 
 
+@pytest.mark.parametrize("stage", ["coarse-seed", "doubled-window"])
+def test_rejected_seeded_newton_is_reported(monkeypatch, stage):
+    # Newton is rejected at mu = 1 on one window of the fine grid: the seeded
+    # attempt there (from the coarse answer, or from the shorter window's)
+    # and the continuation after it both fail, and the error reports each
+    cfg = SemiWaveConfig(dx=0.05, L0=20.0, max_doublings=1)
+    newton = semiwave._newton
+
+    def failing_on_window(ps, mu, phi, c, tol):
+        window = ps.L > 30.0 if stage == "doubled-window" else ps.dx == cfg.dx
+        if mu == 1.0 and window:
+            return phi, c, [2.0], False
+        return newton(ps, mu, phi, c, tol)
+
+    monkeypatch.setattr(semiwave, "_newton", failing_on_window)
+    with pytest.raises(ConvergenceError, match="continuation") as err:
+        solve_semiwave(CompactUniform(1.0), logistic(1, 1), 1.0, 1.0, cfg)
+    diag = err.value.diagnostics
+    assert diag["seeded_newton_residuals"] == [2.0]
+    assert [2.0] in diag["newton_residuals"] and diag["mu_reached"] < 1.0
+    if stage == "coarse-seed":
+        coarse = diag["coarse_newton_residuals"]
+        assert len(coarse) >= 2 and all(min(h) <= cfg.residual_tol for h in coarse)
+
+
+def _spy_newton(monkeypatch):
+    """Record (dx, mu) of every Newton solve and pass it through."""
+    calls, newton = [], semiwave._newton
+
+    def spy(ps, mu, phi, c, tol):
+        calls.append((ps.dx, mu))
+        return newton(ps, mu, phi, c, tol)
+
+    monkeypatch.setattr(semiwave, "_newton", spy)
+    return calls
+
+
+@pytest.mark.parametrize("kernel,mu,cfg", [
+    (CompactUniform(1.0), 0.01, COARSE),
+    (CompactUniform(1.0), 1.0, COARSE),
+    (CompactUniform(1.0), 100.0, COARSE),
+    (CompactCosine(1.0), 1.0, COARSE),
+    (LightExponential(1.0), 1.0, SemiWaveConfig(dx=0.05, L0=40.0, max_doublings=0)),
+], ids=["uniform-mu0.01", "uniform-mu1", "uniform-mu100", "cosine", "exponential"])
+def test_coarse_stage_matches_fine_ladder(monkeypatch, kernel, mu, cfg):
+    # the exponential band is cut on both grids, so GMRES solves there
+    fine, _ = semiwave._solve_at_L(kernel, logistic(1, 1), 1.0, mu, cfg.L0, cfg)
+    calls = _spy_newton(monkeypatch)
+    sol = solve_semiwave(kernel, logistic(1, 1), 1.0, mu, cfg)
+    assert (semiwave.COARSEN * cfg.dx, mu) in calls
+    assert [call for call in calls if call[0] == cfg.dx] == [(cfg.dx, mu)]
+    assert sol.c0 == pytest.approx(fine.c0, rel=1e-10, abs=0.0)
+    assert np.max(np.abs(sol.phi - fine.phi)) <= 1e-9 * sol.u_star
+
+
+def test_coarse_stage_failure_falls_back_to_the_fine_ladder(monkeypatch):
+    newton = semiwave._newton
+
+    def failing_when_coarse(ps, mu, phi, c, tol):
+        if ps.dx > COARSE.dx:
+            return phi, c, [1.0], False
+        return newton(ps, mu, phi, c, tol)
+
+    fine, _ = semiwave._solve_at_L(CompactUniform(1.0), logistic(1, 1), 1.0, 1.0, COARSE.L0,
+                                   COARSE)
+    monkeypatch.setattr(semiwave, "_newton", failing_when_coarse)
+    sol = solve_semiwave(CompactUniform(1.0), logistic(1, 1), 1.0, 1.0, COARSE)
+    assert sol.c0 == fine.c0 and np.array_equal(sol.phi, fine.phi)
+
+
+def test_mu_curve_climbs_one_ladder(monkeypatch):
+    cfg = SemiWaveConfig(dx=0.02, L0=20.0, max_doublings=1)
+    mus = [1.0, 0.01, 100.0, 1.0]
+    single = {mu: solve_semiwave(CompactUniform(1.0), logistic(1, 1), 1.0, mu, cfg)
+              for mu in set(mus)}
+    calls = _spy_newton(monkeypatch)
+    mc = mu_curve(CompactUniform(1.0), logistic(1, 1), 1.0, mus, cfg)
+    assert list(mc.mu) == sorted(mus)
+    assert mc.solutions[1] is mc.solutions[2]
+    # one solve at mu = 0 for the whole curve, not one per mu
+    assert [call for call in calls if call[1] == 0.0] == [(semiwave.COARSEN * cfg.dx, 0.0)]
+    for mu, sol in zip(mc.mu, mc.solutions):
+        assert sol.mu == mu
+        assert sol.c0 == pytest.approx(single[mu].c0, rel=1e-10, abs=0.0)
+        assert np.max(np.abs(sol.phi - single[mu].phi)) <= 1e-9 * sol.u_star
+
+
+def test_semiwave_factorization_budget(monkeypatch):
+    # the default uniform semi-wave factors its Jacobian on the 2001- and
+    # 4001-node grids at most 5 times (18 when every rung ran there)
+    import scipy.linalg
+
+    sizes, get_lapack_funcs = [], scipy.linalg.get_lapack_funcs
+
+    def counting(names, arrays=(), *args, **kwargs):
+        funcs = get_lapack_funcs(names, arrays, *args, **kwargs)
+
+        def gbtrf(ab, *a, **k):
+            sizes.append(ab.shape[1])
+            return funcs[names.index("gbtrf")](ab, *a, **k)
+
+        return tuple(gbtrf if name == "gbtrf" else f for name, f in zip(names, funcs))
+
+    monkeypatch.setattr(scipy.linalg, "get_lapack_funcs", counting)
+    sol = solve_semiwave(CompactUniform(1.0), logistic(1, 1), 1.0, 1.0)
+    # the windows [-40, 0] and [-80, 0] at dx = 0.02: 1999 and 3999 unknowns
+    assert sol.L == 80.0 and sol.dx == pytest.approx(0.02)
+    assert 1 <= sum(n >= 1999 for n in sizes) <= 5
+
+
 # stationary profile: the c = 0, unpinned case of the same solver ---------------
 
 

@@ -11,13 +11,15 @@ with closed-form completion of all integrals past -L where phi == u*, and
 upwind differencing for phi'.  Every profile is one bordered Newton solve
 on (phi, c).  At mu = 0 the speed is c = 0 and Newton needs no warm start
 from the step u* 1{x < 0}; continuation in mu climbs from there by decades,
-each rung seeded with the last.  When a grid of twice the spacing still
-resolves the kernel, the ladder climbs there, and the fine grid needs one
-Newton from its answer; it climbs the ladder itself only when that stage
-fails.  ``mu_curve`` climbs one ladder along its sorted mus.  An answer
-counts only if, clamped to a nonincreasing profile in [0, u*], it still
-meets ``residual_tol``.  The Jacobian band, whose kernel rows are filled
-once per window, is solved directly when it holds the kernel's reach, and
+each rung seeded with the last.  The ladder climbs on the coarsest grid
+COARSEN^k * dx that still resolves the kernel, and each finer grid down to
+dx needs one Newton from the coarser answer; the fine grid climbs the
+ladder itself when any of those stages fails.  ``mu_curve`` climbs one
+ladder along its sorted mus.  An answer counts only if, clamped to a
+nonincreasing profile in [0, u*], it still meets ``residual_tol``.  The
+Jacobian band, whose kernel rows are filled once per window, is solved
+directly when it holds the kernel's reach (a semi-wave reuses its LU for
+chord steps while they cut the residual by CHORD_RATIO), and
 preconditions GMRES when BAND_MAX cuts it.  The profile exists iff the
 kernel has a finite first moment; heavy-tailed kernels raise instead,
 which is the accelerated-spreading regime.
@@ -67,15 +69,25 @@ BAND_MAX = 128
 LAM_XATOL = 1e-8
 # a window doubling that moves c0 by at least this relative amount doubles again
 L_RTOL = 1e-4
-# The first window's mu ladder climbs on a grid COARSEN times coarser when
-# the kernel's quadrature_scale() spans at least COARSE_MIN_CELLS of its
-# cells; one Newton on the fine grid finishes from that answer.  Measured
-# with the uniform kernel (L0 = 20, one thread, 2-vCPU x86 host), the coarse
-# stage cut a solve at mu = 1 or 100 by 0-10% at 5 coarse cells, 10-20% at
-# 8, 25-40% at 10-12.5 and 45-60% at 25; a three-point mu_curve lost up to
-# a fifth below 10 cells, broke even at 10 and gained a fifth at 12.5.
+# The first window's mu ladder climbs on the coarsest grid COARSEN^k * dx
+# whose cells the kernel's quadrature_scale() still spans COARSE_MIN_CELLS
+# times; each finer grid down to dx then runs one Newton from the coarser
+# answer.  Measured with the uniform kernel (L0 = 20, one thread, 2-vCPU x86
+# host), a single coarse stage at 2 * dx cut a solve at mu = 1 or 100 by
+# 0-10% at 5 coarse cells, 10-20% at 8, 25-40% at 10-12.5 and 45-60% at 25;
+# a three-point mu_curve lost up to a fifth below 10 cells, broke even at 10
+# and gained a fifth at 12.5.
 COARSEN = 2
 COARSE_MIN_CELLS = 8
+# On a band that holds the kernel's reach, a pinned Newton keeps its LU
+# while each (chord) step cuts the sup residual by CHORD_RATIO; a chord step
+# that misses is dropped and the band refactored at the current iterate.
+# Measured the same way on the default uniform semi-wave, a three-point
+# mu_curve and a cosine one at mu = 100, ratios 0.05-0.2 took the same CPU,
+# 0.02 or 0.3 3-5% more, and 0 (every step factored) a quarter more.
+# Chord steps slowed the GMRES path by 10-20% and gained nothing in the
+# unpinned stationary solve, so neither takes them.
+CHORD_RATIO = 0.1
 
 
 @dataclass(frozen=True)
@@ -100,6 +112,7 @@ class SemiWaveSolution:
     x: np.ndarray                  # grid on [-L, 0]
     phi: np.ndarray
     L: float
+    dx: float                      # the solver's spacing (x[1] - x[0] rounds it)
     residual: float                # sup-norm defect of the profile equation
     speed_defect: float            # |c0 - mu * flux(phi)|
     u_star: float
@@ -107,10 +120,6 @@ class SemiWaveSolution:
     mu: float
     newton_iterations: int = 0
     newton_residuals: tuple = ()   # sup residual at the start and after each iteration
-
-    @property
-    def dx(self) -> float:
-        return float(self.x[1] - self.x[0])
 
     def phi_at(self, xi):
         """Profile extended by u* on the left and 0 on the right."""
@@ -232,11 +241,15 @@ def _newton(ps: _ProfileSolver, mu, phi, c, tol):
     trapezoid weight, 0.5 at an unpinned end), plus f'(phi) - d - c/dx on
     the diagonal and c/dx above it.  Its border is the upwind phi' (column)
     and -mu * flux weights (row); dc comes from the scalar Schur complement
-    of the banded part, and is 0 when mu = c = 0.  The band, factored once
-    per iteration, gives the step directly when it holds the kernel's
-    reach; when BAND_MAX cut it, the bordered band solve preconditions
-    GMRES on the full Jacobian, whose product is the window's convolution
-    of the perturbation (no u* completion: the perturbation is 0 past -L).
+    of the banded part, and is 0 when mu = c = 0.  The factored band gives
+    the step directly when it holds the kernel's reach; when BAND_MAX cut
+    it, the bordered band solve preconditions GMRES on the full Jacobian,
+    whose product is the window's convolution of the perturbation (no u*
+    completion: the perturbation is 0 past -L).  The band is factored at
+    every iterate, except that a pinned, uncut band keeps its factorization
+    while each step from it (a chord step) cuts the residual by
+    CHORD_RATIO; a chord step that misses is dropped, and the step from the
+    band refactored at the same iterate counts whatever it gives.
 
     Returns phi, c, the sup residual at the start and after each iteration,
     and whether the iteration converged: to NEWTON_TOL * u*, or to a
@@ -249,6 +262,7 @@ def _newton(ps: _ProfileSolver, mu, phi, c, tol):
     mb, free = ps.band, ps.free
     border = -mu * ps.flux_w[free]
     gbtrf, gbtrs = get_lapack_funcs(("gbtrf", "gbtrs"), (ps.w,))
+    chord = ps.pinned and not ps.cut
 
     def defects(phi, c):
         r = ps.residual(phi, c)[free]
@@ -256,18 +270,20 @@ def _newton(ps: _ProfileSolver, mu, phi, c, tol):
         return r, g, max(float(np.max(np.abs(r))), abs(g))
 
     r, g, res = defects(phi, c)
-    history = [res]
+    history, lu = [res], None
     while res > NEWTON_TOL * ps.u_star:
         if len(history) > NEWTON_MAX_ITER:
             return phi, c, history, False
-        fp = ps.reaction.f_prime(phi[free])
-        slope = _upwind(phi, ps.dx)[free]
-        ab = ps.jacobian_band(fp - ps.d - c / ps.dx, c)
-        lu, piv, info = gbtrf(ab, mb, mb, overwrite_ab=True)
-        if info:
-            return phi, c, history, False
-        y_c = gbtrs(lu, mb, mb, slope, piv)[0]
-        schur = 1.0 - border @ y_c
+        fresh = lu is None or not chord
+        if fresh:
+            fp = ps.reaction.f_prime(phi[free])
+            slope = _upwind(phi, ps.dx)[free]
+            ab = ps.jacobian_band(fp - ps.d - c / ps.dx, c)
+            lu, piv, info = gbtrf(ab, mb, mb, overwrite_ab=True)
+            if info:
+                return phi, c, history, False
+            y_c = gbtrs(lu, mb, mb, slope, piv)[0]
+            schur = 1.0 - border @ y_c
 
         def bordered_solve(v):
             y = gbtrs(lu, mb, mb, v[:-1], piv)[0]
@@ -281,6 +297,9 @@ def _newton(ps: _ProfileSolver, mu, phi, c, tol):
         trial[free] -= step[:-1]
         c_t = float(c - step[-1])
         r_t, g_t, res_t = defects(trial, c_t)
+        if not fresh and not res_t <= CHORD_RATIO * res:
+            lu = None               # drop the step and refactor at this iterate
+            continue
         history.append(res_t)
         if not math.isfinite(res_t):
             return phi, c, history, False
@@ -317,11 +336,17 @@ def _newton_solution(ps: _ProfileSolver, mu, phi, c, cfg: SemiWaveConfig):
     phi, c, history, converged = _newton(ps, mu, phi, c, cfg.residual_tol)
     phi = ps.clamp(phi.copy())
     residual = float(np.max(np.abs(ps.residual(phi, c)[ps.free])))
-    sol = SemiWaveSolution(c0=c, x=ps.x, phi=phi, L=ps.L, residual=residual,
-                           speed_defect=abs(c - mu * ps.flux(phi)), u_star=ps.u_star, d=ps.d,
-                           mu=mu, newton_iterations=len(history) - 1,
+    sol = SemiWaveSolution(c0=c, x=ps.x, phi=phi, L=ps.L, dx=ps.dx, residual=residual,
+                           speed_defect=abs(c - mu * ps.flux(phi)), u_star=ps.u_star,
+                           d=ps.d, mu=mu, newton_iterations=len(history) - 1,
                            newton_residuals=tuple(history))
     return sol, converged and max(sol.residual, sol.speed_defect) <= cfg.residual_tol
+
+
+def _seeded_solution(ps: _ProfileSolver, mu, seed: SemiWaveSolution, cfg: SemiWaveConfig):
+    """_newton_solution from an answer on another grid or window."""
+    phi0 = np.interp(ps.x, seed.x, seed.phi, left=ps.u_star, right=0.0)
+    return _newton_solution(ps, mu, phi0, seed.c0, cfg)
 
 
 def _solve_at_L(kernel, reaction, d, mu, L, cfg: SemiWaveConfig,
@@ -346,8 +371,7 @@ def _solve_at_L(kernel, reaction, d, mu, L, cfg: SemiWaveConfig,
     ps = _ProfileSolver(kernel, reaction, d, L, cfg.dx)
     report = dict(report or {})
     if seed is not None:
-        phi0 = np.interp(ps.x, seed.x, seed.phi, left=ps.u_star, right=0.0)
-        sol, ok = _newton_solution(ps, mu, phi0, seed.c0, cfg)
+        sol, ok = _seeded_solution(ps, mu, seed, cfg)
         if ok:
             return sol, [list(sol.newton_residuals)]
         report["seeded_newton_residuals"] = list(sol.newton_residuals)
@@ -383,14 +407,16 @@ def solve_semiwave(kernel: Kernel, reaction, d: float, mu: float,
 
 
 def _semiwave(kernel: Kernel, reaction, d: float, mu: float, cfg: SemiWaveConfig,
-              previous=(None, None)):
-    """solve_semiwave's answer, and the (coarse, fine) answers on the first
-    window, where the ladder to a larger mu starts (``previous``: those of
-    a smaller mu; None climbs from mu = 0).
+              previous=None):
+    """solve_semiwave's answer, and the answers on the first window, one per
+    grid from the coarsest to dx (None on a grid not reached), where the
+    ladder to a larger mu starts (``previous``: those of a smaller mu; None
+    climbs from mu = 0).
 
-    The coarse stage climbs at COARSEN * dx; the fine grid then needs one
-    Newton from its answer.  When it raises, or that Newton is rejected,
-    the fine grid climbs the ladder itself.
+    The ladder climbs on the coarsest grid that still resolves the kernel;
+    each finer grid then runs one Newton from the coarser answer.  When the
+    ladder raises or one of those Newtons is rejected, the fine grid climbs
+    the ladder itself.
     """
     if not math.isfinite(kernel.first_moment()):
         raise NoSemiWaveError(
@@ -399,22 +425,35 @@ def _semiwave(kernel: Kernel, reaction, d: float, mu: float, cfg: SemiWaveConfig
     if not (d > 0.0 and mu > 0.0):
         raise ValidationError("solve_semiwave needs d > 0 and mu > 0")
     L = cfg.L0 if cfg.L0 is not None else 40.0 * kernel.interaction_length()
-    coarse, report = None, {}
-    if kernel.quadrature_scale() >= COARSE_MIN_CELLS * COARSEN * cfg.dx:
+    dxs = [cfg.dx]
+    while kernel.quadrature_scale() >= COARSE_MIN_CELLS * COARSEN * dxs[0]:
+        dxs.insert(0, COARSEN * dxs[0])
+    previous = previous or (None,) * len(dxs)
+    first, report = [None] * len(dxs), {}
+    if len(dxs) > 1:
         try:
-            coarse, report["coarse_newton_residuals"] = _solve_at_L(
-                kernel, reaction, d, mu, L, replace(cfg, dx=COARSEN * cfg.dx), start=previous[0])
+            first[0], histories = _solve_at_L(kernel, reaction, d, mu, L,
+                                              replace(cfg, dx=dxs[0]), start=previous[0])
         except ConvergenceError as err:
-            report["coarse_newton_residuals"] = err.diagnostics["newton_residuals"]
-    first, _ = _solve_at_L(kernel, reaction, d, mu, L, cfg, seed=coarse, start=previous[1],
-                           report=report)
-    sol = first
+            histories = err.diagnostics["newton_residuals"]
+        for i in range(1, len(dxs) - 1):
+            if first[i - 1] is None:
+                break
+            sol, ok = _seeded_solution(_ProfileSolver(kernel, reaction, d, L, dxs[i]), mu,
+                                       first[i - 1], cfg)
+            histories.append(list(sol.newton_residuals))
+            first[i] = sol if ok else None
+        report["coarse_newton_residuals"] = histories
+    first[-1], _ = _solve_at_L(kernel, reaction, d, mu, L, cfg,
+                               seed=first[-2] if len(dxs) > 1 else None,
+                               start=previous[-1], report=report)
+    sol = first[-1]
     for _ in range(cfg.max_doublings):
         bigger, _ = _solve_at_L(kernel, reaction, d, mu, 2.0 * sol.L, cfg, seed=sol)
         if abs(bigger.c0 - sol.c0) < L_RTOL * max(abs(sol.c0), 1e-12):
-            return bigger, (coarse, first)
+            return bigger, tuple(first)
         sol = bigger
-    return sol, (coarse, first)
+    return sol, tuple(first)
 
 
 def minimal_speed(kernel: Kernel, reaction, d: float) -> WaveSolution:
@@ -559,7 +598,7 @@ def mu_curve(kernel: Kernel, reaction, d: float, mus,
     """
     cfg = cfg or SemiWaveConfig()
     mus = np.sort(np.asarray(mus, dtype=float))
-    sols, first = [], (None, None)
+    sols, first = [], None
     for i, mu in enumerate(mus):
         if i and mu == mus[i - 1]:
             sols.append(sols[-1])

@@ -195,12 +195,18 @@ def test_newton_matches_relaxation(kernel):
     assert report["newton_residuals"] == list(sol.newton_residuals)
 
 
-def test_exponential_default_config_runs_newton():
+def test_exponential_default_config_runs_newton(monkeypatch):
     # the kernel reaches 888 nodes, so BAND_MAX cuts the band and GMRES
     # solves; the relaxation gave 0.271209555186
+    sizes = _count_factorizations(monkeypatch)
     sol = solve_semiwave(LightExponential(1.0), logistic(1, 1), 1.0, 1.0)
     assert sol.newton_iterations >= 1
     assert sol.c0 == pytest.approx(0.271209555186, rel=1e-7)
+    # the ladder climbs at 4 dx (3106 unknowns); the grids at 2 dx and dx
+    # (6214, 12428 and, once the window doubles, 24857 unknowns) factor at
+    # most 7 times (22 when the ladder climbed at 2 dx)
+    assert sol.L > 400.0 and min(sizes) == 3106
+    assert 3 <= sum(n >= 6214 for n in sizes) <= 7
 
 
 @pytest.mark.parametrize("spurious", ["non-monotone", "high-residual"])
@@ -316,23 +322,25 @@ def test_mu_curve_climbs_one_ladder(monkeypatch):
     mc = mu_curve(CompactUniform(1.0), logistic(1, 1), 1.0, mus, cfg)
     assert list(mc.mu) == sorted(mus)
     assert mc.solutions[1] is mc.solutions[2]
-    # one solve at mu = 0 for the whole curve, not one per mu
-    assert [call for call in calls if call[1] == 0.0] == [(semiwave.COARSEN * cfg.dx, 0.0)]
+    # one solve at mu = 0 for the whole curve, not one per mu, on the
+    # coarsest grid that spans 8 cells of the kernel: 4 dx
+    assert [call for call in calls if call[1] == 0.0] == [(semiwave.COARSEN ** 2 * cfg.dx, 0.0)]
     for mu, sol in zip(mc.mu, mc.solutions):
         assert sol.mu == mu
         assert sol.c0 == pytest.approx(single[mu].c0, rel=1e-10, abs=0.0)
         assert np.max(np.abs(sol.phi - single[mu].phi)) <= 1e-9 * sol.u_star
 
 
-def test_semiwave_factorization_budget(monkeypatch):
-    # the default uniform semi-wave factors its Jacobian on the 2001- and
-    # 4001-node grids at most 5 times (18 when every rung ran there)
+def _count_factorizations(monkeypatch):
+    """The number of unknowns of every band factorization, in call order."""
     import scipy.linalg
 
     sizes, get_lapack_funcs = [], scipy.linalg.get_lapack_funcs
 
     def counting(names, arrays=(), *args, **kwargs):
         funcs = get_lapack_funcs(names, arrays, *args, **kwargs)
+        if isinstance(names, str):
+            return funcs
 
         def gbtrf(ab, *a, **k):
             sizes.append(ab.shape[1])
@@ -341,10 +349,65 @@ def test_semiwave_factorization_budget(monkeypatch):
         return tuple(gbtrf if name == "gbtrf" else f for name, f in zip(names, funcs))
 
     monkeypatch.setattr(scipy.linalg, "get_lapack_funcs", counting)
+    return sizes
+
+
+def test_semiwave_factorization_budget(monkeypatch):
+    # the default uniform semi-wave climbs at 4 dx and factors its Jacobian
+    # once on each of the 1999- and 3999-unknown grids (18 factorizations
+    # when every rung ran there, 4 with a single coarse stage at 2 dx)
+    sizes = _count_factorizations(monkeypatch)
     sol = solve_semiwave(CompactUniform(1.0), logistic(1, 1), 1.0, 1.0)
-    # the windows [-40, 0] and [-80, 0] at dx = 0.02: 1999 and 3999 unknowns
-    assert sol.L == 80.0 and sol.dx == pytest.approx(0.02)
-    assert 1 <= sum(n >= 1999 for n in sizes) <= 5
+    # the windows [-40, 0] and [-80, 0] at dx = 0.02
+    assert sol.L == 80.0 and sol.dx == 0.02
+    assert min(sizes) == 499
+    assert [n for n in sizes if n >= 1999] == [1999, 3999]
+
+
+def test_solution_keeps_the_solvers_spacing(uniform_semiwave):
+    # x[1] - x[0] is 0.01999999999999602 on the default grid
+    cfg = SemiWaveConfig()
+    sw = uniform_semiwave
+    assert sw.dx == cfg.dx and sw.to_json()["dx"] == cfg.dx
+    assert sw.phi_prime().tobytes() == semiwave._upwind(sw.phi, cfg.dx).tobytes()
+
+
+@pytest.mark.parametrize("kernel", [CompactUniform(1.0), CompactCosine(1.0)],
+                         ids=["uniform", "cosine"])
+@pytest.mark.parametrize("mu", [0.01, 1.0, 100.0])
+def test_chord_steps_match_full_newton(monkeypatch, kernel, mu):
+    sizes = _count_factorizations(monkeypatch)
+    chord = solve_semiwave(kernel, logistic(1, 1), 1.0, mu, COARSE)
+    chord_factorizations = len(sizes)
+    # no step meets a ratio of 0, so every step factors fresh: full Newton
+    monkeypatch.setattr(semiwave, "CHORD_RATIO", 0.0)
+    full = solve_semiwave(kernel, logistic(1, 1), 1.0, mu, COARSE)
+    assert len(sizes) - chord_factorizations > chord_factorizations
+    assert chord.c0 == pytest.approx(full.c0, rel=1e-12, abs=0.0)
+    assert np.max(np.abs(chord.phi - full.phi)) <= 1e-10 * chord.u_star
+
+
+@pytest.mark.parametrize("kernel,pinned", [(LightExponential(1.0), True),
+                                           (AlgebraicTail(2.5, 1.0), True),
+                                           (CompactCosine(1.0), False)],
+                         ids=["exponential", "algebraic", "cosine-stationary"])
+def test_cut_or_unpinned_newton_factors_every_step(monkeypatch, kernel, pinned):
+    # chord steps run only on a pinned band that holds the kernel's reach
+    sizes = _count_factorizations(monkeypatch)
+    steps, newton = [], semiwave._newton
+
+    def spy(ps, mu, phi, c, tol):
+        assert ps.cut == pinned and ps.pinned == pinned
+        out = newton(ps, mu, phi, c, tol)
+        steps.append(len(out[2]) - 1)
+        return out
+
+    monkeypatch.setattr(semiwave, "_newton", spy)
+    if pinned:
+        solve_semiwave(kernel, logistic(1, 1), 1.0, 1.0, CROSS_CFG)
+    else:
+        stationary_profile(kernel, logistic(1, 1), 1.0)
+    assert sum(steps) >= 3 and len(sizes) == sum(steps)
 
 
 # stationary profile: the c = 0, unpinned case of the same solver ---------------

@@ -11,18 +11,19 @@ with closed-form completion of all integrals past -L where phi == u*, and
 upwind differencing for phi'.  Every profile is one bordered Newton solve
 on (phi, c).  At mu = 0 the speed is c = 0 and Newton needs no warm start
 from the step u* 1{x < 0}; continuation in mu climbs from there by decades,
-each rung seeded with the last.  The ladder climbs on the coarsest grid
-COARSEN^k * dx that still resolves the kernel, and each finer grid down to
-dx needs one Newton from the coarser answer; the fine grid climbs the
-ladder itself when any of those stages fails.  ``mu_curve`` climbs one
-ladder along its sorted mus.  An answer counts only if, clamped to a
-nonincreasing profile in [0, u*], it still meets ``residual_tol``.  The
-Jacobian band, whose kernel rows are filled once per window, is solved
-directly when it holds the kernel's reach (a semi-wave reuses its LU for
-chord steps while they cut the residual by CHORD_RATIO), and
-preconditions GMRES when BAND_MAX cuts it.  The profile exists iff the
-kernel has a finite first moment; heavy-tailed kernels raise instead,
-which is the accelerated-spreading regime.
+each rung seeded with the last.  The ladder climbs, and the window doubles
+until c0 settles, on the coarsest grid COARSEN^k * dx that still resolves
+the kernel; each finer grid down to dx needs one Newton from the coarser
+answer on the accepted window.  Only Newtons at mu on dx run to
+NEWTON_TOL; the others only seed and stop at SEED_TOL.  The fine grid
+climbs and doubles itself when any of those stages fails.  ``mu_curve`` climbs one ladder along its
+sorted mus.  An answer counts only if, clamped to a nonincreasing profile
+in [0, u*], it still meets ``residual_tol``.  The Jacobian band, whose
+kernel rows are filled once per window, is solved directly when it holds
+the kernel's reach (a semi-wave reuses its LU for chord steps while they
+cut the residual by CHORD_RATIO), and preconditions GMRES when BAND_MAX
+cuts it.  The profile exists iff the kernel has a finite first moment;
+heavy-tailed kernels raise instead, which is the accelerated-spreading regime.
 
 The stationary profile U is the case c = mu = 0 with no node pinned:
 Newton from the supersolution U == u* falls monotonically to the maximal
@@ -56,8 +57,13 @@ __all__ = [
 ]
 
 # Newton stops once the sup residual is at most NEWTON_TOL * u* or stops
-# falling, or after NEWTON_MAX_ITER iterations (not converged).
+# falling, or after NEWTON_MAX_ITER iterations (not converged).  A Newton
+# whose answer only seeds another solve (the mu = 0 start, rungs below mu,
+# grids coarser than dx) stops at SEED_TOL * u*, or at residual_tol when
+# that is lower: the next Newton starts 1e-3 to 1 off anyway (inexact
+# Newton, Dembo, Eisenstat & Steihaug, SIAM J. Numer. Anal. 19, 1982).
 NEWTON_TOL = 1e-12
+SEED_TOL = 1e-8
 NEWTON_MAX_ITER = 30
 # The Jacobian band reaches as far as the kernel's tail_mass stays above
 # BAND_TAIL (the residual keeps every tap), and at most BAND_MAX nodes off
@@ -69,14 +75,15 @@ BAND_MAX = 128
 LAM_XATOL = 1e-8
 # a window doubling that moves c0 by at least this relative amount doubles again
 L_RTOL = 1e-4
-# The first window's mu ladder climbs on the coarsest grid COARSEN^k * dx
-# whose cells the kernel's quadrature_scale() still spans COARSE_MIN_CELLS
-# times; each finer grid down to dx then runs one Newton from the coarser
-# answer.  Measured with the uniform kernel (L0 = 20, one thread, 2-vCPU x86
-# host), a single coarse stage at 2 * dx cut a solve at mu = 1 or 100 by
-# 0-10% at 5 coarse cells, 10-20% at 8, 25-40% at 10-12.5 and 45-60% at 25;
-# a three-point mu_curve lost up to a fifth below 10 cells, broke even at 10
-# and gained a fifth at 12.5.
+# The mu ladder and the window doublings run on the coarsest grid
+# COARSEN^k * dx whose cells the kernel's quadrature_scale() still spans
+# COARSE_MIN_CELLS times; each finer grid down to dx then runs one Newton
+# from the coarser answer on the window they accepted.  Measured with the
+# uniform kernel (L0 = 20, one thread, 2-vCPU x86 host), a single coarse
+# stage at 2 * dx cut a solve at mu = 1 or 100 by 0-10% at 5 coarse cells,
+# 10-20% at 8, 25-40% at 10-12.5 and 45-60% at 25; a three-point mu_curve
+# lost up to a fifth below 10 cells, broke even at 10 and gained a fifth at
+# 12.5.
 COARSEN = 2
 COARSE_MIN_CELLS = 8
 # On a band that holds the kernel's reach, a pinned Newton keeps its LU
@@ -120,6 +127,8 @@ class SemiWaveSolution:
     mu: float
     newton_iterations: int = 0
     newton_residuals: tuple = ()   # sup residual at the start and after each iteration
+    # the doubling check that chose L: the grid's dx, both windows and both c0
+    window_check: dict | None = None
 
     def phi_at(self, xi):
         """Profile extended by u* on the left and 0 on the right."""
@@ -134,7 +143,8 @@ class SemiWaveSolution:
                 "speed_defect": self.speed_defect, "u_star": self.u_star,
                 "d": self.d, "mu": self.mu, "dx": self.dx,
                 "newton_iterations": self.newton_iterations,
-                "newton_residuals": list(self.newton_residuals)}
+                "newton_residuals": list(self.newton_residuals),
+                "window_check": self.window_check}
 
 
 @dataclass(frozen=True)
@@ -234,7 +244,7 @@ class _ProfileSolver(FarFieldWindow):
         return np.maximum.accumulate(phi[::-1])[::-1] if self.pinned else phi
 
 
-def _newton(ps: _ProfileSolver, mu, phi, c, tol):
+def _newton(ps: _ProfileSolver, mu, phi, c, tol, stop=NEWTON_TOL):
     """Bordered Newton on (phi[ps.free], c) for the profile and speed equations.
 
     The Jacobian in the unknowns is d dx taps[i-k+m] w_k (w_k the
@@ -252,10 +262,10 @@ def _newton(ps: _ProfileSolver, mu, phi, c, tol):
     band refactored at the same iterate counts whatever it gives.
 
     Returns phi, c, the sup residual at the start and after each iteration,
-    and whether the iteration converged: to NEWTON_TOL * u*, or to a
-    rounding floor below tol where the residual stopped falling (the
-    better iterate is kept).  Above tol a rising residual is the usual
-    transient of a rough start.
+    and whether the iteration converged: to stop * u* (or tol when that is
+    lower), or to a rounding floor below tol where the residual stopped
+    falling (the better iterate is kept).  Above tol a rising residual is
+    the usual transient of a rough start.
     """
     from scipy.linalg import get_lapack_funcs
 
@@ -271,7 +281,7 @@ def _newton(ps: _ProfileSolver, mu, phi, c, tol):
 
     r, g, res = defects(phi, c)
     history, lu = [res], None
-    while res > NEWTON_TOL * ps.u_star:
+    while res > min(stop * ps.u_star, tol):
         if len(history) > NEWTON_MAX_ITER:
             return phi, c, history, False
         fresh = lu is None or not chord
@@ -330,10 +340,10 @@ def _gmres(ps: _ProfileSolver, fp, slope, border, c, precondition, rhs):
     return step
 
 
-def _newton_solution(ps: _ProfileSolver, mu, phi, c, cfg: SemiWaveConfig):
-    """Newton from (phi, c) under the acceptance check: after the clamp,
-    residual and speed defect within residual_tol."""
-    phi, c, history, converged = _newton(ps, mu, phi, c, cfg.residual_tol)
+def _newton_solution(ps: _ProfileSolver, mu, phi, c, cfg: SemiWaveConfig, stop):
+    """Newton from (phi, c), stopped at stop * u*, under the acceptance
+    check: after the clamp, residual and speed defect within residual_tol."""
+    phi, c, history, converged = _newton(ps, mu, phi, c, cfg.residual_tol, stop)
     phi = ps.clamp(phi.copy())
     residual = float(np.max(np.abs(ps.residual(phi, c)[ps.free])))
     sol = SemiWaveSolution(c0=c, x=ps.x, phi=phi, L=ps.L, dx=ps.dx, residual=residual,
@@ -343,42 +353,45 @@ def _newton_solution(ps: _ProfileSolver, mu, phi, c, cfg: SemiWaveConfig):
     return sol, converged and max(sol.residual, sol.speed_defect) <= cfg.residual_tol
 
 
-def _seeded_solution(ps: _ProfileSolver, mu, seed: SemiWaveSolution, cfg: SemiWaveConfig):
+def _seeded_solution(ps: _ProfileSolver, mu, seed: SemiWaveSolution, cfg: SemiWaveConfig,
+                     stop):
     """_newton_solution from an answer on another grid or window."""
     phi0 = np.interp(ps.x, seed.x, seed.phi, left=ps.u_star, right=0.0)
-    return _newton_solution(ps, mu, phi0, seed.c0, cfg)
+    return _newton_solution(ps, mu, phi0, seed.c0, cfg, stop)
 
 
 def _solve_at_L(kernel, reaction, d, mu, L, cfg: SemiWaveConfig,
                 seed: SemiWaveSolution | None = None, start: SemiWaveSolution | None = None,
-                report: dict | None = None) -> tuple[SemiWaveSolution, list]:
-    """Newton from the seed (an answer on a coarser grid or a shorter
-    window), else, or when that answer is rejected, continuation in mu from
-    ``start`` (an answer at a smaller mu on this window and grid) or from
-    mu = c = 0.
+                report: dict | None = None, stop=NEWTON_TOL, log: list | None = None):
+    """Newton from the seed (an answer on a shorter window), else, or when
+    that answer is rejected, continuation in mu from ``start`` (an answer at
+    a smaller mu on this window and grid) or from mu = c = 0.
 
     At mu = 0, Newton solves the pinned problem from the step u* 1{x < 0}.
     Each rung then starts from the last accepted one: rungs stand whole
     decades below mu, the first the one nearest 0.1/u* (mu itself below
     about 0.3/u*), or whole decades above ``start`` when that is nearer to
     mu, so the last is exactly mu.  A rejected rung halves the step in
-    log10 mu.  Returns the answer and every Newton residual history run.
-    When the step no longer moves the rung, ConvergenceError carries the
-    continuation's histories under ``newton_residuals``, a rejected seeded
-    Newton's under ``seeded_newton_residuals``, and ``report`` (the
-    histories of earlier stages).
+    log10 mu.  The Newton at mu stops at ``stop``, every other at SEED_TOL.
+    Returns the answer and ``log`` with every Newton residual history run
+    appended.  When the step no longer moves the rung, ConvergenceError
+    carries the continuation's histories under ``newton_residuals``, a
+    rejected seeded Newton's under ``seeded_newton_residuals``, and
+    ``report`` (the histories of earlier stages).
     """
     ps = _ProfileSolver(kernel, reaction, d, L, cfg.dx)
-    report = dict(report or {})
+    report, log = dict(report or {}), [] if log is None else log
     if seed is not None:
-        sol, ok = _seeded_solution(ps, mu, seed, cfg)
+        sol, ok = _seeded_solution(ps, mu, seed, cfg, stop)
+        log.append(list(sol.newton_residuals))
         if ok:
-            return sol, [list(sol.newton_residuals)]
+            return sol, log
         report["seeded_newton_residuals"] = list(sol.newton_residuals)
-    histories = []
+    begin = len(log)
     if start is None:
-        sol, ok = _newton_solution(ps, 0.0, np.where(ps.x < 0.0, ps.u_star, 0.0), 0.0, cfg)
-        histories.append(list(sol.newton_residuals))
+        sol, ok = _newton_solution(ps, 0.0, np.where(ps.x < 0.0, ps.u_star, 0.0), 0.0, cfg,
+                                   SEED_TOL)
+        log.append(list(sol.newton_residuals))
     else:
         sol, ok = start, True
     # decades below mu; mu = 0 stands one decade below the first rung
@@ -386,10 +399,11 @@ def _solve_at_L(kernel, reaction, d, mu, L, cfg: SemiWaveConfig,
     if sol.mu:
         at = min(at, math.log10(mu / sol.mu))
     while ok and (nxt := max(at - step, 0.0)) < at:
-        trial, accepted = _newton_solution(ps, mu * 10.0 ** -nxt, sol.phi, sol.c0, cfg)
-        histories.append(list(trial.newton_residuals))
+        trial, accepted = _newton_solution(ps, mu * 10.0 ** -nxt, sol.phi, sol.c0, cfg,
+                                           stop if nxt == 0.0 else SEED_TOL)
+        log.append(list(trial.newton_residuals))
         if accepted and nxt == 0.0:
-            return trial, histories
+            return trial, log
         if accepted:
             sol, at = trial, nxt
         else:
@@ -397,7 +411,7 @@ def _solve_at_L(kernel, reaction, d, mu, L, cfg: SemiWaveConfig,
     raise ConvergenceError(
         "semi-wave continuation in mu stalled before reaching mu",
         diagnostics={"mu": mu, "mu_reached": sol.mu, "L": ps.L,
-                     "newton_residuals": histories, **report})
+                     "newton_residuals": log[begin:], **report})
 
 
 def solve_semiwave(kernel: Kernel, reaction, d: float, mu: float,
@@ -408,15 +422,18 @@ def solve_semiwave(kernel: Kernel, reaction, d: float, mu: float,
 
 def _semiwave(kernel: Kernel, reaction, d: float, mu: float, cfg: SemiWaveConfig,
               previous=None):
-    """solve_semiwave's answer, and the answers on the first window, one per
-    grid from the coarsest to dx (None on a grid not reached), where the
-    ladder to a larger mu starts (``previous``: those of a smaller mu; None
+    """solve_semiwave's answer, and where the ladder to a larger mu starts:
+    the answers on the first window on the coarsest grid and on dx (None
+    where not solved; ``previous`` holds those of a smaller mu, and None
     climbs from mu = 0).
 
-    The ladder climbs on the coarsest grid that still resolves the kernel;
-    each finer grid then runs one Newton from the coarser answer.  When the
-    ladder raises or one of those Newtons is rejected, the fine grid climbs
-    the ladder itself.
+    The ladder climbs on the first window of the coarsest grid that still
+    resolves the kernel, and the window doubles there until c0 moves less
+    than L_RTOL; its Newtons only seed and stop at SEED_TOL.  Each finer
+    grid then runs one Newton from the coarser answer on the window that
+    check accepted (nominally L0 * 2^k), and the answer on dx is returned.
+    When the ladder or a doubling raises or one of those Newtons is
+    rejected, the fine grid climbs and doubles itself.
     """
     if not math.isfinite(kernel.first_moment()):
         raise NoSemiWaveError(
@@ -424,36 +441,48 @@ def _semiwave(kernel: Kernel, reaction, d: float, mu: float, cfg: SemiWaveConfig
             "spreading is accelerated and no semi-wave exists")
     if not (d > 0.0 and mu > 0.0):
         raise ValidationError("solve_semiwave needs d > 0 and mu > 0")
-    L = cfg.L0 if cfg.L0 is not None else 40.0 * kernel.interaction_length()
+    L0 = cfg.L0 if cfg.L0 is not None else 40.0 * kernel.interaction_length()
     dxs = [cfg.dx]
     while kernel.quadrature_scale() >= COARSE_MIN_CELLS * COARSEN * dxs[0]:
         dxs.insert(0, COARSEN * dxs[0])
-    previous = previous or (None,) * len(dxs)
-    first, report = [None] * len(dxs), {}
-    if len(dxs) > 1:
-        try:
-            first[0], histories = _solve_at_L(kernel, reaction, d, mu, L,
-                                              replace(cfg, dx=dxs[0]), start=previous[0])
-        except ConvergenceError as err:
-            histories = err.diagnostics["newton_residuals"]
-        for i in range(1, len(dxs) - 1):
-            if first[i - 1] is None:
+    starts = list(previous or (None, None))
+
+    def climb_and_double(level, grid, stop, log, report):
+        """The ladder on L0 from starts[level], then doublings: the answer
+        on the accepted window, that window and the check that chose it."""
+        sol, _ = _solve_at_L(kernel, reaction, d, mu, L0, grid, start=starts[level],
+                             report=report, stop=stop, log=log)
+        starts[level], L, check = sol, L0, None
+        for _ in range(cfg.max_doublings):
+            bigger, _ = _solve_at_L(kernel, reaction, d, mu, 2.0 * L, grid, seed=sol,
+                                    report=report, stop=stop, log=log)
+            check = {"dx": grid.dx, "L": [sol.L, bigger.L], "c0": [sol.c0, bigger.c0]}
+            if abs(bigger.c0 - sol.c0) < L_RTOL * max(abs(sol.c0), 1e-12):
                 break
-            sol, ok = _seeded_solution(_ProfileSolver(kernel, reaction, d, L, dxs[i]), mu,
-                                       first[i - 1], cfg)
-            histories.append(list(sol.newton_residuals))
-            first[i] = sol if ok else None
-        report["coarse_newton_residuals"] = histories
-    first[-1], _ = _solve_at_L(kernel, reaction, d, mu, L, cfg,
-                               seed=first[-2] if len(dxs) > 1 else None,
-                               start=previous[-1], report=report)
-    sol = first[-1]
-    for _ in range(cfg.max_doublings):
-        bigger, _ = _solve_at_L(kernel, reaction, d, mu, 2.0 * sol.L, cfg, seed=sol)
-        if abs(bigger.c0 - sol.c0) < L_RTOL * max(abs(sol.c0), 1e-12):
-            return bigger, tuple(first)
-        sol = bigger
-    return sol, tuple(first)
+            sol, L = bigger, 2.0 * L
+        return sol, L, check
+
+    report = {}
+    if len(dxs) > 1:
+        log = []
+        try:
+            sol, L, check = climb_and_double(0, replace(cfg, dx=dxs[0]), SEED_TOL, log, {})
+            for dx in dxs[1:]:
+                sol, ok = _seeded_solution(_ProfileSolver(kernel, reaction, d, L, dx), mu, sol,
+                                           cfg, NEWTON_TOL if dx == cfg.dx else SEED_TOL)
+                if not ok:
+                    report["seeded_newton_residuals"] = list(sol.newton_residuals)
+                    break
+                log.append(list(sol.newton_residuals))
+            else:
+                if L == L0:
+                    starts[1] = sol
+                return replace(sol, window_check=check), tuple(starts)
+        except ConvergenceError:
+            pass
+        report["coarse_newton_residuals"] = log
+    sol, _, check = climb_and_double(1, cfg, NEWTON_TOL, None, report)
+    return replace(sol, window_check=check), tuple(starts)
 
 
 def minimal_speed(kernel: Kernel, reaction, d: float) -> WaveSolution:

@@ -1,8 +1,10 @@
+import json
 import math
 import os
 import subprocess
 import sys
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -199,21 +201,24 @@ def test_exponential_default_config_runs_newton(monkeypatch):
     # the kernel reaches 888 nodes, so BAND_MAX cuts the band and GMRES
     # solves; the relaxation gave 0.271209555186
     sizes = _count_factorizations(monkeypatch)
-    sol = solve_semiwave(LightExponential(1.0), logistic(1, 1), 1.0, 1.0)
+    kernel = LightExponential(1.0)
+    sol = solve_semiwave(kernel, logistic(1, 1), 1.0, 1.0)
     assert sol.newton_iterations >= 1
     assert sol.c0 == pytest.approx(0.271209555186, rel=1e-7)
-    # the ladder climbs at 4 dx (3106 unknowns); the grids at 2 dx and dx
-    # (6214, 12428 and, once the window doubles, 24857 unknowns) factor at
-    # most 7 times (22 when the ladder climbed at 2 dx)
-    assert sol.L > 400.0 and min(sizes) == 3106
-    assert 3 <= sum(n >= 6214 for n in sizes) <= 7
+    # the ladder and the doubling check run at 4 dx (3106 unknowns) and
+    # accept the first window, 40 interaction lengths; the grids at 2 dx and
+    # dx (6214 and 12428 unknowns) factor at most 7 times (22 when the
+    # ladder climbed at 2 dx), and the doubled window on dx (24857) never
+    assert sol.L == pytest.approx(40.0 * kernel.interaction_length(), abs=SemiWaveConfig.dx)
+    assert min(sizes) == 3106 and 3 <= sum(n >= 6214 for n in sizes) <= 7
+    assert max(sizes) == 12428 and 24857 not in sizes
 
 
 @pytest.mark.parametrize("spurious", ["non-monotone", "high-residual"])
 def test_rejected_newton_raises(monkeypatch, spurious):
     # a spurious root flagged as converged fails the acceptance check at
     # mu = 0, so the continuation raises instead of returning it
-    def fake_newton(ps, mu, phi, c, tol):
+    def fake_newton(ps, mu, phi, c, *args, **kwargs):
         bad = ps.u_star * np.clip(-ps.x / 2.0, 0.0, 1.0)
         if spurious == "non-monotone":
             bad[len(bad) // 2] = 0.5 * ps.u_star * (1.0 + 1e-3)
@@ -232,8 +237,8 @@ def test_stalled_continuation_raises_with_histories(monkeypatch):
     # no longer moves, and every rung's residual history is reported
     newton = semiwave._newton
 
-    def failing_above(ps, mu, phi, c, tol):
-        return newton(ps, mu, phi, c, tol) if mu <= 0.05 else (phi, c, [1.0], False)
+    def failing_above(ps, mu, phi, c, *args, **kwargs):
+        return newton(ps, mu, phi, c, *args, **kwargs) if mu <= 0.05 else (phi, c, [1.0], False)
 
     monkeypatch.setattr(semiwave, "_newton", failing_above)
     with pytest.raises(ConvergenceError, match="continuation") as err:
@@ -245,36 +250,43 @@ def test_stalled_continuation_raises_with_histories(monkeypatch):
 
 @pytest.mark.parametrize("stage", ["coarse-seed", "doubled-window"])
 def test_rejected_seeded_newton_is_reported(monkeypatch, stage):
-    # Newton is rejected at mu = 1 on one window of the fine grid: the seeded
-    # attempt there (from the coarse answer, or from the shorter window's)
-    # and the continuation after it both fail, and the error reports each
+    # Newton is rejected at mu = 1 either on the fine grid, or on the doubled
+    # window of every grid: the seeded attempt on the fine grid (from the
+    # coarse answer, or from the shorter window's) and the continuation
+    # after it both fail, and the error reports each.  A rejected doubling
+    # on the coarse grid sends the fine grid up its own ladder and doubling.
     cfg = SemiWaveConfig(dx=0.05, L0=20.0, max_doublings=1)
-    newton = semiwave._newton
+    newton, calls = semiwave._newton, []
 
-    def failing_on_window(ps, mu, phi, c, tol):
+    def failing_on_window(ps, mu, phi, c, *args, **kwargs):
+        calls.append((ps.dx, ps.L, mu))
         window = ps.L > 30.0 if stage == "doubled-window" else ps.dx == cfg.dx
         if mu == 1.0 and window:
             return phi, c, [2.0], False
-        return newton(ps, mu, phi, c, tol)
+        return newton(ps, mu, phi, c, *args, **kwargs)
 
     monkeypatch.setattr(semiwave, "_newton", failing_on_window)
     with pytest.raises(ConvergenceError, match="continuation") as err:
         solve_semiwave(CompactUniform(1.0), logistic(1, 1), 1.0, 1.0, cfg)
     diag = err.value.diagnostics
+    coarse = diag["coarse_newton_residuals"]
     assert diag["seeded_newton_residuals"] == [2.0]
     assert [2.0] in diag["newton_residuals"] and diag["mu_reached"] < 1.0
     if stage == "coarse-seed":
-        coarse = diag["coarse_newton_residuals"]
         assert len(coarse) >= 2 and all(min(h) <= cfg.residual_tol for h in coarse)
+    else:
+        # the coarse doubling's seeded Newton and its ladder's rung at mu
+        assert coarse.count([2.0]) >= 2
+        assert (cfg.dx, 20.0, 1.0) in calls and (cfg.dx, 40.0, 1.0) in calls
 
 
 def _spy_newton(monkeypatch):
     """Record (dx, mu) of every Newton solve and pass it through."""
     calls, newton = [], semiwave._newton
 
-    def spy(ps, mu, phi, c, tol):
+    def spy(ps, mu, phi, c, *args, **kwargs):
         calls.append((ps.dx, mu))
-        return newton(ps, mu, phi, c, tol)
+        return newton(ps, mu, phi, c, *args, **kwargs)
 
     monkeypatch.setattr(semiwave, "_newton", spy)
     return calls
@@ -301,10 +313,10 @@ def test_coarse_stage_matches_fine_ladder(monkeypatch, kernel, mu, cfg):
 def test_coarse_stage_failure_falls_back_to_the_fine_ladder(monkeypatch):
     newton = semiwave._newton
 
-    def failing_when_coarse(ps, mu, phi, c, tol):
+    def failing_when_coarse(ps, mu, phi, c, *args, **kwargs):
         if ps.dx > COARSE.dx:
             return phi, c, [1.0], False
-        return newton(ps, mu, phi, c, tol)
+        return newton(ps, mu, phi, c, *args, **kwargs)
 
     fine, _ = semiwave._solve_at_L(CompactUniform(1.0), logistic(1, 1), 1.0, 1.0, COARSE.L0,
                                    COARSE)
@@ -353,15 +365,71 @@ def _count_factorizations(monkeypatch):
 
 
 def test_semiwave_factorization_budget(monkeypatch):
-    # the default uniform semi-wave climbs at 4 dx and factors its Jacobian
-    # once on each of the 1999- and 3999-unknown grids (18 factorizations
-    # when every rung ran there, 4 with a single coarse stage at 2 dx)
+    # the default uniform semi-wave climbs and checks its window at 4 dx and
+    # factors its Jacobian once on the 1999-unknown grid (18 factorizations
+    # when every rung ran there, 4 with a single coarse stage at 2 dx); the
+    # window [-40, 0] at dx = 0.02 is returned, [-80, 0] is never solved there
     sizes = _count_factorizations(monkeypatch)
     sol = solve_semiwave(CompactUniform(1.0), logistic(1, 1), 1.0, 1.0)
-    # the windows [-40, 0] and [-80, 0] at dx = 0.02
-    assert sol.L == 80.0 and sol.dx == 0.02
+    assert sol.L == 40.0 and sol.dx == 0.02
     assert min(sizes) == 499
-    assert [n for n in sizes if n >= 1999] == [1999, 3999]
+    assert [n for n in sizes if n >= 1999] == [1999]
+
+
+@pytest.mark.parametrize("kernel,cfg", [
+    (CompactUniform(1.0), SemiWaveConfig()),
+    (CompactCosine(1.0), SemiWaveConfig()),
+    (LightExponential(1.0), SemiWaveConfig(dx=0.05, L0=20.0)),
+], ids=["uniform", "cosine", "exponential"])
+def test_window_is_chosen_on_the_coarsest_grid(monkeypatch, kernel, cfg):
+    # the doubling check runs where the ladder climbed; dx solves only the
+    # window it accepted, and a longer window there moves c0 by rounding
+    newton, calls = semiwave._newton, []
+
+    def spy(ps, mu, phi, c, *args, **kwargs):
+        calls.append((ps.dx, ps.L))
+        return newton(ps, mu, phi, c, *args, **kwargs)
+
+    monkeypatch.setattr(semiwave, "_newton", spy)
+    sol = solve_semiwave(kernel, logistic(1, 1), 1.0, 1.0, cfg)
+    monkeypatch.undo()
+    assert {L for dx, L in calls if dx == cfg.dx} == {sol.L}
+    check = json.loads(json.dumps(sol.to_json()))["window_check"]
+    assert check["dx"] > cfg.dx and (check["dx"], check["L"][1]) in calls
+    assert check["L"][0] == pytest.approx(sol.L, abs=check["dx"])
+    assert check["L"][1] == pytest.approx(2.0 * check["L"][0], abs=check["dx"])
+    assert abs(check["c0"][1] - check["c0"][0]) < semiwave.L_RTOL * check["c0"][0]
+    longer = solve_semiwave(kernel, logistic(1, 1), 1.0, 1.0,
+                            replace(cfg, L0=2.0 * sol.L, max_doublings=0))
+    assert sol.c0 == pytest.approx(longer.c0, rel=1e-10, abs=0.0)
+
+
+@pytest.mark.parametrize("u_star", [1.0, 250.0])
+def test_only_seeds_stop_at_seed_tol(monkeypatch, u_star):
+    # seeds stop at SEED_TOL * u* (at residual_tol when that is lower, as at
+    # u* = 250), every answer at NEWTON_TOL * u* or at a rounding floor
+    reaction, cfg = logistic(1.0, 1.0 / u_star), COARSE
+    answers = [solve_semiwave(kernel, reaction, 1.0, 1.0, cfg)
+               for kernel in (CompactUniform(1.0), CompactCosine(1.0))]
+    answers += mu_curve(CompactUniform(1.0), reaction, 1.0, [0.1, 10.0], cfg).solutions
+    for sol in answers:
+        h = sol.newton_residuals
+        floor = h[-2] <= h[-1] and h[-2] <= cfg.residual_tol
+        assert h[-1] <= semiwave.NEWTON_TOL * u_star or floor
+    newton = semiwave._newton
+
+    def failing_on_dx(ps, mu, phi, c, *args, **kwargs):
+        if ps.dx == cfg.dx:
+            return phi, c, [2.0], False
+        return newton(ps, mu, phi, c, *args, **kwargs)
+
+    monkeypatch.setattr(semiwave, "_newton", failing_on_dx)
+    with pytest.raises(ConvergenceError) as err:
+        solve_semiwave(CompactUniform(1.0), reaction, 1.0, 1.0, cfg)
+    seeds = err.value.diagnostics["coarse_newton_residuals"]
+    stop = min(semiwave.SEED_TOL * u_star, cfg.residual_tol)
+    assert all(h[-1] <= stop for h in seeds)
+    assert any(h[-1] > semiwave.NEWTON_TOL * u_star for h in seeds)
 
 
 def test_solution_keeps_the_solvers_spacing(uniform_semiwave):
@@ -396,9 +464,9 @@ def test_cut_or_unpinned_newton_factors_every_step(monkeypatch, kernel, pinned):
     sizes = _count_factorizations(monkeypatch)
     steps, newton = [], semiwave._newton
 
-    def spy(ps, mu, phi, c, tol):
+    def spy(ps, mu, phi, c, *args, **kwargs):
         assert ps.cut == pinned and ps.pinned == pinned
-        out = newton(ps, mu, phi, c, tol)
+        out = newton(ps, mu, phi, c, *args, **kwargs)
         steps.append(len(out[2]) - 1)
         return out
 

@@ -94,36 +94,37 @@ def _lsq_line(x, y):
     return sol[0], sol[1], float(np.sqrt(np.mean(resid ** 2)))
 
 
-def estimate_linear_speed(log: TrajectoryLog, window_fraction: float = 0.5) -> RateFit:
-    """Least-squares line through (t, h) on the trailing window."""
+def _trailing_line(log: TrajectoryLog, window_fraction: float, transform=np.asarray):
+    """Least-squares line through (t, h), both passed through ``transform``,
+    on the trailing window: slope, intercept, rms residual, the slope's
+    relative drift on the half window, and the window."""
     t = np.asarray(log.t, dtype=float)
     h = np.asarray(log.h, dtype=float)
     idx = _trailing(t, window_fraction)
-    c, H, rms = _lsq_line(t[idx], h[idx])
+    a, b, rms = _lsq_line(transform(t[idx]), transform(h[idx]))
     half = _trailing(t, window_fraction / 2.0)
-    c_half, _, _ = _lsq_line(t[half], h[half])
-    drift = abs(c_half - c) / max(abs(c), 1e-300)
-    return RateFit(model="linear", coeffs={"c": float(c), "H": float(H)},
-                   window=(float(t[idx][0]), float(t[idx][-1])),
-                   residual_rms=rms, drift=float(drift),
-                   low_confidence=drift > 0.05)
+    a_half, _, _ = _lsq_line(transform(t[half]), transform(h[half]))
+    drift = float(abs(a_half - a) / max(abs(a), 1e-300))
+    return a, b, rms, drift, (float(t[idx][0]), float(t[idx][-1]))
+
+
+def estimate_linear_speed(log: TrajectoryLog, window_fraction: float = 0.5) -> RateFit:
+    """Least-squares line through (t, h) on the trailing window."""
+    c, H, rms, drift, window = _trailing_line(log, window_fraction)
+    return RateFit(model="linear", coeffs={"c": float(c), "H": float(H)}, window=window,
+                   residual_rms=rms, drift=drift, low_confidence=drift > 0.05)
 
 
 def fit_power_exponent(log: TrajectoryLog, window_fraction: float = 0.5) -> RateFit:
     """Fit h ~ A t^p by a line in log-log coordinates on the trailing window."""
-    t = np.asarray(log.t, dtype=float)
-    h = np.asarray(log.h, dtype=float)
-    idx = _trailing(t, window_fraction)
-    if np.any(t[idx] <= 0.0) or np.any(h[idx] <= 0.0):
-        raise ContractError("power fit needs positive t and h on the window")
-    p, lnA, rms = _lsq_line(np.log(t[idx]), np.log(h[idx]))
-    half = _trailing(t, window_fraction / 2.0)
-    p_half, _, _ = _lsq_line(np.log(t[half]), np.log(h[half]))
-    drift = abs(p_half - p) / max(abs(p), 1e-300)
+    def logs(v):
+        if np.any(v <= 0.0):
+            raise ContractError("power fit needs positive t and h on the window")
+        return np.log(v)
+
+    p, lnA, rms, drift, window = _trailing_line(log, window_fraction, logs)
     return RateFit(model="power", coeffs={"p": float(p), "A": float(math.exp(lnA))},
-                   window=(float(t[idx][0]), float(t[idx][-1])),
-                   residual_rms=rms, drift=float(drift),
-                   low_confidence=drift > 0.05)
+                   window=window, residual_rms=rms, drift=drift, low_confidence=drift > 0.05)
 
 
 def fit_tlogt_coefficient(log: TrajectoryLog, window_fraction: float = 0.5) -> RateFit:

@@ -15,8 +15,9 @@ each rung seeded with the last.  The ladder climbs, and the window doubles
 until c0 settles, on the coarsest grid COARSEN^k * dx that still resolves
 the kernel; each finer grid down to dx needs one Newton from the coarser
 answer on the accepted window.  Only Newtons at mu on dx run to
-NEWTON_TOL; the others only seed and stop at SEED_TOL.  The fine grid
-climbs and doubles itself when any of those stages fails.  ``mu_curve`` climbs one ladder along its
+NEWTON_TOL; the others only seed and stop at SEED_TOL.  When any of that
+fails, dx climbs and doubles itself, and a failure there raises with
+every Newton run.  ``mu_curve`` climbs one ladder per grid along its
 sorted mus.  An answer counts only if, clamped to a nonincreasing profile
 in [0, u*], it still meets ``residual_tol``.  The Jacobian band, whose
 kernel rows are filled once per window, is solved directly when it holds
@@ -103,6 +104,12 @@ class SemiWaveConfig:
     L0: float | None = None        # default 40 interaction lengths
     max_doublings: int = 3
     residual_tol: float = 1e-6     # acceptance, stationary profile included
+
+    def __post_init__(self):
+        if not (self.dx > 0.0 and (self.L0 is None or self.L0 > 0.0) and self.residual_tol > 0.0):
+            raise ValidationError("semiwave dx, L0 and residual_tol must be positive")
+        if not self.max_doublings >= 0:
+            raise ValidationError("semiwave max_doublings must be nonnegative")
 
 
 def _upwind(phi: np.ndarray, dx: float) -> np.ndarray:
@@ -340,10 +347,12 @@ def _gmres(ps: _ProfileSolver, fp, slope, border, c, precondition, rhs):
     return step
 
 
-def _newton_solution(ps: _ProfileSolver, mu, phi, c, cfg: SemiWaveConfig, stop):
+def _newton_solution(ps: _ProfileSolver, mu, phi, c, cfg: SemiWaveConfig, stop, log: list):
     """Newton from (phi, c), stopped at stop * u*, under the acceptance
-    check: after the clamp, residual and speed defect within residual_tol."""
+    check: after the clamp, residual and speed defect within residual_tol.
+    The run's grid, window, mu and residual history go onto ``log``."""
     phi, c, history, converged = _newton(ps, mu, phi, c, cfg.residual_tol, stop)
+    log.append({"dx": ps.dx, "L": ps.L, "mu": mu, "residuals": list(history)})
     phi = ps.clamp(phi.copy())
     residual = float(np.max(np.abs(ps.residual(phi, c)[ps.free])))
     sol = SemiWaveSolution(c0=c, x=ps.x, phi=phi, L=ps.L, dx=ps.dx, residual=residual,
@@ -353,87 +362,25 @@ def _newton_solution(ps: _ProfileSolver, mu, phi, c, cfg: SemiWaveConfig, stop):
     return sol, converged and max(sol.residual, sol.speed_defect) <= cfg.residual_tol
 
 
-def _seeded_solution(ps: _ProfileSolver, mu, seed: SemiWaveSolution, cfg: SemiWaveConfig,
-                     stop):
-    """_newton_solution from an answer on another grid or window."""
-    phi0 = np.interp(ps.x, seed.x, seed.phi, left=ps.u_star, right=0.0)
-    return _newton_solution(ps, mu, phi0, seed.c0, cfg, stop)
-
-
-def _solve_at_L(kernel, reaction, d, mu, L, cfg: SemiWaveConfig,
-                seed: SemiWaveSolution | None = None, start: SemiWaveSolution | None = None,
-                report: dict | None = None, stop=NEWTON_TOL, log: list | None = None):
-    """Newton from the seed (an answer on a shorter window), else, or when
-    that answer is rejected, continuation in mu from ``start`` (an answer at
-    a smaller mu on this window and grid) or from mu = c = 0.
-
-    At mu = 0, Newton solves the pinned problem from the step u* 1{x < 0}.
-    Each rung then starts from the last accepted one: rungs stand whole
-    decades below mu, the first the one nearest 0.1/u* (mu itself below
-    about 0.3/u*), or whole decades above ``start`` when that is nearer to
-    mu, so the last is exactly mu.  A rejected rung halves the step in
-    log10 mu.  The Newton at mu stops at ``stop``, every other at SEED_TOL.
-    Returns the answer and ``log`` with every Newton residual history run
-    appended.  When the step no longer moves the rung, ConvergenceError
-    carries the continuation's histories under ``newton_residuals``, a
-    rejected seeded Newton's under ``seeded_newton_residuals``, and
-    ``report`` (the histories of earlier stages).
-    """
-    ps = _ProfileSolver(kernel, reaction, d, L, cfg.dx)
-    report, log = dict(report or {}), [] if log is None else log
-    if seed is not None:
-        sol, ok = _seeded_solution(ps, mu, seed, cfg, stop)
-        log.append(list(sol.newton_residuals))
-        if ok:
-            return sol, log
-        report["seeded_newton_residuals"] = list(sol.newton_residuals)
-    begin = len(log)
-    if start is None:
-        sol, ok = _newton_solution(ps, 0.0, np.where(ps.x < 0.0, ps.u_star, 0.0), 0.0, cfg,
-                                   SEED_TOL)
-        log.append(list(sol.newton_residuals))
-    else:
-        sol, ok = start, True
-    # decades below mu; mu = 0 stands one decade below the first rung
-    at, step = max(round(math.log10(10.0 * mu * ps.u_star)), 0) + 1.0, 1.0
-    if sol.mu:
-        at = min(at, math.log10(mu / sol.mu))
-    while ok and (nxt := max(at - step, 0.0)) < at:
-        trial, accepted = _newton_solution(ps, mu * 10.0 ** -nxt, sol.phi, sol.c0, cfg,
-                                           stop if nxt == 0.0 else SEED_TOL)
-        log.append(list(trial.newton_residuals))
-        if accepted and nxt == 0.0:
-            return trial, log
-        if accepted:
-            sol, at = trial, nxt
-        else:
-            step *= 0.5
-    raise ConvergenceError(
-        "semi-wave continuation in mu stalled before reaching mu",
-        diagnostics={"mu": mu, "mu_reached": sol.mu, "L": ps.L,
-                     "newton_residuals": log[begin:], **report})
-
-
 def solve_semiwave(kernel: Kernel, reaction, d: float, mu: float,
                    cfg: SemiWaveConfig | None = None) -> SemiWaveSolution:
     """The unique (c0, phi) pair; raises NoSemiWaveError when (J1) fails."""
-    return _semiwave(kernel, reaction, d, mu, cfg or SemiWaveConfig())[0]
+    return _semiwave(kernel, reaction, d, mu, cfg or SemiWaveConfig(), {})
 
 
-def _semiwave(kernel: Kernel, reaction, d: float, mu: float, cfg: SemiWaveConfig,
-              previous=None):
-    """solve_semiwave's answer, and where the ladder to a larger mu starts:
-    the answers on the first window on the coarsest grid and on dx (None
-    where not solved; ``previous`` holds those of a smaller mu, and None
-    climbs from mu = 0).
+def _semiwave(kernel: Kernel, reaction, d: float, mu: float, cfg: SemiWaveConfig, starts: dict):
+    """solve_semiwave's answer.  ``starts`` maps a grid spacing to that
+    grid's answer on the first window at a smaller mu, where its ladder
+    starts (a grid not in it climbs from mu = 0), and takes this mu's.
 
     The ladder climbs on the first window of the coarsest grid that still
     resolves the kernel, and the window doubles there until c0 moves less
-    than L_RTOL; its Newtons only seed and stop at SEED_TOL.  Each finer
-    grid then runs one Newton from the coarser answer on the window that
-    check accepted (nominally L0 * 2^k), and the answer on dx is returned.
-    When the ladder or a doubling raises or one of those Newtons is
-    rejected, the fine grid climbs and doubles itself.
+    than L_RTOL.  Each finer grid then runs one Newton from the coarser
+    answer on the window that check accepted (nominally L0 * 2^k).  Only
+    Newtons at mu on dx run to NEWTON_TOL; the others only seed and stop at
+    SEED_TOL.  When any of that raises, dx climbs and doubles itself.
+    ConvergenceError carries every Newton run, labelled with its dx, L and
+    mu, under ``newton_runs``.
     """
     if not math.isfinite(kernel.first_moment()):
         raise NoSemiWaveError(
@@ -445,44 +392,71 @@ def _semiwave(kernel: Kernel, reaction, d: float, mu: float, cfg: SemiWaveConfig
     dxs = [cfg.dx]
     while kernel.quadrature_scale() >= COARSE_MIN_CELLS * COARSEN * dxs[0]:
         dxs.insert(0, COARSEN * dxs[0])
-    starts = list(previous or (None, None))
+    log, stops = [], {cfg.dx: NEWTON_TOL}     # a coarser grid only seeds: SEED_TOL
 
-    def climb_and_double(level, grid, stop, log, report):
-        """The ladder on L0 from starts[level], then doublings: the answer
+    def ladder(ps, start):
+        """Continuation in mu on ps's grid and window from ``start``, or from
+        the step u* 1{x < 0} at mu = c = 0.  Rungs stand whole decades below
+        mu, the first the one nearest 0.1/u* (mu itself below about 0.3/u*),
+        or whole decades above ``start`` when that is nearer to mu, so the
+        last is exactly mu.  A rejected rung halves the step in log10 mu."""
+        sol, ok = (start, True) if start else _newton_solution(
+            ps, 0.0, np.where(ps.x < 0.0, ps.u_star, 0.0), 0.0, cfg, SEED_TOL, log)
+        # decades below mu; mu = 0 stands one decade below the first rung
+        at, step = max(round(math.log10(10.0 * mu * ps.u_star)), 0) + 1.0, 1.0
+        if sol.mu:
+            at = min(at, math.log10(mu / sol.mu))
+        while ok and (nxt := max(at - step, 0.0)) < at:
+            trial, accepted = _newton_solution(ps, mu * 10.0 ** -nxt, sol.phi, sol.c0, cfg,
+                                               stops.get(ps.dx, SEED_TOL) if nxt == 0.0
+                                               else SEED_TOL, log)
+            if accepted and nxt == 0.0:
+                return trial
+            if accepted:
+                sol, at = trial, nxt
+            else:
+                step *= 0.5
+        raise ConvergenceError("semi-wave continuation in mu stalled before reaching mu",
+                               diagnostics={"mu": mu, "mu_reached": sol.mu, "L": ps.L,
+                                            "newton_runs": log})
+
+    def seeded(dx, L, seed):
+        """Newton on grid dx and window L from an answer on another grid or
+        window.  When it is rejected, a doubled window climbs its own ladder
+        from mu = 0 and a finer grid raises."""
+        ps = _ProfileSolver(kernel, reaction, d, L, dx)
+        phi = np.interp(ps.x, seed.x, seed.phi, left=ps.u_star, right=0.0)
+        sol, ok = _newton_solution(ps, mu, phi, seed.c0, cfg, stops.get(dx, SEED_TOL), log)
+        if ok:
+            return sol
+        if dx != seed.dx:
+            raise ConvergenceError("a finer grid rejected the coarser semi-wave")
+        return ladder(ps, None)
+
+    def climb(dx):
+        """The ladder on L0 from starts[dx], then the doublings: the answer
         on the accepted window, that window and the check that chose it."""
-        sol, _ = _solve_at_L(kernel, reaction, d, mu, L0, grid, start=starts[level],
-                             report=report, stop=stop, log=log)
-        starts[level], L, check = sol, L0, None
+        sol = starts[dx] = ladder(_ProfileSolver(kernel, reaction, d, L0, dx), starts.get(dx))
+        L, check = L0, None
         for _ in range(cfg.max_doublings):
-            bigger, _ = _solve_at_L(kernel, reaction, d, mu, 2.0 * L, grid, seed=sol,
-                                    report=report, stop=stop, log=log)
-            check = {"dx": grid.dx, "L": [sol.L, bigger.L], "c0": [sol.c0, bigger.c0]}
+            bigger = seeded(dx, 2.0 * L, sol)
+            check = {"dx": dx, "L": [sol.L, bigger.L], "c0": [sol.c0, bigger.c0]}
             if abs(bigger.c0 - sol.c0) < L_RTOL * max(abs(sol.c0), 1e-12):
                 break
             sol, L = bigger, 2.0 * L
         return sol, L, check
 
-    report = {}
-    if len(dxs) > 1:
-        log = []
+    for levels in (dxs, [cfg.dx]) if len(dxs) > 1 else (dxs,):
         try:
-            sol, L, check = climb_and_double(0, replace(cfg, dx=dxs[0]), SEED_TOL, log, {})
-            for dx in dxs[1:]:
-                sol, ok = _seeded_solution(_ProfileSolver(kernel, reaction, d, L, dx), mu, sol,
-                                           cfg, NEWTON_TOL if dx == cfg.dx else SEED_TOL)
-                if not ok:
-                    report["seeded_newton_residuals"] = list(sol.newton_residuals)
-                    break
-                log.append(list(sol.newton_residuals))
-            else:
+            sol, L, check = climb(levels[0])
+            for dx in levels[1:]:
+                sol = seeded(dx, L, sol)
                 if L == L0:
-                    starts[1] = sol
-                return replace(sol, window_check=check), tuple(starts)
+                    starts[dx] = sol
+            return replace(sol, window_check=check)
         except ConvergenceError:
-            pass
-        report["coarse_newton_residuals"] = log
-    sol, _, check = climb_and_double(1, cfg, NEWTON_TOL, None, report)
-    return replace(sol, window_check=check), tuple(starts)
+            if levels[0] == cfg.dx:
+                raise
 
 
 def minimal_speed(kernel: Kernel, reaction, d: float) -> WaveSolution:
@@ -627,13 +601,12 @@ def mu_curve(kernel: Kernel, reaction, d: float, mus,
     """
     cfg = cfg or SemiWaveConfig()
     mus = np.sort(np.asarray(mus, dtype=float))
-    sols, first = [], None
+    sols, starts = [], {}
     for i, mu in enumerate(mus):
         if i and mu == mus[i - 1]:
             sols.append(sols[-1])
             continue
-        sol, first = _semiwave(kernel, reaction, d, float(mu), cfg, first)
-        sols.append(sol)
+        sols.append(_semiwave(kernel, reaction, d, float(mu), cfg, starts))
     cross = [half_level_point(s.x, s.phi, s.u_star / 2.0) for s in sols]
     return MuCurve(mu=mus, c=np.array([s.c0 for s in sols]),
                    l=np.array([math.nan if x is None else -x for x in cross]),

@@ -38,6 +38,30 @@ def test_semiwave_reports_J1_failure(tmp_path, capsys):
     assert "(J1)" in capsys.readouterr().err
 
 
+def test_semiwave_config_rejected(tmp_path, capsys):
+    rc = main(["semiwave", "--out", str(tmp_path / "sw"), "--set", "semiwave.L0=-5"])
+    assert rc == 1
+    assert "L0" in capsys.readouterr().err
+
+
+def test_semiwave_failure_writes_newton_runs(tmp_path, monkeypatch):
+    # a semi-wave whose every Newton is rejected exits 2, and error.json
+    # lists each run with its grid, window and mu: the start at mu = 0 on
+    # the coarse grid, then on dx
+    from nlfront import semiwave
+
+    monkeypatch.setattr(semiwave, "_newton",
+                        lambda ps, mu, phi, c, *args, **kwargs: (phi, c, [1.0], False))
+    out = tmp_path / "sw"
+    assert main(["semiwave", "--out", str(out),
+                 "--set", "semiwave.dx=0.05", "--set", "semiwave.L0=20"]) == 2
+    error = json.loads((out / "error.json").read_text())
+    assert error["error"] == "ConvergenceError" and "continuation" in error["message"]
+    runs = error["diagnostics"]["newton_runs"]
+    assert [(r["dx"], r["L"], r["mu"], r["residuals"]) for r in runs] == [
+        (0.1, 20.0, 0.0, [1.0]), (0.05, 20.0, 0.0, [1.0])]
+
+
 def test_stability_override_rejected(tmp_path, capsys):
     cfg = write_cfg(tmp_path, BASE)
     rc = main(["simulate", "--config", cfg, "--out", str(tmp_path / "x"),

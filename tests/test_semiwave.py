@@ -35,6 +35,17 @@ def test_semiwave_contract():
         solve_semiwave(CompactUniform(1.0), logistic(1, 1), d=-1.0, mu=1.0)
 
 
+@pytest.mark.parametrize("field,value", [
+    ("dx", 0.0), ("dx", -0.02), ("dx", math.nan), ("L0", 0.0), ("L0", -5.0),
+    ("max_doublings", -1), ("residual_tol", 0.0), ("residual_tol", -1.0),
+])
+def test_semiwave_config_validates(field, value):
+    # refused on construction: no solve runs, since a dx <= 0 never stops
+    # coarsening and an L0 <= 0 leaves no window
+    with pytest.raises(ValidationError, match=field):
+        SemiWaveConfig(**{field: value})
+
+
 def test_minimal_speed_uniform_matches_scan_oracle():
     ws = minimal_speed(CompactUniform(1.0), logistic(1, 1), 1.0)
     assert ws.c_star == pytest.approx(CSTAR_UNIFORM, abs=1e-6)
@@ -229,12 +240,16 @@ def test_rejected_newton_raises(monkeypatch, spurious):
     with pytest.raises(ConvergenceError, match="continuation") as err:
         solve_semiwave(CompactUniform(1.0), logistic(1, 1), 1.0, 1.0, CROSS_CFG)
     assert err.value.diagnostics["mu_reached"] == 0.0
-    assert err.value.diagnostics["newton_residuals"] == [[1.0, 1e-13]]
+    # each grid's start at mu = 0 is rejected, the coarser grid's first
+    runs = err.value.diagnostics["newton_runs"]
+    assert [(r["dx"], r["L"], r["mu"], r["residuals"]) for r in runs] == [
+        (dx, 20.0, 0.0, [1.0, 1e-13]) for dx in (semiwave.COARSEN * CROSS_CFG.dx, CROSS_CFG.dx)]
 
 
 def test_stalled_continuation_raises_with_histories(monkeypatch):
     # Newton rejected above mu = 0.05: the log-step halves until the rung
-    # no longer moves, and every rung's residual history is reported
+    # no longer moves, and every rung's residual history is reported with
+    # its grid, window and mu
     newton = semiwave._newton
 
     def failing_above(ps, mu, phi, c, *args, **kwargs):
@@ -245,7 +260,9 @@ def test_stalled_continuation_raises_with_histories(monkeypatch):
         solve_semiwave(CompactUniform(1.0), logistic(1, 1), 1.0, 1.0, CROSS_CFG)
     diag = err.value.diagnostics
     assert 0.04 < diag["mu_reached"] <= 0.05
-    assert len(diag["newton_residuals"]) > 50 and [1.0] in diag["newton_residuals"]
+    fine = [r["residuals"] for r in diag["newton_runs"] if r["dx"] == CROSS_CFG.dx]
+    assert len(fine) > 50 and [1.0] in fine
+    assert all(r["mu"] > 0.05 for r in diag["newton_runs"] if r["residuals"] == [1.0])
 
 
 @pytest.mark.parametrize("stage", ["coarse-seed", "doubled-window"])
@@ -253,8 +270,9 @@ def test_rejected_seeded_newton_is_reported(monkeypatch, stage):
     # Newton is rejected at mu = 1 either on the fine grid, or on the doubled
     # window of every grid: the seeded attempt on the fine grid (from the
     # coarse answer, or from the shorter window's) and the continuation
-    # after it both fail, and the error reports each.  A rejected doubling
-    # on the coarse grid sends the fine grid up its own ladder and doubling.
+    # after it both fail, and the error reports each run by grid, window
+    # and mu.  A rejected doubling on the coarse grid sends the fine grid up
+    # its own ladder and doubling.
     cfg = SemiWaveConfig(dx=0.05, L0=20.0, max_doublings=1)
     newton, calls = semiwave._newton, []
 
@@ -269,10 +287,17 @@ def test_rejected_seeded_newton_is_reported(monkeypatch, stage):
     with pytest.raises(ConvergenceError, match="continuation") as err:
         solve_semiwave(CompactUniform(1.0), logistic(1, 1), 1.0, 1.0, cfg)
     diag = err.value.diagnostics
-    coarse = diag["coarse_newton_residuals"]
-    assert diag["seeded_newton_residuals"] == [2.0]
-    assert [2.0] in diag["newton_residuals"] and diag["mu_reached"] < 1.0
+    runs = [(r["dx"], r["L"], r["mu"], r["residuals"]) for r in diag["newton_runs"]]
+    coarse = [h for dx, _, _, h in runs if dx > cfg.dx]
+    # on dx: the rejected seeded Newton at mu, then a ladder from mu = 0
+    # on that window whose rung at mu is rejected too
+    fine = [(L, mu, h) for dx, L, mu, h in runs if dx == cfg.dx]
+    window = 40.0 if stage == "doubled-window" else 20.0
+    seeded = fine.index((window, 1.0, [2.0]))
+    assert fine[seeded + 1][:2] == (window, 0.0)
+    assert (window, 1.0, [2.0]) in fine[seeded + 2:] and diag["mu_reached"] < 1.0
     if stage == "coarse-seed":
+        assert seeded == 0
         assert len(coarse) >= 2 and all(min(h) <= cfg.residual_tol for h in coarse)
     else:
         # the coarse doubling's seeded Newton and its ladder's rung at mu
@@ -301,13 +326,21 @@ def _spy_newton(monkeypatch):
 ], ids=["uniform-mu0.01", "uniform-mu1", "uniform-mu100", "cosine", "exponential"])
 def test_coarse_stage_matches_fine_ladder(monkeypatch, kernel, mu, cfg):
     # the exponential band is cut on both grids, so GMRES solves there
-    fine, _ = semiwave._solve_at_L(kernel, logistic(1, 1), 1.0, mu, cfg.L0, cfg)
+    fine = _fine_ladder(monkeypatch, kernel, mu, cfg)
     calls = _spy_newton(monkeypatch)
     sol = solve_semiwave(kernel, logistic(1, 1), 1.0, mu, cfg)
     assert (semiwave.COARSEN * cfg.dx, mu) in calls
     assert [call for call in calls if call[0] == cfg.dx] == [(cfg.dx, mu)]
     assert sol.c0 == pytest.approx(fine.c0, rel=1e-10, abs=0.0)
     assert np.max(np.abs(sol.phi - fine.phi)) <= 1e-9 * sol.u_star
+
+
+def _fine_ladder(monkeypatch, kernel, mu, cfg):
+    """The answer of the ladder and doublings on dx alone: no grid is coarse
+    enough to resolve the kernel COARSE_MIN_CELLS = inf times."""
+    with monkeypatch.context() as patch:
+        patch.setattr(semiwave, "COARSE_MIN_CELLS", math.inf)
+        return solve_semiwave(kernel, logistic(1, 1), 1.0, mu, cfg)
 
 
 def test_coarse_stage_failure_falls_back_to_the_fine_ladder(monkeypatch):
@@ -318,8 +351,7 @@ def test_coarse_stage_failure_falls_back_to_the_fine_ladder(monkeypatch):
             return phi, c, [1.0], False
         return newton(ps, mu, phi, c, *args, **kwargs)
 
-    fine, _ = semiwave._solve_at_L(CompactUniform(1.0), logistic(1, 1), 1.0, 1.0, COARSE.L0,
-                                   COARSE)
+    fine = _fine_ladder(monkeypatch, CompactUniform(1.0), 1.0, COARSE)
     monkeypatch.setattr(semiwave, "_newton", failing_when_coarse)
     sol = solve_semiwave(CompactUniform(1.0), logistic(1, 1), 1.0, 1.0, COARSE)
     assert sol.c0 == fine.c0 and np.array_equal(sol.phi, fine.phi)
@@ -426,7 +458,8 @@ def test_only_seeds_stop_at_seed_tol(monkeypatch, u_star):
     monkeypatch.setattr(semiwave, "_newton", failing_on_dx)
     with pytest.raises(ConvergenceError) as err:
         solve_semiwave(CompactUniform(1.0), reaction, 1.0, 1.0, cfg)
-    seeds = err.value.diagnostics["coarse_newton_residuals"]
+    runs = err.value.diagnostics["newton_runs"]
+    seeds = [r["residuals"] for r in runs if r["dx"] > cfg.dx]
     stop = min(semiwave.SEED_TOL * u_star, cfg.residual_tol)
     assert all(h[-1] <= stop for h in seeds)
     assert any(h[-1] > semiwave.NEWTON_TOL * u_star for h in seeds)

@@ -1,7 +1,9 @@
 """Nonlocal-diffusion free-boundary fronts: simulation, semi-wave speeds,
 spreading-rate diagnostics, and machine-checked barrier constructions."""
 
-from . import asymptotics, config, kernels, reactions, semiwave, solver, validation
+import importlib
+
+from . import config, kernels, reactions, semiwave, solver
 from .errors import (ContractError, ConvergenceError, InsufficientDataError,
                      NoSemiWaveError, NoTravelingWaveError, ResourceError,
                      ValidationError)
@@ -16,3 +18,11 @@ from .solver import (Field, ProblemSpec, SolverConfig, State, TrajectoryLog,
                      run, stability_budget, step)
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name):
+    # the fits and the barrier checks load on first use: only `rates` and
+    # `verify` need them
+    if name in ("asymptotics", "validation"):
+        return importlib.import_module(f"{__name__}.{name}")
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -15,18 +15,15 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 
 import numpy as np
 
-from . import asymptotics, validation
 from .config import ScenarioConfig, apply_overrides, resolve_config
 from .errors import (ContractError, ConvergenceError, InsufficientDataError,
                      ResourceError, ValidationError)
 from .reactions import zero_reaction
-from .semiwave import (SemiWaveConfig, minimal_speed, solve_semiwave,
-                       stationary_profile)
+from .semiwave import minimal_speed, solve_semiwave, stationary_profile
 from .solver import TrajectoryLog, run
 
 _FMT = ".17g"
@@ -77,10 +74,9 @@ def cmd_simulate(scenario: ScenarioConfig, outdir: str) -> int:
 def cmd_semiwave(scenario: ScenarioConfig, outdir: str) -> int:
     spec, _ = scenario.validate()
     sw = scenario["semiwave"]
-    cfg = SemiWaveConfig(dx=float(sw["dx"]),
-                         L0=None if sw["L0"] is None else float(sw["L0"]))
     payload = {}
-    sol = solve_semiwave(spec.kernel, spec.reaction, spec.d, spec.mu, cfg)
+    sol = solve_semiwave(spec.kernel, spec.reaction, spec.d, spec.mu,
+                         scenario.semiwave_config())
     payload["semiwave"] = sol.to_json()
     _write_profile_csv(os.path.join(outdir, "profile.csv"), sol.x, sol.phi)
     if sw["minimal_speed"]:
@@ -99,6 +95,8 @@ def cmd_semiwave(scenario: ScenarioConfig, outdir: str) -> int:
 
 
 def cmd_rates(scenario: ScenarioConfig, outdir: str) -> int:
+    from . import asymptotics
+
     spec, cfg = scenario.validate()
     log = run(spec, cfg)
     log.to_csv(os.path.join(outdir, "trajectory.csv"))
@@ -117,7 +115,8 @@ def cmd_rates(scenario: ScenarioConfig, outdir: str) -> int:
     if an["drift_check"]:
         c0 = an["c0"]
         if c0 is None:
-            c0 = solve_semiwave(spec.kernel, spec.reaction, spec.d, spec.mu).c0
+            c0 = solve_semiwave(spec.kernel, spec.reaction, spec.d, spec.mu,
+                                scenario.semiwave_config()).c0
         payload["log_drift"] = asymptotics.log_drift_check(log, float(c0), wf).to_json()
         payload["log_drift"]["c0"] = float(c0)
     _write_json(os.path.join(outdir, "rates.json"), payload)
@@ -125,10 +124,16 @@ def cmd_rates(scenario: ScenarioConfig, outdir: str) -> int:
 
 
 def cmd_verify(scenario: ScenarioConfig, outdir: str) -> int:
+    from . import validation
+
     spec, cfg = scenario.validate()
     ver = scenario["verify"]
     payload = {}
     ok = True
+    # comparison's upper run is refinement's level 0 (snapshots move no step):
+    # with both checks it runs once
+    upper = (run(spec, replace(cfg, snapshot_stride=max(1, cfg.snapshot_stride)))
+             if {"comparison", "refinement"} <= set(ver["checks"]) else None)
     for check in ver["checks"]:
         if check == "mass-flux":
             zspec = replace(spec, variant="halfline-fb", reaction=zero_reaction(),
@@ -142,14 +147,16 @@ def cmd_verify(scenario: ScenarioConfig, outdir: str) -> int:
             base = spec.initial_datum()
             low = replace(spec, u0=lambda x: scale * np.asarray(base(x)))
             rep = validation.comparison_order_check(low, spec, cfg,
-                                                    tol=float(ver["comparison_tol"]))
+                                                    tol=float(ver["comparison_tol"]),
+                                                    log_b=upper)
             passed = rep.passed
             payload["comparison"] = {"passed": rep.passed,
                                      "max_u_violation": rep.max_u_violation,
                                      "max_h_violation": rep.max_h_violation}
         elif check == "refinement":
             rep = validation.refinement_order(spec, cfg,
-                                              levels=int(ver["refinement_levels"]))
+                                              levels=int(ver["refinement_levels"]),
+                                              base=upper)
             passed = (not rep.inconclusive) and rep.order is not None and rep.order >= 0.7
             payload["refinement"] = {"order": rep.order,
                                      "inconclusive": rep.inconclusive,
@@ -196,6 +203,8 @@ def cmd_sweep(scenario: ScenarioConfig, outdir: str, jobs: int = 1) -> int:
         subdir = os.path.join(outdir, f"p{i:03d}")
         tasks.append((base_raw, sw["parameter"], val, command, subdir))
     if jobs > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             summaries = list(pool.map(_sweep_one, tasks))
     else:

@@ -91,9 +91,15 @@ class ScenarioConfig:
                             max_nodes=int(s["max_nodes"]),
                             scheme=s["scheme"])
 
+    def semiwave_config(self) -> SemiWaveConfig:
+        s = self.raw["semiwave"]
+        return SemiWaveConfig(dx=float(s["dx"]),
+                              L0=None if s["L0"] is None else float(s["L0"]))
+
     def validate(self):
         spec = self.problem_spec()
         cfg = self.solver_config()
+        self.semiwave_config()          # bad semi-wave settings fail every command
         if cfg.dt is not None:
             budget = stability_budget(spec)
             if cfg.dt > budget * (1.0 + 1e-12):

@@ -29,7 +29,7 @@ from typing import NamedTuple
 import numpy as np
 
 __all__ = ["Cell", "Pieces", "Convolution", "FarFieldWindow", "DIRECT_MAX_TAPS",
-           "BOX_MIN_NODES", "BOX_MIN_WORK", "plan", "trapezoid",
+           "BOX_MIN_NODES", "BOX_MIN_WORK", "fast_len", "plan", "trapezoid",
            "cell_averages", "partial_cell", "pieces", "window_integral",
            "point_integral", "front_flux"]
 
@@ -102,10 +102,8 @@ class Convolution:
         if run is not None:
             self._box_plan(*run)
         elif len(tap_row) > DIRECT_MAX_TAPS:
-            from scipy.fft import next_fast_len
-
             self.path = "fft"
-            self.nfft = next_fast_len(n + self.m, real=True)
+            self.nfft = fast_len(n + self.m)
             self.spectrum = np.fft.rfft(tap_row, self.nfft)
         else:
             self.path = "direct"
@@ -149,6 +147,20 @@ class Convolution:
         if t_hi:
             out += t_hi * z[:n]
         return out
+
+
+def fast_len(n: int) -> int:
+    """The smallest 2^a 3^b 5^c >= n, the lengths pocketfft's real
+    transforms take fastest; equal to ``scipy.fft.next_fast_len(n, real=True)``."""
+    best = 1 << (n - 1).bit_length()
+    p5 = 1
+    while p5 < best:
+        p = p5
+        while p < best:                    # p = 3^b 5^c times the least 2^a reaching n
+            best = min(best, p << (-(-n // p) - 1).bit_length())
+            p *= 3
+        p5 *= 5
+    return best
 
 
 def _flat_run(row: np.ndarray):

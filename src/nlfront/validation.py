@@ -591,8 +591,10 @@ class ComparisonReport:
 
 
 def comparison_order_check(spec_a: ProblemSpec, spec_b: ProblemSpec,
-                           cfg: SolverConfig, tol: float = 1e-8) -> ComparisonReport:
-    """Ordered initial data must stay ordered: u_a <= u_b and h_a <= h_b."""
+                           cfg: SolverConfig, tol: float = 1e-8,
+                           log_b: TrajectoryLog | None = None) -> ComparisonReport:
+    """Ordered initial data must stay ordered: u_a <= u_b and h_a <= h_b;
+    ``log_b``, if given, is spec_b's run under cfg with snapshots."""
     same = (spec_a.variant == spec_b.variant and spec_a.kernel == spec_b.kernel
             and spec_a.d == spec_b.d and spec_a.mu == spec_b.mu
             and spec_a.h0 == spec_b.h0
@@ -607,7 +609,8 @@ def comparison_order_check(spec_a: ProblemSpec, spec_b: ProblemSpec,
     if cfg.snapshot_stride <= 0:
         cfg = replace(cfg, snapshot_stride=1)
     log_a = run(spec_a, cfg)
-    log_b = run(spec_b, cfg)
+    if log_b is None:
+        log_b = run(spec_b, cfg)
     max_u = 0.0
     n_checked = 0
     for (ta, fa), (tb, fb) in zip(log_a.snapshots, log_b.snapshots):
@@ -634,15 +637,16 @@ class RefinementReport:
     inconclusive: bool
 
 
-def refinement_order(spec: ProblemSpec, cfg: SolverConfig,
-                     levels: int = 3) -> RefinementReport:
-    """Observed convergence order of h(t_end) under joint (dx, dt) halving."""
+def refinement_order(spec: ProblemSpec, cfg: SolverConfig, levels: int = 3,
+                     base: TrajectoryLog | None = None) -> RefinementReport:
+    """Observed convergence order of h(t_end) under joint (dx, dt) halving;
+    ``base``, if given, is the run of spec under cfg (level 0)."""
     if levels < 3:
         raise ContractError("refinement_order needs at least 3 levels")
     if cfg.dt is None:
         raise ContractError("refinement_order needs an explicit base dt")
-    hs = []
-    for k in range(levels):
+    hs = [] if base is None else [base.h[-1]]
+    for k in range(len(hs), levels):
         lcfg = replace(cfg, dx=cfg.dx / 2 ** k, dt=cfg.dt / 2 ** k)
         hs.append(run(spec, lcfg).h[-1])
     diffs = tuple(hs[i] - hs[i + 1] for i in range(len(hs) - 1))

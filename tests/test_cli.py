@@ -145,6 +145,36 @@ def test_verify_command(tmp_path):
     assert payload["mass_flux"]["residual"] <= 1e-3
 
 
+def test_verify_shares_the_base_run(tmp_path, monkeypatch):
+    # comparison's upper run is refinement's level 0: three checks make five
+    # runs, and verify.json matches the six-run sequence byte for byte
+    from nlfront import cli, solver, validation
+
+    cfg = write_cfg(tmp_path, {
+        "problem": {"h0": 5.0, "d": 0.5},
+        "solver": {"dx": 0.1, "dt": 0.02, "t_end": 0.5, "log_every": 0.1},
+        "verify": {"checks": ["mass-flux", "comparison", "refinement"]},
+    })
+    runs = []
+
+    def counted(spec, run_cfg):
+        runs.append(run_cfg)
+        return solver.run(spec, run_cfg)
+
+    monkeypatch.setattr(cli, "run", counted)
+    monkeypatch.setattr(validation, "run", counted)
+    shared, unshared = tmp_path / "shared", tmp_path / "unshared"
+    rc = main(["verify", "--config", cfg, "--out", str(shared)])
+    assert len(runs) == 5
+    compare, refine = validation.comparison_order_check, validation.refinement_order
+    monkeypatch.setattr(validation, "comparison_order_check",
+                        lambda *args, log_b, **kwargs: compare(*args, **kwargs))
+    monkeypatch.setattr(validation, "refinement_order",
+                        lambda *args, base, **kwargs: refine(*args, **kwargs))
+    assert main(["verify", "--config", cfg, "--out", str(unshared)]) == rc
+    assert (shared / "verify.json").read_bytes() == (unshared / "verify.json").read_bytes()
+
+
 def test_verify_failure_exit_3(tmp_path):
     cfg = write_cfg(tmp_path, {
         "problem": {"h0": 5.0},
@@ -191,6 +221,39 @@ def test_rates_command(tmp_path):
     assert main(["rates", "--config", cfg, "--out", str(out)]) == 0
     payload = json.loads((out / "rates.json").read_text())
     assert payload["linear"]["coeffs"]["c"] > 0.0
+
+
+def test_rates_drift_check_uses_the_semiwave_settings(tmp_path):
+    from nlfront.semiwave import SemiWaveConfig, solve_semiwave
+
+    cfg = write_cfg(tmp_path, {"problem": {"h0": 10.0},
+                               "solver": {"dx": 0.1, "dt": 0.05, "t_end": 30.0,
+                                          "log_every": 0.5},
+                               "analysis": {"drift_check": True}})
+    out = tmp_path / "rates"
+    assert main(["rates", "--config", cfg, "--out", str(out),
+                 "--set", "semiwave.dx=0.5", "--set", "semiwave.L0=3"]) == 0
+    spec, _ = resolve_config(cfg, []).validate()
+    sol = solve_semiwave(spec.kernel, spec.reaction, spec.d, spec.mu,
+                         SemiWaveConfig(dx=0.5, L0=3.0))
+    c0 = json.loads((out / "rates.json").read_text())["log_drift"]["c0"]
+    assert c0 == sol.c0
+    assert main(["rates", "--config", cfg, "--out", str(tmp_path / "bad"),
+                 "--set", "semiwave.L0=-5"]) == 1
+
+
+def test_sweep_jobs_match_serial_sweep(tmp_path):
+    cfg = write_cfg(tmp_path, BASE)
+    trees = []
+    for jobs in (1, 2):
+        out = tmp_path / f"jobs{jobs}"
+        assert main(["sweep", "--config", cfg, "--out", str(out), "--jobs", str(jobs),
+                     "--set", "sweep.values=[0.5,2.0]", "--set", "solver.t_end=0.5",
+                     "--set", "solver.snapshot_stride=2"]) == 0
+        trees.append({str(p.relative_to(out)): p.read_bytes()
+                      for p in sorted(out.rglob("*")) if p.is_file()})
+    assert "p001/trajectory.csv" in trees[0]
+    assert trees[0] == trees[1]
 
 
 def test_runtime_failure_writes_error_json(tmp_path, monkeypatch):

@@ -206,12 +206,50 @@ def test_window_off_the_field_is_a_contract_error():
         boundary_flux(CompactUniform(1.0), Field(1.0, 0.05, np.ones(10)), 0.5)
 
 
+def _fresh_interpreter(code: str) -> str:
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(nlfront.__file__)))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    return out.stdout.strip()
+
+
 def test_cli_import_leaves_scipy_signal_unloaded():
     # scipy is imported where it is used, so starting the CLI loads none of it
-    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(nlfront.__file__)))
     names = [f"scipy.{m}" for m in ("signal", "integrate", "optimize", "linalg", "fft",
                                           "sparse")]
     code = f"import nlfront.cli, sys; print([m for m in {names!r} if m in sys.modules])"
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, check=True)
-    assert out.stdout.strip() == "[]"
+    assert _fresh_interpreter(code) == "[]"
+
+
+def test_cli_import_leaves_command_modules_unloaded():
+    # the fits, the barrier checks and the process pool load with the
+    # commands that use them; the package still reaches them by attribute
+    names = ["nlfront.validation", "nlfront.asymptotics", "concurrent.futures.process"]
+    code = (f"import nlfront.cli, sys; print([m for m in {names!r} if m in sys.modules]); "
+            "import nlfront; print(nlfront.validation.Lattice.__name__)")
+    assert _fresh_interpreter(code).splitlines() == ["[]", "Lattice"]
+
+
+def test_heavy_tail_runs_load_no_scipy():
+    # the rFFT path picks its length in the package: stepping needs no scipy
+    code = """
+import sys
+from nlfront import quadrature
+from nlfront.kernels import AlgebraicTail, truncate
+from nlfront.reactions import logistic
+from nlfront.solver import ProblemSpec, SolverConfig, make_plateau, run
+for k in (AlgebraicTail(1.5), truncate(AlgebraicTail(1.5), 20.0)):
+    print(quadrature.plan(k, 0.05, 200).path)
+    spec = ProblemSpec(variant="halfline-fb", kernel=k, reaction=logistic(1.0, 1.0),
+                       d=1.0, mu=1.0, h0=10.0, u0=make_plateau(10.0))
+    run(spec, SolverConfig(dx=0.05, dt=0.02, t_end=0.2))
+print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
+"""
+    assert _fresh_interpreter(code).splitlines() == ["fft", "fft", "[]"]
+
+
+def test_fast_len_matches_scipy():
+    from scipy.fft import next_fast_len
+
+    ns = range(1, 100_001)
+    assert [quadrature.fast_len(n) for n in ns] == [next_fast_len(n, real=True) for n in ns]

@@ -102,16 +102,10 @@ def cmd_rates(scenario: ScenarioConfig, outdir: str) -> int:
     log.to_csv(os.path.join(outdir, "trajectory.csv"))
     an = scenario["analysis"]
     wf = float(an["window_fraction"])
-    payload = {}
-    for fit_name in an["fits"]:
-        if fit_name == "linear":
-            payload["linear"] = asymptotics.estimate_linear_speed(log, wf).to_json()
-        elif fit_name == "power":
-            payload["power"] = asymptotics.fit_power_exponent(log, wf).to_json()
-        elif fit_name == "tlogt":
-            payload["tlogt"] = asymptotics.fit_tlogt_coefficient(log, wf).to_json()
-        else:
-            raise ValidationError(f"unknown fit {fit_name!r}")
+    fits = {"linear": asymptotics.estimate_linear_speed,
+            "power": asymptotics.fit_power_exponent,
+            "tlogt": asymptotics.fit_tlogt_coefficient}
+    payload = {name: fits[name](log, wf).to_json() for name in an["fits"]}
     if an["drift_check"]:
         c0 = an["c0"]
         if c0 is None:
@@ -153,7 +147,7 @@ def cmd_verify(scenario: ScenarioConfig, outdir: str) -> int:
             payload["comparison"] = {"passed": rep.passed,
                                      "max_u_violation": rep.max_u_violation,
                                      "max_h_violation": rep.max_h_violation}
-        elif check == "refinement":
+        else:                               # refinement
             rep = validation.refinement_order(spec, cfg,
                                               levels=int(ver["refinement_levels"]),
                                               base=upper)
@@ -162,8 +156,6 @@ def cmd_verify(scenario: ScenarioConfig, outdir: str) -> int:
                                      "inconclusive": rep.inconclusive,
                                      "h_values": list(rep.h_values),
                                      "passed": passed}
-        else:
-            raise ValidationError(f"unknown verify check {check!r}")
         ok = ok and passed
     payload["passed"] = ok
     _write_json(os.path.join(outdir, "verify.json"), payload)

@@ -20,6 +20,10 @@ from .solver import ProblemSpec, SolverConfig, make_plateau, stability_budget
 
 __all__ = ["ScenarioConfig", "resolve_config", "default_config", "apply_overrides"]
 
+# the names `rates` and `verify` accept
+_NAMES = {("analysis", "fits"): ("linear", "power", "tlogt"),
+          ("verify", "checks"): ("mass-flux", "comparison", "refinement")}
+
 _DEFAULTS = {
     "problem": {
         "variant": "halfline-fb",
@@ -108,6 +112,13 @@ class ScenarioConfig:
         wf = self.raw["analysis"]["window_fraction"]
         if not 0.0 < wf <= 1.0:
             raise ValidationError("analysis.window_fraction must lie in (0, 1]")
+        # an unknown fit or check fails here, before any run
+        for (section, key), known in _NAMES.items():
+            names = self.raw[section][key]
+            bad = [n for n in names if n not in known] if isinstance(names, list) else [names]
+            if bad:
+                raise ValidationError(f"unknown name {bad[0]!r} in {section}.{key}; "
+                                      f"known: {', '.join(known)}")
         return spec, cfg
 
     def to_json(self) -> dict:

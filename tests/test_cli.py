@@ -70,6 +70,23 @@ def test_stability_override_rejected(tmp_path, capsys):
     assert "stability budget" in capsys.readouterr().err
 
 
+
+@pytest.mark.parametrize("command,override", [
+    ("rates", 'analysis.fits=["linear","bogus"]'),
+    ("rates", 'analysis.fits="linear"'),
+    ("verify", 'verify.checks=["mass-flux","bogus"]'),
+    ("simulate", 'verify.checks=["bogus"]'),
+])
+def test_unknown_fit_or_check_rejected_before_any_run(tmp_path, capsys, command, override):
+    # every command checks both lists up front and writes nothing: no
+    # resolved_config.json, trajectory.csv or verify.json
+    cfg = write_cfg(tmp_path, BASE)
+    out = tmp_path / "x"
+    rc = main([command, "--config", cfg, "--out", str(out), "--set", override])
+    assert rc == 1
+    assert "unknown name" in capsys.readouterr().err
+    assert os.listdir(out) == []
+
 def test_unknown_key_listed(tmp_path, capsys):
     rc = main(["simulate", "--out", str(tmp_path / "x"), "--set", "solver.dtt=0.1"])
     assert rc == 1

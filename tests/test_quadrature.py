@@ -248,6 +248,28 @@ print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
     assert _fresh_interpreter(code).splitlines() == ["fft", "fft", "[]"]
 
 
+
+def test_compact_kernel_profiles_load_only_scipy_linalg():
+    # the band of a compact kernel holds its reach, so no solve imports GMRES,
+    # and the dispersion curve is minimized in the package: LAPACK is all of scipy
+    code = """
+import sys
+from nlfront.kernels import CompactCosine, CompactUniform
+from nlfront.reactions import logistic
+from nlfront.semiwave import (SemiWaveConfig, minimal_speed, mu_curve, solve_semiwave,
+                              stationary_profile)
+coarse = SemiWaveConfig(dx=0.04, L0=20.0, max_doublings=0)
+for k in (CompactUniform(1.0), CompactCosine(1.0)):
+    solve_semiwave(k, logistic(1, 1), 1.0, 1.0, coarse)
+    minimal_speed(k, logistic(1, 1), 1.0)
+    mu_curve(k, logistic(1, 1), 1.0, (0.01, 1.0, 100.0), coarse)
+    for d in (1e-3, 1.0, 100.0):
+        stationary_profile(k, logistic(1, 1), d)
+print([m for m in ("scipy.linalg", "scipy.optimize", "scipy.sparse", "scipy.special",
+                   "scipy.integrate") if m in sys.modules])
+"""
+    assert _fresh_interpreter(code) == "['scipy.linalg']"
+
 def test_fast_len_matches_scipy():
     from scipy.fft import next_fast_len
 

@@ -1,16 +1,12 @@
 import json
 import math
-import os
-import subprocess
-import sys
 import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
-from scipy.optimize import brentq
+from scipy.optimize import brentq, minimize_scalar
 
-import nlfront
 from nlfront import semiwave
 from nlfront.errors import (ContractError, ConvergenceError, NoSemiWaveError,
                             NoTravelingWaveError, ValidationError)
@@ -606,6 +602,63 @@ def test_minimal_speed_rejects_a_minimum_at_the_bracket_end():
         minimal_speed(truncate(AlgebraicTail(1.5, 1.0), 20.0), logistic(1, 1), 10.0)
 
 
+
+def _scipy_bounded(func, a, b, xatol):
+    return minimize_scalar(func, bounds=(a, b), method="bounded",
+                           options={"xatol": xatol}).x
+
+
+def _same_search(func, a, b, xatol):
+    # the port and scipy evaluate the same points and return the same x, bit for bit
+    ours, theirs = [], []
+    x = semiwave._fminbound(lambda s: ours.append(s) or func(s), a, b, xatol)
+    ref = _scipy_bounded(lambda s: theirs.append(float(s)) or func(s), a, b, xatol)
+    assert float(x).hex() == float(ref).hex()
+    assert [v.hex() for v in ours] == [v.hex() for v in theirs]
+    return len(ours)
+
+
+def test_fminbound_matches_scipy_on_unimodal_sweep():
+    rng = np.random.default_rng(0)
+    for _ in range(100):
+        a = float(rng.uniform(-10.0, 0.0))
+        b = a + float(rng.uniform(1e-3, 20.0))
+        c = float(rng.uniform(a, b))
+        k = float(rng.uniform(0.1, 5.0))
+        xatol = float(10.0 ** rng.uniform(-12.0, -2.0))
+        for f in (lambda x: (x - c) ** 2, lambda x: math.cosh(k * (x - c)),
+                  lambda x: abs(x - c) ** 1.5, lambda x: math.exp(k * x) - k * c * x):
+            _same_search(f, a, b, xatol)
+
+
+def test_fminbound_matches_scipy_at_the_bracket_ends_and_maxfun():
+    assert _same_search(lambda x: x, 0.0, 1.0, 1e-8) < 500
+    assert _same_search(lambda x: -x, 0.0, 1.0, 1e-8) < 500
+    # xatol = 0 around a kink at 0: the tolerance shrinks with |x|, so only maxfun stops it
+    assert _same_search(abs, -1.0, 2.0, 0.0) == 500
+    # NaN values and a flat stretch take the golden steps
+    _same_search(lambda x: math.nan if x > 0.3 else (x - 0.5) ** 2, 0.0, 1.0, 1e-8)
+    _same_search(lambda x: round(8.0 * x) / 8.0, -1.0, 1.0, 0.0)
+
+
+def test_fminbound_sign_rule_matches_numpy():
+    for v in (-0.0, 0.0, 1.5, -2.0, math.inf, -math.inf, math.nan):
+        ref = float(np.sign(v) + (v == 0))
+        assert semiwave._sign1(v).hex() == ref.hex()
+
+
+@pytest.mark.parametrize("kernel", [CompactUniform(1.0), CompactCosine(2.5), LightExponential(1.0),
+                                    truncate(LightExponential(1.0), 4.0)],
+                         ids=["uniform", "cosine", "exponential", "truncated"])
+def test_minimal_speed_matches_scipy_bounded(monkeypatch, kernel):
+    for d in (1e-3, 0.1, 1.0, 10.0):
+        ours = minimal_speed(kernel, logistic(1, 1), d)
+        with monkeypatch.context() as m:
+            m.setattr(semiwave, "_fminbound", _scipy_bounded)
+            ref = minimal_speed(kernel, logistic(1, 1), d)
+        assert ours.c_star.hex() == ref.c_star.hex()
+        assert ours.lambda_star.hex() == ref.lambda_star.hex()
+
 def test_far_field_rate_stops_when_the_bracket_does():
     calls = []
 
@@ -622,19 +675,3 @@ def test_far_field_rate_stops_when_the_bracket_does():
                   xtol=1e-15, rtol=1e-15)
     assert kappa == pytest.approx(root, rel=1e-12)
 
-
-def test_compact_kernel_profiles_leave_scipy_sparse_unloaded():
-    # the band of a compact kernel holds its reach, so no solve imports GMRES
-    code = ("import sys\n"
-            "from nlfront.kernels import CompactCosine, CompactUniform\n"
-            "from nlfront.reactions import logistic\n"
-            "from nlfront.semiwave import SemiWaveConfig, solve_semiwave, stationary_profile\n"
-            "solve_semiwave(CompactUniform(1.0), logistic(1, 1), 1.0, 1.0,\n"
-            "               SemiWaveConfig(dx=0.04, L0=20.0, max_doublings=0))\n"
-            "for d in (1e-3, 1.0, 100.0):\n"
-            "    stationary_profile(CompactCosine(1.0), logistic(1, 1), d)\n"
-            "print('scipy.sparse' in sys.modules)")
-    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(nlfront.__file__)))
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, check=True)
-    assert out.stdout.strip() == "False"

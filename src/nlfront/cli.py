@@ -269,7 +269,7 @@ def main(argv=None) -> int:
             partial.to_csv(os.path.join(args.out, "trajectory_partial.csv"))
         _write_json(os.path.join(args.out, "error.json"),
                     {"error": type(exc).__name__, "message": str(exc),
-                     "diagnostics": getattr(exc, "diagnostics", {})})
+                     "diagnostics": exc.diagnostics})
         print(f"runtime failure: {exc}", file=sys.stderr)
         return 2
 

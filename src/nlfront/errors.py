@@ -17,9 +17,9 @@ class NoTravelingWaveError(ValidationError):
     """No monotone traveling wave exists because (J2) fails."""
 
 
-class ConvergenceError(RuntimeError):
-    """An iterative solve stagnated before reaching its tolerance, or a run
-    left the finite numbers; partial results may be attached."""
+class _RuntimeFailure(RuntimeError):
+    """A solve or run that stopped early: ``diagnostics`` says where and why,
+    and partial results may be attached."""
 
     def __init__(self, message, diagnostics=None, partial=None):
         super().__init__(message)
@@ -27,12 +27,13 @@ class ConvergenceError(RuntimeError):
         self.partial = partial
 
 
-class ResourceError(RuntimeError):
-    """A run exceeded its memory/size cap; partial results may be attached."""
+class ConvergenceError(_RuntimeFailure):
+    """An iterative solve stagnated before reaching its tolerance, or a run
+    left the finite numbers."""
 
-    def __init__(self, message, partial=None):
-        super().__init__(message)
-        self.partial = partial
+
+class ResourceError(_RuntimeFailure):
+    """A run exceeded its memory/size cap."""
 
 
 class InsufficientDataError(ValueError):

@@ -33,7 +33,11 @@ solution (concave f).
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import math
+import os
+import sys
 from dataclasses import dataclass, replace
 from functools import cached_property
 
@@ -98,6 +102,10 @@ COARSE_MIN_CELLS = 8
 # Chord steps slowed the GMRES path by 10-20% and gained nothing in the
 # unpinned stationary solve, so neither takes them.
 CHORD_RATIO = 0.1
+# A rejected rung of the mu ladder halves the step in log10 mu; a rung
+# rejected at a step of LADDER_MIN_STEP (a factor 1.009 in mu) stops the
+# climb.  No solve in the tests or benchmarks rejects any rung.
+LADDER_MIN_STEP = 2.0 ** -8
 
 
 @dataclass(frozen=True)
@@ -253,6 +261,30 @@ class _ProfileSolver(FarFieldWindow):
         return np.maximum.accumulate(phi[::-1])[::-1] if self.pinned else phi
 
 
+def _band_lapack():
+    """dgbtrf and dgbtrs from scipy's extension ``scipy.linalg._flapack``,
+    loaded from its file: importing the ``scipy.linalg`` package would also
+    load scipy's array-API layer (numpy.f2py, numpy.testing, email, ...),
+    about 24 MiB and 0.3 s.  Registered in sys.modules under its own name, it
+    serves every later call and a later ``import scipy.linalg``; an ordinary
+    import stands in when the file is not where scipy puts it."""
+    name = "scipy.linalg._flapack"
+    if name not in sys.modules:
+        import scipy        # on some platforms it sets the bundled BLAS's search path
+
+        paths = (os.path.join(scipy.__path__[0], "linalg", "_flapack" + suffix)
+                 for suffix in importlib.machinery.EXTENSION_SUFFIXES)
+        path = next((p for p in paths if os.path.isfile(p)), None)
+        if path is None:
+            importlib.import_module(name)
+        else:
+            spec = importlib.util.spec_from_file_location(name, path)
+            sys.modules[name] = importlib.util.module_from_spec(spec)
+            spec.loader.exec_module(sys.modules[name])
+    module = sys.modules[name]
+    return module.dgbtrf, module.dgbtrs
+
+
 def _newton(ps: _ProfileSolver, mu, phi, c, tol, stop=NEWTON_TOL):
     """Bordered Newton on (phi[ps.free], c) for the profile and speed equations.
 
@@ -276,11 +308,9 @@ def _newton(ps: _ProfileSolver, mu, phi, c, tol, stop=NEWTON_TOL):
     falling (the better iterate is kept).  Above tol a rising residual is
     the usual transient of a rough start.
     """
-    from scipy.linalg import get_lapack_funcs
-
     mb, free = ps.band, ps.free
     border = -mu * ps.flux_w[free]
-    gbtrf, gbtrs = get_lapack_funcs(("gbtrf", "gbtrs"), (ps.w,))
+    gbtrf, gbtrs = _band_lapack()       # ps.w and every band are float64
     chord = ps.pinned and not ps.cut
 
     def defects(phi, c):
@@ -401,14 +431,15 @@ def _semiwave(kernel: Kernel, reaction, d: float, mu: float, cfg: SemiWaveConfig
         the step u* 1{x < 0} at mu = c = 0.  Rungs stand whole decades below
         mu, the first the one nearest 0.1/u* (mu itself below about 0.3/u*),
         or whole decades above ``start`` when that is nearer to mu, so the
-        last is exactly mu.  A rejected rung halves the step in log10 mu."""
+        last is exactly mu.  A rejected rung halves the step in log10 mu, down
+        to LADDER_MIN_STEP."""
         sol, ok = (start, True) if start else _newton_solution(
             ps, 0.0, np.where(ps.x < 0.0, ps.u_star, 0.0), 0.0, cfg, SEED_TOL, log)
         # decades below mu; mu = 0 stands one decade below the first rung
-        at, step = max(round(math.log10(10.0 * mu * ps.u_star)), 0) + 1.0, 1.0
+        at, step, rejected = max(round(math.log10(10.0 * mu * ps.u_star)), 0) + 1.0, 1.0, 0
         if sol.mu:
             at = min(at, math.log10(mu / sol.mu))
-        while ok and (nxt := max(at - step, 0.0)) < at:
+        while ok and step >= LADDER_MIN_STEP and (nxt := max(at - step, 0.0)) < at:
             trial, accepted = _newton_solution(ps, mu * 10.0 ** -nxt, sol.phi, sol.c0, cfg,
                                                stops.get(ps.dx, SEED_TOL) if nxt == 0.0
                                                else SEED_TOL, log)
@@ -417,10 +448,10 @@ def _semiwave(kernel: Kernel, reaction, d: float, mu: float, cfg: SemiWaveConfig
             if accepted:
                 sol, at = trial, nxt
             else:
-                step *= 0.5
+                step, rejected = 0.5 * step, rejected + 1
         raise ConvergenceError("semi-wave continuation in mu stalled before reaching mu",
                                diagnostics={"mu": mu, "mu_reached": sol.mu, "L": ps.L,
-                                            "newton_runs": log})
+                                            "rejected_rungs": rejected, "newton_runs": log})
 
     def seeded(dx, L, seed):
         """Newton on grid dx and window L from an answer on another grid or
@@ -488,6 +519,9 @@ def minimal_speed(kernel: Kernel, reaction, d: float) -> WaveSolution:
 
     # lam * curve is convex, so the curve is unimodal in lam and in log lam
     bounds = (math.log(1e-4), math.log(lam_hi))
+    if not bounds[0] < bounds[1]:
+        raise ConvergenceError("the kernel's exponential moments end below the lam bracket",
+                               diagnostics={"mgf_abscissa": mgf, "bracket": bounds})
     s_star = _fminbound(lambda s: curve(math.exp(s)), *bounds, LAM_XATOL)
     # at an end of the bracket Brent stops about sqrt(eps)|s| + xatol short of it
     if min(s_star - bounds[0], bounds[1] - s_star) < 100.0 * LAM_XATOL:

@@ -283,6 +283,9 @@ class _Engine:
             add_l = int(math.ceil((st.x0 - (need_left - chunk)) / self.dx))
         if n + add_l + add_r > self.cfg.max_nodes:
             raise ResourceError("computational window exceeded max_nodes",
+                                diagnostics={"nodes_requested": n + add_l + add_r,
+                                             "max_nodes": self.cfg.max_nodes, "t": st.t,
+                                             "h": float(st.h), "g": float(st.g)},
                                 partial=self.log)
         u = np.zeros(n + add_l + add_r)
         u[add_l:add_l + n] = st.u
@@ -451,10 +454,10 @@ def run(spec: ProblemSpec, cfg: SolverConfig) -> TrajectoryLog:
                 checkpoint(k)
             else:
                 guard(k, check_field=False)
-    except ResourceError:
+    except ResourceError as exc:
         log.truncated = True
         log.final_state = eng.state.copy()
-        raise ResourceError("run exceeded its window cap", partial=log)
+        raise ResourceError("run exceeded its window cap", exc.diagnostics, partial=log) from exc
     log.final_state = eng.state.copy()
     return log
 

@@ -216,6 +216,12 @@ def test_resource_cap_exit_2_with_partial_artifact(tmp_path, capsys):
     partial = (out / "trajectory_partial.csv").read_text().splitlines()
     assert partial[0] == "t,h,g,mass,sup_u,flux"
     assert len(partial) > 2
+    error = json.loads((out / "error.json").read_text())
+    assert error["error"] == "ResourceError"
+    diag = error["diagnostics"]
+    assert diag["max_nodes"] == 300 < diag["nodes_requested"]
+    assert 0.0 < diag["t"] < 40.0 and diag["h"] > 10.0
+    assert set(diag) == {"nodes_requested", "max_nodes", "t", "h", "g"}
 
 
 def test_resolve_config_defaults_and_validation(tmp_path):

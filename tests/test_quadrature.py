@@ -10,6 +10,7 @@ from nlfront import quadrature
 from nlfront.kernels import AlgebraicTail, CompactCosine, CompactUniform, truncate
 from nlfront.errors import ContractError
 from nlfront.reactions import logistic
+from nlfront.semiwave import SemiWaveConfig, solve_semiwave
 from nlfront.solver import (Field, ProblemSpec, SolverConfig, _Engine, boundary_flux,
                             nonlocal_operator, run)
 
@@ -249,9 +250,11 @@ print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
 
 
 
-def test_compact_kernel_profiles_load_only_scipy_linalg():
+def test_compact_kernel_profiles_load_only_lapack():
     # the band of a compact kernel holds its reach, so no solve imports GMRES,
-    # and the dispersion curve is minimized in the package: LAPACK is all of scipy
+    # the dispersion curve is minimized in the package, and LAPACK's band
+    # routines load from their file without the scipy.linalg package or
+    # scipy's array-API layer: one compiled module is all of scipy.linalg
     code = """
 import sys
 from nlfront.kernels import CompactCosine, CompactUniform
@@ -265,10 +268,55 @@ for k in (CompactUniform(1.0), CompactCosine(1.0)):
     mu_curve(k, logistic(1, 1), 1.0, (0.01, 1.0, 100.0), coarse)
     for d in (1e-3, 1.0, 100.0):
         stationary_profile(k, logistic(1, 1), d)
-print([m for m in ("scipy.linalg", "scipy.optimize", "scipy.sparse", "scipy.special",
-                   "scipy.integrate") if m in sys.modules])
+print([m for m in ("scipy.linalg._flapack", "scipy.linalg", "scipy._lib._array_api",
+                   "scipy.optimize", "scipy.sparse", "scipy.special", "scipy.integrate")
+       if m in sys.modules])
 """
-    assert _fresh_interpreter(code) == "['scipy.linalg']"
+    assert _fresh_interpreter(code) == "['scipy.linalg._flapack']"
+
+
+_SOLVE_TWICE = """
+import sys
+from nlfront import semiwave
+from nlfront.kernels import CompactUniform
+from nlfront.reactions import logistic
+
+def solve():
+    cfg = semiwave.SemiWaveConfig(dx=0.04, L0=20.0, max_doublings=0)
+    c0 = semiwave.solve_semiwave(CompactUniform(1.0), logistic(1, 1), 1.0, 1.0, cfg).c0
+    return c0.hex(), semiwave._band_lapack()
+
+before, band = solve()
+print("scipy.linalg" in sys.modules)
+import numpy as np
+import scipy.linalg
+after, again = solve()
+ours = sys.modules["scipy.linalg._flapack"]
+print(scipy.linalg.lapack._flapack is ours, again == band == (ours.dgbtrf, ours.dgbtrs),
+      tuple(scipy.linalg.get_lapack_funcs(("gbtrf", "gbtrs"), (np.zeros(1),))) == band)
+print(before == after, before)
+"""
+
+
+def _coarse_uniform_c0() -> str:
+    cfg = SemiWaveConfig(dx=0.04, L0=20.0, max_doublings=0)
+    return solve_semiwave(CompactUniform(1.0), logistic(1, 1), 1.0, 1.0, cfg).c0.hex()
+
+
+def test_band_lapack_is_the_module_scipy_linalg_imports():
+    # solved before and after `import scipy.linalg`: the package reuses the
+    # module loaded from its file, and both solves give this process's c0
+    out = _fresh_interpreter(_SOLVE_TWICE).splitlines()
+    assert out == ["False", "True True True", f"True {_coarse_uniform_c0()}"]
+
+
+def test_band_lapack_falls_back_to_an_ordinary_import():
+    # where the extension's file is not found, `import scipy.linalg._flapack`
+    # loads the same routines (and the package) for the same c0
+    code = "import importlib.machinery; importlib.machinery.EXTENSION_SUFFIXES = ['.missing']\n"
+    out = _fresh_interpreter(code + _SOLVE_TWICE).splitlines()
+    assert out == ["True", "True True True", f"True {_coarse_uniform_c0()}"]
+
 
 def test_fast_len_matches_scipy():
     from scipy.fft import next_fast_len

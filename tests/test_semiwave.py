@@ -243,8 +243,8 @@ def test_rejected_newton_raises(monkeypatch, spurious):
 
 
 def test_stalled_continuation_raises_with_histories(monkeypatch):
-    # Newton rejected above mu = 0.05: the log-step halves until the rung
-    # no longer moves, and every rung's residual history is reported with
+    # Newton rejected above mu = 0.05: the log-step halves down to
+    # LADDER_MIN_STEP, and every rung's residual history is reported with
     # its grid, window and mu
     newton = semiwave._newton
 
@@ -256,8 +256,11 @@ def test_stalled_continuation_raises_with_histories(monkeypatch):
         solve_semiwave(CompactUniform(1.0), logistic(1, 1), 1.0, 1.0, CROSS_CFG)
     diag = err.value.diagnostics
     assert 0.04 < diag["mu_reached"] <= 0.05
+    # the rungs at steps 1, 1/2, ..., LADDER_MIN_STEP are rejected, each
+    # after one accepted rung
+    assert diag["rejected_rungs"] == 1 - math.log2(semiwave.LADDER_MIN_STEP)
     fine = [r["residuals"] for r in diag["newton_runs"] if r["dx"] == CROSS_CFG.dx]
-    assert len(fine) > 50 and [1.0] in fine
+    assert [1.0] in fine and len(fine) <= 3 + 2 * diag["rejected_rungs"]
     assert all(r["mu"] > 0.05 for r in diag["newton_runs"] if r["residuals"] == [1.0])
 
 
@@ -284,6 +287,9 @@ def test_rejected_seeded_newton_is_reported(monkeypatch, stage):
         solve_semiwave(CompactUniform(1.0), logistic(1, 1), 1.0, 1.0, cfg)
     diag = err.value.diagnostics
     runs = [(r["dx"], r["L"], r["mu"], r["residuals"]) for r in diag["newton_runs"]]
+    # each ladder stops after its rung at mu is rejected 9 times
+    assert diag["rejected_rungs"] == 1 - math.log2(semiwave.LADDER_MIN_STEP)
+    assert len(calls) == len(runs) <= (24 if stage == "coarse-seed" else 46)
     coarse = [h for dx, _, _, h in runs if dx > cfg.dx]
     # on dx: the rejected seeded Newton at mu, then a ladder from mu = 0
     # on that window whose rung at mu is rejected too
@@ -373,22 +379,13 @@ def test_mu_curve_climbs_one_ladder(monkeypatch):
 
 def _count_factorizations(monkeypatch):
     """The number of unknowns of every band factorization, in call order."""
-    import scipy.linalg
+    sizes, (dgbtrf, dgbtrs) = [], semiwave._band_lapack()
 
-    sizes, get_lapack_funcs = [], scipy.linalg.get_lapack_funcs
+    def gbtrf(ab, *a, **k):
+        sizes.append(ab.shape[1])
+        return dgbtrf(ab, *a, **k)
 
-    def counting(names, arrays=(), *args, **kwargs):
-        funcs = get_lapack_funcs(names, arrays, *args, **kwargs)
-        if isinstance(names, str):
-            return funcs
-
-        def gbtrf(ab, *a, **k):
-            sizes.append(ab.shape[1])
-            return funcs[names.index("gbtrf")](ab, *a, **k)
-
-        return tuple(gbtrf if name == "gbtrf" else f for name, f in zip(names, funcs))
-
-    monkeypatch.setattr(scipy.linalg, "get_lapack_funcs", counting)
+    monkeypatch.setattr(semiwave, "_band_lapack", lambda: (gbtrf, dgbtrs))
     return sizes
 
 
@@ -601,6 +598,15 @@ def test_minimal_speed_rejects_a_minimum_at_the_bracket_end():
     with pytest.raises(ConvergenceError, match="no interior minimum"):
         minimal_speed(truncate(AlgebraicTail(1.5, 1.0), 20.0), logistic(1, 1), 10.0)
 
+
+def test_minimal_speed_below_the_lam_bracket_is_a_convergence_error():
+    # exponential moments end at lam = 5e-5, below the bracket's floor 1e-4:
+    # the bracket would invert, so the search never starts
+    with pytest.raises(ConvergenceError, match="lam bracket") as err:
+        minimal_speed(LightExponential(5e-5), logistic(1, 1), 1.0)
+    diag = err.value.diagnostics
+    assert diag["mgf_abscissa"] == LightExponential(5e-5).mgf_abscissa()
+    assert diag["bracket"][0] == math.log(1e-4) > diag["bracket"][1]
 
 
 def _scipy_bounded(func, a, b, xatol):

@@ -163,6 +163,12 @@ def test_window_growth_and_resource_cap():
         run(spec, SolverConfig(dx=0.05, dt=0.05, t_end=40.0, max_nodes=300))
     assert err.value.partial is not None
     assert len(err.value.partial.t) >= 1
+    # the cap's error says how many nodes the growth asked for, the cap and
+    # where the run stood, through run's re-raise
+    diag, partial = err.value.diagnostics, err.value.partial
+    assert diag["max_nodes"] == 300 < diag["nodes_requested"]
+    assert partial.t[-1] <= diag["t"] < 40.0
+    assert diag["h"] == partial.final_state.h and diag["g"] == partial.final_state.g
 
 
 def test_fixed_domain_grid_alignment():

@@ -16,6 +16,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .artifacts import Record
 from .errors import ContractError, InsufficientDataError
 from .solver import Field, ProblemSpec, SolverConfig, TrajectoryLog, run
 
@@ -38,7 +39,7 @@ MIN_WINDOW_SAMPLES = 8
 
 
 @dataclass(frozen=True)
-class RateFit:
+class RateFit(Record):
     model: str                    # "linear" | "power" | "tlogt"
     coeffs: dict
     window: tuple
@@ -46,26 +47,15 @@ class RateFit:
     drift: float                  # relative coefficient change on half window
     low_confidence: bool
 
-    def to_json(self) -> dict:
-        return {"model": self.model, "coeffs": self.coeffs,
-                "window": list(self.window), "residual_rms": self.residual_rms,
-                "drift": self.drift, "low_confidence": self.low_confidence}
-
 
 @dataclass(frozen=True)
-class DriftReport:
+class DriftReport(Record):
     sup_r: float
     ln_slope: float
     ln_intercept: float
     residual_rms: float
     bound: float                  # max |r(t)| / ln t over the window
     window: tuple
-
-    def to_json(self) -> dict:
-        return {"sup_r": self.sup_r, "ln_slope": self.ln_slope,
-                "ln_intercept": self.ln_intercept,
-                "residual_rms": self.residual_rms, "bound": self.bound,
-                "window": list(self.window)}
 
 
 @dataclass(frozen=True)
@@ -244,19 +234,13 @@ def sup_distance_on_window(u: Field, reference, window: tuple) -> float:
 
 
 @dataclass(frozen=True)
-class MuLimitReport:
+class MuLimitReport(Record):
     mode: str
     mu: list
     sup_diff: list                # sup |u_mu - limit| on the probe window
     h_shift: list                 # h_mu(t_end) - h0 (ToZero) or h_mu(t_end) (ToInfinity)
     sup_diff_monotone: bool | None
     h_monotone: bool | None
-
-    def to_json(self) -> dict:
-        return {"mode": self.mode, "mu": self.mu, "sup_diff": self.sup_diff,
-                "h_shift": self.h_shift,
-                "sup_diff_monotone": self.sup_diff_monotone,
-                "h_monotone": self.h_monotone}
 
 
 def mu_limit_experiment(spec: ProblemSpec, mus, mode: str,

@@ -19,6 +19,7 @@ from dataclasses import replace
 
 import numpy as np
 
+from .artifacts import write_csv, write_json
 from .config import ScenarioConfig, apply_overrides, resolve_config
 from .errors import (ContractError, ConvergenceError, InsufficientDataError,
                      ResourceError, ValidationError)
@@ -26,48 +27,19 @@ from .reactions import zero_reaction
 from .semiwave import minimal_speed, solve_semiwave, stationary_profile
 from .solver import TrajectoryLog, run
 
-_FMT = ".17g"
-
-
-def _write_json(path, payload):
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True, default=_json_default)
-        fh.write("\n")
-
-
-def _json_default(obj):
-    if isinstance(obj, (np.floating, np.integer, np.bool_)):
-        return obj.item()
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    raise TypeError(f"not serializable: {type(obj)}")
-
-
-def _write_profile_csv(path, x, values, name="phi"):
-    with open(path, "w") as fh:
-        fh.write(f"x,{name}\n")
-        for xi, vi in zip(x, values):
-            fh.write(f"{xi:{_FMT}},{vi:{_FMT}}\n")
-
-
-def _write_snapshots(outdir, log):
-    for t, snap in log.snapshots:
-        path = os.path.join(outdir, f"snapshot_{t:.6f}.csv")
-        _write_profile_csv(path, snap.x, snap.values, name="u")
-
 
 def _echo_config(outdir, scenario: ScenarioConfig):
-    _write_json(os.path.join(outdir, "resolved_config.json"), scenario.to_json())
+    write_json(os.path.join(outdir, "resolved_config.json"), scenario.to_json())
 
 
 def cmd_simulate(scenario: ScenarioConfig, outdir: str) -> int:
     spec, cfg = scenario.validate()
     log = run(spec, cfg)
     log.to_csv(os.path.join(outdir, "trajectory.csv"))
-    _write_snapshots(outdir, log)
     final = log.final_state
-    _write_profile_csv(os.path.join(outdir, f"snapshot_{final.t:.6f}.csv"),
-                       final.as_field().x, final.u, name="u")
+    for t, snap in [*log.snapshots, (final.t, final.as_field())]:
+        write_csv(os.path.join(outdir, f"snapshot_{t:.6f}.csv"), ("x", "u"),
+                  (snap.x, snap.values))
     return 0
 
 
@@ -78,7 +50,7 @@ def cmd_semiwave(scenario: ScenarioConfig, outdir: str) -> int:
     sol = solve_semiwave(spec.kernel, spec.reaction, spec.d, spec.mu,
                          scenario.semiwave_config())
     payload["semiwave"] = sol.to_json()
-    _write_profile_csv(os.path.join(outdir, "profile.csv"), sol.x, sol.phi)
+    write_csv(os.path.join(outdir, "profile.csv"), ("x", "phi"), (sol.x, sol.phi))
     if sw["minimal_speed"]:
         try:
             payload["wave"] = minimal_speed(spec.kernel, spec.reaction, spec.d).to_json()
@@ -88,9 +60,8 @@ def cmd_semiwave(scenario: ScenarioConfig, outdir: str) -> int:
         d_val = sw["stationary_d"] if sw["stationary_d"] is not None else spec.d
         prof = stationary_profile(spec.kernel, spec.reaction, float(d_val))
         payload["stationary"] = prof.to_json()
-        _write_profile_csv(os.path.join(outdir, "stationary.csv"), prof.x, prof.U,
-                           name="U")
-    _write_json(os.path.join(outdir, "semiwave.json"), payload)
+        write_csv(os.path.join(outdir, "stationary.csv"), ("x", "U"), (prof.x, prof.U))
+    write_json(os.path.join(outdir, "semiwave.json"), payload)
     return 0
 
 
@@ -113,7 +84,7 @@ def cmd_rates(scenario: ScenarioConfig, outdir: str) -> int:
                                 scenario.semiwave_config()).c0
         payload["log_drift"] = asymptotics.log_drift_check(log, float(c0), wf).to_json()
         payload["log_drift"]["c0"] = float(c0)
-    _write_json(os.path.join(outdir, "rates.json"), payload)
+    write_json(os.path.join(outdir, "rates.json"), payload)
     return 0
 
 
@@ -158,7 +129,7 @@ def cmd_verify(scenario: ScenarioConfig, outdir: str) -> int:
                                      "passed": passed}
         ok = ok and passed
     payload["passed"] = ok
-    _write_json(os.path.join(outdir, "verify.json"), payload)
+    write_json(os.path.join(outdir, "verify.json"), payload)
     return 0 if ok else 3
 
 
@@ -201,9 +172,8 @@ def cmd_sweep(scenario: ScenarioConfig, outdir: str, jobs: int = 1) -> int:
             summaries = list(pool.map(_sweep_one, tasks))
     else:
         summaries = [_sweep_one(t) for t in tasks]
-    _write_json(os.path.join(outdir, "summary.json"),
-                {"parameter": sw["parameter"], "command": command,
-                 "points": summaries})
+    write_json(os.path.join(outdir, "summary.json"),
+               {"parameter": sw["parameter"], "command": command, "points": summaries})
     return 0
 
 
@@ -221,7 +191,7 @@ def cmd_report(outdir: str, dirs) -> int:
                 with open(path) as fh:
                     row[name.removesuffix(".json")] = json.load(fh)
         rows.append(row)
-    _write_json(os.path.join(outdir, "report.json"), {"entries": rows})
+    write_json(os.path.join(outdir, "report.json"), {"entries": rows})
     for row in rows:
         verdict = row.get("verify", {}).get("passed")
         print(f"{row['dir']}: verify={'-' if verdict is None else ('pass' if verdict else 'FAIL')}")
@@ -267,9 +237,9 @@ def main(argv=None) -> int:
         partial = exc.partial
         if partial is not None and hasattr(partial, "to_csv"):
             partial.to_csv(os.path.join(args.out, "trajectory_partial.csv"))
-        _write_json(os.path.join(args.out, "error.json"),
-                    {"error": type(exc).__name__, "message": str(exc),
-                     "diagnostics": exc.diagnostics})
+        write_json(os.path.join(args.out, "error.json"),
+                   {"error": type(exc).__name__, "message": str(exc),
+                    "diagnostics": exc.diagnostics})
         print(f"runtime failure: {exc}", file=sys.stderr)
         return 2
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import copy
 import json
+import math
 from dataclasses import asdict, dataclass
 
 from .errors import ValidationError
@@ -63,6 +64,27 @@ _DEFAULTS = {
 }
 
 
+def _finite(value, key: str, count: bool = False):
+    """``value`` as a finite float, or an int when ``count``; anything else
+    (text, a bool, a list, null, NaN, +-inf, a fractional count) names ``key``."""
+    try:
+        x = math.nan if isinstance(value, (str, bool)) else float(value)
+    except (TypeError, ValueError, OverflowError):
+        x = math.nan
+    if not math.isfinite(x) or (count and x != int(x)):
+        raise ValidationError(f"{key} must be {'an integer' if count else 'a finite number'}"
+                              f", not {value!r}")
+    return int(x) if count else x
+
+
+def _numbers(spec, key: str, text):
+    """A kernel or reaction spec with every entry not named in ``text``
+    checked as a finite number."""
+    if not isinstance(spec, dict):
+        return spec                     # the spec parser rejects it
+    return {k: v if k in text else _finite(v, f"{key}.{k}") for k, v in spec.items()}
+
+
 @dataclass(frozen=True)
 class ScenarioConfig:
     raw: dict
@@ -70,35 +92,42 @@ class ScenarioConfig:
     def __getitem__(self, key):
         return self.raw[key]
 
+    def _number(self, key: str):
+        """The number at dotted ``key``: finite, integral where the default is
+        an int, and null only where the default is null."""
+        section, _, leaf = key.partition(".")
+        value, default = self.raw[section][leaf], _DEFAULTS[section][leaf]
+        if value is None and default is None:
+            return None
+        return _finite(value, key, count=type(default) is int)
+
     def problem_spec(self) -> ProblemSpec:
         p = self.raw["problem"]
-        kernel = kernel_from_json(p["kernel"])
-        reaction = reaction_from_json(p["reaction"])
+        kernel = kernel_from_json(_numbers(p["kernel"], "problem.kernel", ("family",)))
+        reaction = reaction_from_json(_numbers(p["reaction"], "problem.reaction",
+                                               ("kind", "name")))
         u0js = p["u0"]
         if u0js.get("type", "plateau") != "plateau":
             raise ValidationError("only 'plateau' initial data are configurable")
         m = u0js.get("m")
         if m is None:
             m = reaction.u_star if reaction.u_star else 1.0
-        u0 = make_plateau(p["h0"], m=float(m), ramp=float(u0js.get("ramp", 1.0)))
+        h0 = self._number("problem.h0")
+        u0 = make_plateau(h0, m=_finite(m, "problem.u0.m"),
+                          ramp=_finite(u0js.get("ramp", 1.0), "problem.u0.ramp"))
         return ProblemSpec(variant=p["variant"], kernel=kernel, reaction=reaction,
-                           d=float(p["d"]), mu=float(p["mu"]), h0=float(p["h0"]),
-                           u0=u0)
+                           d=self._number("problem.d"), mu=self._number("problem.mu"),
+                           h0=h0, u0=u0)
 
     def solver_config(self) -> SolverConfig:
-        s = self.raw["solver"]
-        return SolverConfig(dx=float(s["dx"]),
-                            dt=None if s["dt"] is None else float(s["dt"]),
-                            t_end=float(s["t_end"]),
-                            log_every=None if s["log_every"] is None else float(s["log_every"]),
-                            snapshot_stride=int(s["snapshot_stride"]),
-                            max_nodes=int(s["max_nodes"]),
-                            scheme=s["scheme"])
+        n = self._number
+        return SolverConfig(dx=n("solver.dx"), dt=n("solver.dt"), t_end=n("solver.t_end"),
+                            log_every=n("solver.log_every"),
+                            snapshot_stride=n("solver.snapshot_stride"),
+                            max_nodes=n("solver.max_nodes"), scheme=self.raw["solver"]["scheme"])
 
     def semiwave_config(self) -> SemiWaveConfig:
-        s = self.raw["semiwave"]
-        return SemiWaveConfig(dx=float(s["dx"]),
-                              L0=None if s["L0"] is None else float(s["L0"]))
+        return SemiWaveConfig(dx=self._number("semiwave.dx"), L0=self._number("semiwave.L0"))
 
     def validate(self):
         spec = self.problem_spec()
@@ -109,7 +138,11 @@ class ScenarioConfig:
             if cfg.dt > budget * (1.0 + 1e-12):
                 raise ValidationError(
                     f"solver.dt = {cfg.dt} exceeds the stability budget {budget:.6g}")
-        wf = self.raw["analysis"]["window_fraction"]
+        for key in ("analysis.c0", "semiwave.stationary_d", "verify.mass_flux_tol",
+                    "verify.comparison_scale", "verify.comparison_tol",
+                    "verify.refinement_levels"):
+            self._number(key)           # read by a command only: fails before any run
+        wf = self._number("analysis.window_fraction")
         if not 0.0 < wf <= 1.0:
             raise ValidationError("analysis.window_fraction must lie in (0, 1]")
         # an unknown fit or check fails here, before any run

@@ -21,7 +21,7 @@ threshold where they apply are stored on the kernel.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -59,14 +59,6 @@ class KernelReport:
     def __post_init__(self):
         if self.satisfies_J2 and not self.satisfies_J1:
             raise ValidationError("inconsistent report: (J2) implies (J1)")
-
-    def to_json(self) -> dict:
-        d = asdict(self)
-        if math.isinf(d["first_moment"]):
-            d["first_moment"] = "inf"
-        if math.isinf(d["mgf_abscissa"]):
-            d["mgf_abscissa"] = "inf"
-        return d
 
 
 class Kernel:

@@ -43,6 +43,7 @@ from functools import cached_property
 
 import numpy as np
 
+from .artifacts import Record
 from .errors import (ContractError, ConvergenceError, NoSemiWaveError,
                      NoTravelingWaveError, ValidationError)
 from .kernels import Kernel
@@ -131,7 +132,7 @@ def _upwind(phi: np.ndarray, dx: float) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class SemiWaveSolution:
+class SemiWaveSolution(Record):
     c0: float
     x: np.ndarray                  # grid on [-L, 0]
     phi: np.ndarray
@@ -147,6 +148,8 @@ class SemiWaveSolution:
     # the doubling check that chose L: the grid's dx, both windows and both c0
     window_check: dict | None = None
 
+    _json_skip = ("x", "phi")       # profile.csv holds the profile
+
     def phi_at(self, xi):
         """Profile extended by u* on the left and 0 on the right."""
         return np.interp(xi, self.x, self.phi, left=self.u_star, right=0.0)
@@ -155,26 +158,15 @@ class SemiWaveSolution:
         """The upwind (forward) derivative the solver itself used."""
         return _upwind(self.phi, self.dx)
 
-    def to_json(self) -> dict:
-        return {"c0": self.c0, "L": self.L, "residual": self.residual,
-                "speed_defect": self.speed_defect, "u_star": self.u_star,
-                "d": self.d, "mu": self.mu, "dx": self.dx,
-                "newton_iterations": self.newton_iterations,
-                "newton_residuals": list(self.newton_residuals),
-                "window_check": self.window_check}
-
 
 @dataclass(frozen=True)
-class WaveSolution:
+class WaveSolution(Record):
     c_star: float
     lambda_star: float
 
-    def to_json(self) -> dict:
-        return {"c_star": self.c_star, "lambda_star": self.lambda_star}
-
 
 @dataclass(frozen=True)
-class StationaryProfile:
+class StationaryProfile(Record):
     x: np.ndarray
     U: np.ndarray
     x0: float | None               # U(x0) = u*/2, or None when U(0) >= u*/2
@@ -183,24 +175,23 @@ class StationaryProfile:
     iterations: int                # Newton iterations
     residual: float                # sup-norm defect at the unknown nodes
 
+    _json_skip = ("x", "U")         # stationary.csv holds the profile
+
     def U_at(self, xq):
         return np.interp(xq, self.x, self.U, left=self.u_star, right=float(self.U[-1]))
 
     def to_json(self) -> dict:
-        return {"d": self.d, "x0": self.x0, "U0": float(self.U[-1]),
-                "u_star": self.u_star, "iterations": self.iterations,
-                "residual": self.residual}
+        return {**super().to_json(), "U0": float(self.U[-1])}
 
 
 @dataclass(frozen=True)
-class MuCurve:
+class MuCurve(Record):
     mu: np.ndarray
     c: np.ndarray
     l: np.ndarray
     solutions: tuple
 
-    def to_json(self) -> dict:
-        return {"mu": self.mu.tolist(), "c": self.c.tolist(), "l": self.l.tolist()}
+    _json_skip = ("solutions",)
 
 
 # ---------------------------------------------------------------------------

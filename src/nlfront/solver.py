@@ -22,6 +22,7 @@ from typing import Callable
 import numpy as np
 
 from . import quadrature
+from .artifacts import write_csv
 from .errors import ContractError, ConvergenceError, ResourceError, ValidationError
 from .kernels import Kernel
 
@@ -174,20 +175,17 @@ class TrajectoryLog:
     meta: dict = field(default_factory=dict)
     truncated: bool = False
 
+    _columns = ("t", "h", "g", "mass", "sup_u", "flux")    # of trajectory.csv
+
     def to_csv(self, path):
-        cols = ("t", "h", "g", "mass", "sup_u", "flux")
-        rows = zip(*(getattr(self, c) for c in cols))
-        with open(path, "w") as fh:
-            fh.write(",".join(cols) + "\n")
-            for row in rows:
-                fh.write(",".join(format(v, ".17g") for v in row) + "\n")
+        write_csv(path, self._columns, [getattr(self, c) for c in self._columns])
 
     @classmethod
     def from_csv(cls, path) -> "TrajectoryLog":
         data = np.genfromtxt(path, delimiter=",", names=True)
         data = np.atleast_1d(data)
         log = cls()
-        for name in ("t", "h", "g", "mass", "sup_u", "flux"):
+        for name in cls._columns:
             getattr(log, name).extend(float(v) for v in data[name])
         return log
 

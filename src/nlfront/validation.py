@@ -21,6 +21,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import quadrature
+from .artifacts import Record
 from .errors import ContractError, ValidationError
 from .kernels import AlgebraicTail, Kernel
 from .semiwave import SemiWaveSolution
@@ -58,7 +59,7 @@ class Lattice:
 
 
 @dataclass(frozen=True)
-class ResidualReport:
+class ResidualReport(Record):
     kind: str
     margins: dict                   # per-constraint minimum margin
     worst: dict                     # per-constraint (t, x) of the minimum
@@ -66,12 +67,6 @@ class ResidualReport:
     passed: bool
     notes: tuple = ()
     consistency: float | None = None  # max |margin - second route| (see verify_fixture)
-
-    def to_json(self) -> dict:
-        return {"kind": self.kind, "margins": self.margins,
-                "worst": {k: list(v) for k, v in self.worst.items()},
-                "tol": self.tol, "passed": self.passed,
-                "notes": list(self.notes), "consistency": self.consistency}
 
 
 # ---------------------------------------------------------------------------
@@ -495,32 +490,18 @@ def verify_fixture(fixture, lattice: Lattice) -> ResidualReport:
                           consistency=noise)
 
 
-def margin_field_csv(fixture, lattice: Lattice, path):
-    """Dump the interior margin field as (t, x, margin) rows for plotting."""
-    with open(path, "w") as fh:
-        fh.write("t,x,margin\n")
-        for t in lattice.t_values:
-            ys, margins, _, _, _ = _interior_margins(fixture, t)
-            for x, m in zip(ys, margins):
-                fh.write(f"{t:.17g},{x:.17g},{m:.17g}\n")
-
-
 # ---------------------------------------------------------------------------
 # cutoff-function inequality
 # ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
-class PsiReport:
+class PsiReport(Record):
     kappa_eps: float
     worst_margin: float
     eps: float
     kappa1: float
     kappa2: float
-
-    def to_json(self) -> dict:
-        return {"kappa_eps": self.kappa_eps, "worst_margin": self.worst_margin,
-                "eps": self.eps, "kappa1": self.kappa1, "kappa2": self.kappa2}
 
 
 def psi_inequality_check(P: Kernel, kappa1: float, kappa2: float, eps: float) -> PsiReport:

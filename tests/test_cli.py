@@ -19,6 +19,13 @@ BASE = {"problem": {"h0": 5.0},
         "solver": {"dx": 0.1, "dt": 0.05, "t_end": 2.0, "log_every": 0.5}}
 
 
+def _strict_json(path):
+    """Parse as strict JSON: NaN, Infinity and -Infinity are errors."""
+    def reject(name):
+        raise ValueError(f"{path.name} holds {name}")
+    return json.loads(path.read_text(), parse_constant=reject)
+
+
 def test_simulate_zero_horizon_single_row(tmp_path):
     cfg = write_cfg(tmp_path, {"problem": {"h0": 5.0},
                                "solver": {"dx": 0.1, "dt": 0.05, "t_end": 0.0}})
@@ -86,6 +93,25 @@ def test_unknown_fit_or_check_rejected_before_any_run(tmp_path, capsys, command,
     assert rc == 1
     assert "unknown name" in capsys.readouterr().err
     assert os.listdir(out) == []
+
+@pytest.mark.parametrize("override,key", [
+    ("solver.dx=abc", "solver.dx"),
+    ("problem.d=[1]", "problem.d"),
+    ("problem.kernel.r=abc", "problem.kernel.r"),
+    ("analysis.window_fraction=abc", "analysis.window_fraction"),
+    ("solver.t_end=Infinity", "solver.t_end"),
+    ("problem.h0=Infinity", "problem.h0"),
+    ("solver.max_nodes=1.5", "solver.max_nodes"),
+])
+def test_malformed_number_rejected(tmp_path, capsys, override, key):
+    # numbers must be finite and counts integral: exit 1 naming the key,
+    # with nothing written
+    cfg = write_cfg(tmp_path, BASE)
+    out = tmp_path / "x"
+    assert main(["simulate", "--config", cfg, "--out", str(out), "--set", override]) == 1
+    assert f"error: {key} must be" in capsys.readouterr().err
+    assert os.listdir(out) == []
+
 
 def test_unknown_key_listed(tmp_path, capsys):
     rc = main(["simulate", "--out", str(tmp_path / "x"), "--set", "solver.dtt=0.1"])
@@ -216,12 +242,13 @@ def test_resource_cap_exit_2_with_partial_artifact(tmp_path, capsys):
     partial = (out / "trajectory_partial.csv").read_text().splitlines()
     assert partial[0] == "t,h,g,mass,sup_u,flux"
     assert len(partial) > 2
-    error = json.loads((out / "error.json").read_text())
+    error = _strict_json(out / "error.json")
     assert error["error"] == "ResourceError"
     diag = error["diagnostics"]
     assert diag["max_nodes"] == 300 < diag["nodes_requested"]
     assert 0.0 < diag["t"] < 40.0 and diag["h"] > 10.0
     assert set(diag) == {"nodes_requested", "max_nodes", "t", "h", "g"}
+    assert diag["g"] is None            # the half line has no left front: g = -inf
 
 
 def test_resolve_config_defaults_and_validation(tmp_path):
@@ -244,6 +271,40 @@ def test_rates_command(tmp_path):
     assert main(["rates", "--config", cfg, "--out", str(out)]) == 0
     payload = json.loads((out / "rates.json").read_text())
     assert payload["linear"]["coeffs"]["c"] > 0.0
+
+
+def test_semiwave_json_keys(tmp_path):
+    out = tmp_path / "sw"
+    assert main(["semiwave", "--out", str(out), "--set", "semiwave.dx=0.05",
+                 "--set", "semiwave.stationary=true"]) == 0
+    payload = _strict_json(out / "semiwave.json")
+    assert set(payload) == {"semiwave", "wave", "stationary"}
+    assert set(payload["semiwave"]) == {
+        "c0", "L", "dx", "residual", "speed_defect", "u_star", "d", "mu",
+        "newton_iterations", "newton_residuals", "window_check"}
+    assert set(payload["wave"]) == {"c_star", "lambda_star"}
+    assert set(payload["stationary"]) == {"d", "x0", "U0", "u_star", "iterations",
+                                          "residual"}
+    assert (out / "profile.csv").read_text().startswith("x,phi\n")
+    assert (out / "stationary.csv").read_text().startswith("x,U\n")
+
+
+def test_rates_json_keys(tmp_path):
+    cfg = write_cfg(tmp_path, {"problem": {"h0": 10.0},
+                               "solver": {"dx": 0.1, "dt": 0.05, "t_end": 30.0,
+                                          "log_every": 0.5},
+                               "analysis": {"fits": ["linear", "power", "tlogt"],
+                                            "drift_check": True, "c0": 0.5}})
+    out = tmp_path / "rates"
+    assert main(["rates", "--config", cfg, "--out", str(out)]) == 0
+    payload = _strict_json(out / "rates.json")
+    assert set(payload) == {"linear", "power", "tlogt", "log_drift"}
+    for name in ("linear", "power", "tlogt"):
+        assert set(payload[name]) == {"model", "coeffs", "window", "residual_rms",
+                                      "drift", "low_confidence"}
+        assert payload[name]["model"] == name
+    assert set(payload["log_drift"]) == {"sup_r", "ln_slope", "ln_intercept",
+                                         "residual_rms", "bound", "window", "c0"}
 
 
 def test_rates_drift_check_uses_the_semiwave_settings(tmp_path):
@@ -293,9 +354,10 @@ def test_runtime_failure_writes_error_json(tmp_path, monkeypatch):
         dataclasses.replace(spec, reaction=nan_reaction), cfg))
     out = tmp_path / "nan"
     assert main(["simulate", "--config", write_cfg(tmp_path, BASE), "--out", str(out)]) == 2
-    error = json.loads((out / "error.json").read_text())
+    error = _strict_json(out / "error.json")
     assert error["error"] == "ConvergenceError"
     assert "non-finite" in error["message"]
     assert error["diagnostics"]["t"] < 2.0
+    assert error["diagnostics"]["g"] is None
     assert (out / "trajectory_partial.csv").exists()
     assert not (out / "trajectory.csv").exists()

@@ -529,9 +529,9 @@ def test_stationary_newton_matches_relaxation(kernel, d):
     assert "fallback" not in report and report["residual"] == prof.residual
 
 
-def test_stationary_heavy_tail_uses_relaxation():
+def test_stationary_heavy_tail_solves_by_gmres():
     # the taps span the window, so the band is cut and GMRES solves each
-    # Newton step; U(0) is the relaxation's answer
+    # Newton step
     prof = stationary_profile(AlgebraicTail(1.5, 1.0), logistic(1, 1), 1.0)
     assert prof.iterations >= 1
     assert np.all(np.diff(prof.U) < 0.0)

@@ -166,15 +166,6 @@ def test_mass_flux_residual_zero_state_is_exact():
     assert mass_flux_residual(log, diagnostic_spec()) == 0.0
 
 
-def test_margin_field_csv(tmp_path, power_fixture):
-    from nlfront.validation import margin_field_csv
-    path = tmp_path / "margins.csv"
-    margin_field_csv(power_fixture, Lattice(t_values=(0.0, 2.0)), path)
-    rows = path.read_text().splitlines()
-    assert rows[0] == "t,x,margin"
-    assert len(rows) > 100
-
-
 def test_mass_flux_contracts():
     spec = diagnostic_spec()
     with pytest.raises(ContractError):

@@ -23,14 +23,12 @@ from .solver import Field, ProblemSpec, SolverConfig, TrajectoryLog, run
 __all__ = [
     "RateFit",
     "DriftReport",
-    "LevelSetTrack",
     "MuLimitReport",
     "estimate_linear_speed",
     "fit_power_exponent",
     "fit_tlogt_coefficient",
     "log_drift_check",
     "level_set_positions",
-    "track_level_set",
     "sup_distance_on_window",
     "mu_limit_experiment",
 ]
@@ -56,14 +54,6 @@ class DriftReport(Record):
     residual_rms: float
     bound: float                  # max |r(t)| / ln t over the window
     window: tuple
-
-
-@dataclass(frozen=True)
-class LevelSetTrack:
-    level: float
-    t: np.ndarray
-    x_minus: np.ndarray
-    x_plus: np.ndarray
 
 
 def _trailing(t: np.ndarray, window_fraction: float):
@@ -192,19 +182,6 @@ def level_set_positions(snapshot: Field, level: float, u_star: float):
     else:
         x_plus = x[-1]
     return float(x_minus), float(x_plus)
-
-
-def track_level_set(log: TrajectoryLog, level: float, u_star: float) -> LevelSetTrack:
-    """The (t, x-, x+) series over all stored snapshots that reach the level."""
-    ts, lo, hi = [], [], []
-    for t, snap in log.snapshots:
-        pos = level_set_positions(snap, level, u_star)
-        if pos is not None:
-            ts.append(t)
-            lo.append(pos[0])
-            hi.append(pos[1])
-    return LevelSetTrack(level=level, t=np.asarray(ts),
-                         x_minus=np.asarray(lo), x_plus=np.asarray(hi))
 
 
 def sup_distance_on_window(u: Field, reference, window: tuple) -> float:

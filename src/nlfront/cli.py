@@ -168,7 +168,7 @@ def cmd_sweep(scenario: ScenarioConfig, outdir: str, jobs: int = 1) -> int:
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
             summaries = list(pool.map(_sweep_one, tasks))
     else:
         summaries = [_sweep_one(t) for t in tasks]

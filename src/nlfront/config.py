@@ -24,6 +24,8 @@ __all__ = ["ScenarioConfig", "resolve_config", "default_config", "apply_override
 # the names `rates` and `verify` accept
 _NAMES = {("analysis", "fits"): ("linear", "power", "tlogt"),
           ("verify", "checks"): ("mass-flux", "comparison", "refinement")}
+# a value whose default is one of these kinds must stay one
+_KINDS = {bool: "true or false", list: "a list", dict: "an object"}
 
 _DEFAULTS = {
     "problem": {
@@ -80,8 +82,6 @@ def _finite(value, key: str, count: bool = False):
 def _numbers(spec, key: str, text):
     """A kernel or reaction spec with every entry not named in ``text``
     checked as a finite number."""
-    if not isinstance(spec, dict):
-        return spec                     # the spec parser rejects it
     return {k: v if k in text else _finite(v, f"{key}.{k}") for k, v in spec.items()}
 
 
@@ -129,7 +129,28 @@ class ScenarioConfig:
     def semiwave_config(self) -> SemiWaveConfig:
         return SemiWaveConfig(dx=self._number("semiwave.dx"), L0=self._number("semiwave.L0"))
 
+    def _check_shapes(self):
+        """Each section holds its own keys; a fit or check list holds known
+        names; a value whose default is a bool, a list or an object is one."""
+        for section, defaults in _DEFAULTS.items():
+            values = self.raw[section]
+            if not isinstance(values, dict) or values.keys() != defaults.keys():
+                raise ValidationError(f"{section} takes keys, not a value: "
+                                      f"set {section}.<key> instead")
+            for key, default in defaults.items():
+                value, known = values[key], _NAMES.get((section, key))
+                if known:
+                    bad = ([n for n in value if n not in known]
+                           if isinstance(value, list) else [value])
+                    if bad:
+                        raise ValidationError(f"unknown name {bad[0]!r} in {section}.{key}; "
+                                              f"known: {', '.join(known)}")
+                elif type(default) in _KINDS and type(value) is not type(default):
+                    raise ValidationError(f"{section}.{key} must be "
+                                          f"{_KINDS[type(default)]}, not {value!r}")
+
     def validate(self):
+        self._check_shapes()
         spec = self.problem_spec()
         cfg = self.solver_config()
         self.semiwave_config()          # bad semi-wave settings fail every command
@@ -145,13 +166,6 @@ class ScenarioConfig:
         wf = self._number("analysis.window_fraction")
         if not 0.0 < wf <= 1.0:
             raise ValidationError("analysis.window_fraction must lie in (0, 1]")
-        # an unknown fit or check fails here, before any run
-        for (section, key), known in _NAMES.items():
-            names = self.raw[section][key]
-            bad = [n for n in names if n not in known] if isinstance(names, list) else [names]
-            if bad:
-                raise ValidationError(f"unknown name {bad[0]!r} in {section}.{key}; "
-                                      f"known: {', '.join(known)}")
         return spec, cfg
 
     def to_json(self) -> dict:
@@ -162,14 +176,29 @@ def default_config() -> dict:
     return copy.deepcopy(_DEFAULTS)
 
 
-def _merge(base: dict, user: dict, path: str):
-    for key, val in user.items():
-        if key not in base:
-            raise ValidationError(f"unknown config key {path + key!r}")
-        if isinstance(base[key], dict) and isinstance(val, dict):
-            _merge(base[key], val, path + key + ".")
+def _set(cfg: dict, key: str, value):
+    """Replace the value at dotted ``key`` whole; every part of it must exist."""
+    *path, leaf = key.split(".")
+    node = cfg
+    for part in path:
+        if not isinstance(node.get(part), dict):
+            raise ValidationError(f"unknown config path {key!r}")
+        node = node[part]
+    if leaf not in node:
+        raise ValidationError(f"unknown config key {key!r}")
+    node[leaf] = value
+
+
+def _merge(cfg: dict, user: dict):
+    """A scenario file's settings: each key of a section replaces that value
+    whole, as ``--set section.key`` does (``validate`` rejects a section
+    given a value)."""
+    for section, keys in user.items():
+        if isinstance(keys, dict) and section in cfg:
+            for key, value in keys.items():
+                _set(cfg, f"{section}.{key}", value)
         else:
-            base[key] = val
+            _set(cfg, section, keys)
 
 
 def _parse_scalar(text: str):
@@ -185,16 +214,7 @@ def apply_overrides(cfg: dict, overrides):
         if "=" not in item:
             raise ValidationError(f"override {item!r} is not of the form key=value")
         key, _, val = item.partition("=")
-        node = cfg
-        parts = key.strip().split(".")
-        for part in parts[:-1]:
-            if part not in node or not isinstance(node[part], dict):
-                raise ValidationError(f"unknown config path {key!r}")
-            node = node[part]
-        leaf = parts[-1]
-        if leaf not in node:
-            raise ValidationError(f"unknown config key {key!r}")
-        node[leaf] = _parse_scalar(val.strip())
+        _set(cfg, key.strip(), _parse_scalar(val.strip()))
     return cfg
 
 
@@ -206,7 +226,7 @@ def resolve_config(path: str | None, overrides=None) -> ScenarioConfig:
             user = json.load(fh)
         if not isinstance(user, dict):
             raise ValidationError("config file must hold a JSON object")
-        _merge(cfg, user, "")
+        _merge(cfg, user)
     apply_overrides(cfg, overrides)
     scenario = ScenarioConfig(cfg)
     scenario.validate()

@@ -176,6 +176,7 @@ class TrajectoryLog:
     truncated: bool = False
 
     _columns = ("t", "h", "g", "mass", "sup_u", "flux")    # of trajectory.csv
+    _observed = _columns + ("rint",)                       # appended per checkpoint
 
     def to_csv(self, path):
         write_csv(path, self._columns, [getattr(self, c) for c in self._columns])
@@ -201,8 +202,7 @@ class _Engine:
 
     A step writes u only on the window's nodes (the nodes outside it stay
     0 behind a front or are never reached), with one scratch copy of the
-    window for RK2.  ``version`` counts the changes of state and grid, and
-    keys the cached right-hand side.
+    window for RK2.
     """
 
     def __init__(self, spec: ProblemSpec, cfg: SolverConfig):
@@ -222,8 +222,6 @@ class _Engine:
             ratio = spec.h0 / self.dx
             if abs(ratio - round(ratio)) > 1e-9:
                 raise ValidationError("fixed-domain runs need h0 to be a grid multiple of dx")
-        self.version = 0
-        self._rhs_cache = (-1, None)
         self._init_grid()
 
     # -- grid ---------------------------------------------------------------
@@ -266,7 +264,6 @@ class _Engine:
         self.right_edge = st.x0 + (n - 1) * dx
         self._grow_right = math.inf if self.right == WALL else self.right_edge - 2 * self.ell
         self._grow_left = -math.inf if self.left == WALL else st.x0 + 2 * self.ell
-        self.version += 1
 
     def _grow(self, need_left: float, need_right: float):
         if need_right <= self._grow_right and need_left >= self._grow_left:
@@ -280,11 +277,10 @@ class _Engine:
         if need_left < self._grow_left:
             add_l = int(math.ceil((st.x0 - (need_left - chunk)) / self.dx))
         if n + add_l + add_r > self.cfg.max_nodes:
-            raise ResourceError("computational window exceeded max_nodes",
+            raise ResourceError("run exceeded its window cap",
                                 diagnostics={"nodes_requested": n + add_l + add_r,
                                              "max_nodes": self.cfg.max_nodes, "t": st.t,
-                                             "h": float(st.h), "g": float(st.g)},
-                                partial=self.log)
+                                             "h": float(st.h), "g": float(st.g)})
         u = np.zeros(n + add_l + add_r)
         u[add_l:add_l + n] = st.u
         st.u = u
@@ -317,14 +313,7 @@ class _Engine:
 
     def _rhs(self):
         """(sl, rate, flux_r, flux_l): the window's slice, the rate on its nodes
-        and the front fluxes of the current state.
-
-        The last evaluation is kept until the state changes: a checkpoint's
-        observables and the step that follows it share one.
-        """
-        version, out = self._rhs_cache
-        if version == self.version:
-            return out
+        and the front fluxes of the current state."""
         st, spec, kernel, dx = self.state, self.spec, self.kernel, self.dx
         p = self._pieces()
         sl = p.sl
@@ -338,9 +327,7 @@ class _Engine:
             flux_r = quadrature.front_flux(kernel, st.h, x, wu, dx, p.cells)
         if self.left == FRONT:
             flux_l = quadrature.front_flux(kernel, st.g, x, wu, dx, p.cells, side=-1.0)
-        out = sl, rate, flux_r, flux_l
-        self._rhs_cache = (self.version, out)
-        return out
+        return sl, rate, flux_r, flux_l
 
     def _advance(self, sl: slice, rate, flux_r: float, flux_l: float, dt: float):
         """u += dt * rate on the window sl, clipped at 0; the fronts move by
@@ -358,7 +345,6 @@ class _Engine:
             st.g -= dt * self.spec.mu * flux_l
             if sl.stop > sl.start and self.x[sl.start] <= st.g:          # x <= g
                 st.u[sl.start:self.x.searchsorted(st.g, "right")] = 0.0
-        self.version += 1
 
     def step_once(self, dt: float):
         sl, rate, flux_r, flux_l = self._rhs()
@@ -368,7 +354,6 @@ class _Engine:
             self._advance(sl, rate, flux_r, flux_l, 0.5 * dt)
             mid = self._rhs()
             st.t, st.h, st.g, st.u[sl] = start
-            self.version += 1
             self._advance(*mid, dt)
         else:
             self._advance(sl, rate, flux_r, flux_l, dt)
@@ -376,25 +361,29 @@ class _Engine:
     # -- logging --------------------------------------------------------------
 
     def observables(self):
+        """The values of ``TrajectoryLog._observed`` at the current state; the
+        flux is the one the next step moves the right front by."""
         st = self.state
         p = self._pieces()
-        u = st.u[p.sl]
-        mass = float(np.sum(u * p.w)) * self.dx + sum(c.area for c in p.cells)
+        u, x = st.u[p.sl], self.x[p.sl]
+        wu = u * p.w
+        mass = float(np.sum(wu)) * self.dx + sum(c.area for c in p.cells)
         rint = float(np.sum(self.spec.reaction.f(u) * p.w)) * self.dx
         for c in p.cells:
             # midpoint value of f on the partial end cell
             width = c.area / c.mean if c.mean > 0.0 else 0.0
             rint += width * float(self.spec.reaction.f(c.mean))
         sup = float(np.max(st.u)) if len(st.u) else 0.0
-        fr = self._rhs()[2] if self.right == FRONT else 0.0
-        return self._extent()[1], st.g, mass, sup, fr, rint
+        fr = 0.0
+        if self.right == FRONT:
+            fr = quadrature.front_flux(self.kernel, st.h, x, wu, self.dx, p.cells)
+        return st.t, self._extent()[1], st.g, mass, sup, fr, rint
 
 
 def run(spec: ProblemSpec, cfg: SolverConfig) -> TrajectoryLog:
     """Integrate to t_end, growing the window ahead of the active front."""
     eng = _Engine(spec, cfg)
     log = TrajectoryLog()
-    eng.log = log
     log.meta = {
         "variant": spec.variant, "d": spec.d, "mu": spec.mu, "h0": spec.h0,
         "dx": eng.dx, "dt": eng.dt, "t_end": cfg.t_end,
@@ -413,38 +402,27 @@ def run(spec: ProblemSpec, cfg: SolverConfig) -> TrajectoryLog:
         stride = max(1, int(round(log_every / eng.dt)))
 
     def guard(k, check_field):
-        """Stop with the partial log on a non-finite front (checked every step:
-        a NaN front breaks the next step's cell arithmetic) or field (checked
-        at checkpoints)."""
+        """Stop on a non-finite front (checked every step: a NaN front breaks
+        the next step's cell arithmetic) or field (checked at checkpoints)."""
         st = eng.state
         bad_nodes = int(np.count_nonzero(~np.isfinite(st.u))) if check_field else 0
         # g is -inf unless the variant has a left front
         if bad_nodes or not math.isfinite(st.h) or math.isnan(st.g):
-            log.truncated = True
-            log.final_state = st.copy()
             raise ConvergenceError(f"non-finite state at t = {st.t:g}",
                                    diagnostics={"t": st.t, "step": k,
                                                 "nonfinite_nodes": bad_nodes,
-                                                "h": float(st.h), "g": float(st.g)},
-                                   partial=log)
+                                                "h": float(st.h), "g": float(st.g)})
 
     def checkpoint(k):
         guard(k, check_field=True)
-        st = eng.state
-        h_log, g_log, mass, sup, fr, rint = eng.observables()
-        log.t.append(st.t)
-        log.h.append(h_log)
-        log.g.append(g_log)
-        log.mass.append(mass)
-        log.sup_u.append(sup)
-        log.flux.append(fr)
-        log.rint.append(rint)
+        for name, value in zip(log._observed, eng.observables()):
+            getattr(log, name).append(value)
         n_checks = len(log.t) - 1
         if cfg.snapshot_stride > 0 and n_checks % cfg.snapshot_stride == 0:
-            log.snapshots.append((st.t, st.as_field()))
+            log.snapshots.append((eng.state.t, eng.state.as_field()))
 
-    checkpoint(0)
     try:
+        checkpoint(0)
         for k in range(1, n_steps + 1):
             eng._grow(*eng._extent())
             eng.step_once(eng.dt if k < n_steps else last_dt)
@@ -452,10 +430,12 @@ def run(spec: ProblemSpec, cfg: SolverConfig) -> TrajectoryLog:
                 checkpoint(k)
             else:
                 guard(k, check_field=False)
-    except ResourceError as exc:
+    except (ConvergenceError, ResourceError) as exc:
+        # the log so far and the state the run stopped in travel with the error
         log.truncated = True
         log.final_state = eng.state.copy()
-        raise ResourceError("run exceeded its window cap", exc.diagnostics, partial=log) from exc
+        exc.partial = log
+        raise
     log.final_state = eng.state.copy()
     return log
 
@@ -476,8 +456,11 @@ def classify(log: TrajectoryLog, spec: ProblemSpec) -> str:
     interaction lengths and the field still sits above u*/2.  Vanishing:
     the front gained less than one cell (dx) and the field fell under
     u*/100.  Anything else is undecided.  The thresholds are fixed judgment
-    calls, not settings.
+    calls, not settings.  The interaction length and dx are the run's own,
+    from ``log.meta``; a log read back from CSV lacks them.
     """
+    if "ell" not in log.meta or "dx" not in log.meta:
+        raise ContractError("classify needs the run's log: its meta holds ell and dx")
     t = np.asarray(log.t)
     h = np.asarray(log.h)
     if len(t) < 3:
@@ -485,8 +468,7 @@ def classify(log: TrajectoryLog, spec: ProblemSpec) -> str:
     u_star = spec.reaction.u_star
     if not u_star:
         raise ContractError("classify needs a reaction with a positive zero u*")
-    ell = log.meta.get("ell") or min(spec.kernel.interaction_length(), 25.0)
-    dx = log.meta.get("dx", 0.05)
+    ell, dx = log.meta["ell"], log.meta["dx"]
     half = np.searchsorted(t, t[-1] / 2.0)
     growth = h[-1] - h[half]
     sup_end = log.sup_u[-1]

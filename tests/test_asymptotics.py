@@ -6,7 +6,7 @@ import pytest
 from nlfront.asymptotics import (estimate_linear_speed, fit_power_exponent,
                                  fit_tlogt_coefficient, level_set_positions,
                                  log_drift_check, mu_limit_experiment,
-                                 sup_distance_on_window, track_level_set)
+                                 sup_distance_on_window)
 from nlfront.errors import ContractError, InsufficientDataError
 from nlfront.kernels import CompactUniform
 from nlfront.reactions import logistic

@@ -113,6 +113,70 @@ def test_malformed_number_rejected(tmp_path, capsys, override, key):
     assert os.listdir(out) == []
 
 
+@pytest.mark.parametrize("command,payload,override", [
+    ("simulate", BASE, "solver=5"),
+    ("simulate", {"solver": 5}, None),
+    ("simulate", BASE, 'solver={"dx":0.1}'),
+    ("simulate", BASE, "problem.u0=5"),
+    ("sweep", BASE, "sweep.values=5"),
+    ("simulate", BASE, 'semiwave.minimal_speed="no"'),
+    ("simulate", BASE, 'analysis.drift_check="false"'),
+], ids=["set-section", "file-section", "set-section-object", "u0", "sweep-values",
+        "minimal-speed-text", "drift-check-text"])
+def test_config_shape_errors_exit_1(tmp_path, capsys, command, payload, override):
+    # a section takes keys, not a value; a flag, list or object setting
+    # stays one: exit 1 with nothing written
+    cfg = write_cfg(tmp_path, payload)
+    out = tmp_path / "x"
+    argv = [command, "--config", cfg, "--out", str(out)]
+    assert main(argv + (["--set", override] if override else [])) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert os.listdir(out) == []
+
+
+def test_semiwave_scenario_file_selects_kernel_and_reaction(tmp_path):
+    # a file's problem.kernel and problem.reaction replace the defaults
+    # whole; the algebraic tail has no exponential moment, so no wave
+    cfg = write_cfg(tmp_path, {
+        "problem": {"kernel": {"family": "algebraic", "gamma": 3.0},
+                    "reaction": {"kind": "custom", "name": "cubic"}},
+        "semiwave": {"dx": 0.1, "L0": 40.0}})
+    out = tmp_path / "sw"
+    assert main(["semiwave", "--config", cfg, "--out", str(out)]) == 0
+    payload = _strict_json(out / "semiwave.json")
+    assert payload["wave"]["error"].startswith("condition (J2) fails")
+    echoed = _strict_json(out / "resolved_config.json")["problem"]
+    assert echoed["kernel"] == {"family": "algebraic", "gamma": 3.0}
+    assert echoed["reaction"] == {"kind": "custom", "name": "cubic"}
+
+
+def test_sweep_starts_at_most_one_worker_per_point(tmp_path, monkeypatch):
+    import concurrent.futures
+
+    workers = []
+
+    class InlinePool:
+        """Records max_workers and maps in this process: no process starts."""
+
+        def __init__(self, max_workers):
+            workers.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+    cfg = write_cfg(tmp_path, BASE)
+    assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "swp"), "--jobs", "64",
+                 "--set", "sweep.values=[0.5,1.0,2.0]", "--set", "solver.t_end=0.5"]) == 0
+    assert workers == [3]
+
+
 def test_unknown_key_listed(tmp_path, capsys):
     rc = main(["simulate", "--out", str(tmp_path / "x"), "--set", "solver.dtt=0.1"])
     assert rc == 1

@@ -164,7 +164,7 @@ def test_window_growth_and_resource_cap():
     assert err.value.partial is not None
     assert len(err.value.partial.t) >= 1
     # the cap's error says how many nodes the growth asked for, the cap and
-    # where the run stood, through run's re-raise
+    # where the run stood
     diag, partial = err.value.diagnostics, err.value.partial
     assert diag["max_nodes"] == 300 < diag["nodes_requested"]
     assert partial.t[-1] <= diag["t"] < 40.0
@@ -314,6 +314,15 @@ def test_classify_vanishing():
     assert classify(log, spec) == "vanishing"
 
 
+def test_classify_needs_the_runs_meta(tmp_path):
+    # a log read back from CSV lacks the run's interaction length and dx
+    spec = halfline_spec()
+    log = run(spec, SolverConfig(dx=0.1, dt=0.05, t_end=2.0, log_every=0.2))
+    log.to_csv(tmp_path / "trajectory.csv")
+    with pytest.raises(ContractError, match="meta"):
+        classify(TrajectoryLog.from_csv(tmp_path / "trajectory.csv"), spec)
+
+
 # logging ----------------------------------------------------------------------
 
 
@@ -329,6 +338,17 @@ def test_trajectory_csv_roundtrip(tmp_path):
     text = path.read_text().splitlines()
     assert text[0] == "t,h,g,mass,sup_u,flux"
     assert "-inf" in text[1] or text[1].split(",")[2] == "-inf"
+
+
+def test_logged_flux_moves_the_front():
+    # Euler, a checkpoint every step: each logged flux is the one the next
+    # step moves the front by
+    spec = halfline_spec(mu=2.0, h0=3.0)
+    cfg = SolverConfig(dx=0.05, dt=0.05, t_end=2.0, log_every=0.05)
+    log = run(spec, cfg)
+    assert len(log.t) == 41
+    h, flux = np.asarray(log.h), np.asarray(log.flux)
+    assert np.diff(h) == pytest.approx(cfg.dt * spec.mu * flux[:-1], rel=1e-12)
 
 
 @pytest.mark.parametrize("variant", ["halfline-fb", "cauchy-full"])

@@ -134,11 +134,7 @@ def cmd_verify(scenario: ScenarioConfig, outdir: str) -> int:
 
 
 def _sweep_one(args):
-    base_raw, param, value, command, subdir = args
-    cfg = json.loads(base_raw)
-    apply_overrides(cfg, [f"{param}={json.dumps(value)}"])
-    scenario = ScenarioConfig(cfg)
-    scenario.validate()
+    scenario, value, command, subdir = args
     os.makedirs(subdir, exist_ok=True)
     _echo_config(subdir, scenario)
     rc = _COMMANDS[command](scenario, subdir)
@@ -160,11 +156,12 @@ def cmd_sweep(scenario: ScenarioConfig, outdir: str, jobs: int = 1) -> int:
     command = sw["command"]
     if command not in ("simulate", "semiwave", "rates"):
         raise ValidationError(f"sweep.command {command!r} not supported")
-    base_raw = json.dumps(scenario.to_json())
     tasks = []
     for i, val in enumerate(values):
-        subdir = os.path.join(outdir, f"p{i:03d}")
-        tasks.append((base_raw, sw["parameter"], val, command, subdir))
+        point = ScenarioConfig(apply_overrides(scenario.to_json(),
+                                               [f"{sw['parameter']}={json.dumps(val)}"]))
+        point.validate()                # a bad point fails before any point runs
+        tasks.append((point, val, command, os.path.join(outdir, f"p{i:03d}")))
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
 

@@ -107,8 +107,9 @@ class ScenarioConfig:
         reaction = reaction_from_json(_numbers(p["reaction"], "problem.reaction",
                                                ("kind", "name")))
         u0js = p["u0"]
-        if u0js.get("type", "plateau") != "plateau":
-            raise ValidationError("only 'plateau' initial data are configurable")
+        if set(u0js) - {"type", "m", "ramp"} or u0js.get("type", "plateau") != "plateau":
+            raise ValidationError("problem.u0 takes only the keys type ('plateau'), "
+                                  f"m and ramp, not {u0js!r}")
         m = u0js.get("m")
         if m is None:
             m = reaction.u_star if reaction.u_star else 1.0

@@ -4,6 +4,8 @@ Every family is even, continuous, positive at the origin and normalized to
 unit mass.  Cumulative tails ``tail_mass(s) = int_s^inf J`` are closed form
 for all families; they drive the solver's cell-averaged quadrature taps and
 the heavy-tail completions, so no adaptive quadrature sits in a hot loop.
+So is the integral of the tail between s1 and s2 <= inf: by Fubini its
+limit from 0 is the first moment, +inf exactly when (J1) fails.
 
 Families
 --------
@@ -77,11 +79,8 @@ class Kernel:
         raise NotImplementedError
 
     def tail_mass_integral_between(self, s1, s2):
-        """``int_{s1}^{s2} tail_mass(z) dz`` (always finite); s1, s2 may be arrays."""
-        raise NotImplementedError
-
-    def first_moment(self) -> float:
-        """``int_0^inf x J(x) dx``; +inf when (J1) fails."""
+        """``int_{s1}^{s2} tail_mass(z) dz``; s1, s2 may be arrays, and s2 may
+        be +inf, where the integral is +inf exactly when (J1) fails."""
         raise NotImplementedError
 
     def exp_moment(self, lam: float) -> float:
@@ -107,13 +106,11 @@ class Kernel:
 
     def tail_mass_integral(self, s: float) -> float:
         """``int_s^inf tail_mass(z) dz``; +inf exactly when (J1) fails."""
-        if math.isinf(self.first_moment()):
-            return math.inf
-        # int_s^inf tail = int_s^inf (z - s) J(z) dz, finite under (J1)
-        return self._tail_integral_to_inf(s)
+        return float(self.tail_mass_integral_between(s, math.inf))
 
-    def _tail_integral_to_inf(self, s: float) -> float:
-        raise NotImplementedError
+    def first_moment(self) -> float:
+        """``int_0^inf x J(x) dx = int_0^inf tail_mass`` by Fubini; +inf when (J1) fails."""
+        return self.tail_mass_integral(0.0)
 
     def partial_first_moment(self, s1: float, s2: float) -> float:
         """``int_{s1}^{s2} x J(x) dx`` via integration by parts (closed form)."""
@@ -131,17 +128,12 @@ class Kernel:
         r = self.support_radius()
         if math.isfinite(r):
             return r
-        lo, hi = 0.0, 1.0
+        hi = 1.0
         while self.tail_mass(hi) > eps:
             hi *= 2.0
             if hi >= cap:
                 return cap
-        while lo < (mid := 0.5 * (lo + hi)) < hi:     # until the bracket stops shrinking
-            if self.tail_mass(mid) > eps:
-                lo = mid
-            else:
-                hi = mid
-        return hi
+        return bisect_bracket(lambda s: self.tail_mass(s) > eps, 0.0, hi)
 
     def total_mass(self) -> float:
         """Mass audit: adaptive quadrature on a core + closed-form tails."""
@@ -209,6 +201,17 @@ class Kernel:
         return {"family": self.family, **self.params()}
 
 
+def bisect_bracket(below, lo: float, hi: float) -> float:
+    """Bisect [lo, hi], where ``below`` holds at lo and fails at hi, until the
+    bracket stops shrinking, and return its upper end."""
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
+        if below(mid):
+            lo = mid
+        else:
+            hi = mid
+    return hi
+
+
 @lru_cache(maxsize=256)
 def _taps_cached(kernel, dx: float, m: int) -> np.ndarray:
     edges = (np.arange(m + 1) + 0.5) * dx
@@ -235,9 +238,6 @@ class _Compact(Kernel):
     def __post_init__(self):
         if not self.r > 0.0:
             raise ValidationError(f"{self.family.removeprefix('compact-')} kernel needs r > 0")
-
-    def _tail_integral_to_inf(self, s):
-        return self.tail_mass_integral_between(s, self.r) if s < self.r else 0.0
 
     def mgf_abscissa(self):
         return math.inf
@@ -269,9 +269,6 @@ class CompactUniform(_Compact):
         b = np.minimum(s2, self.r)
         # int (r-z)/(2r) dz = -(r-z)^2/(4r)
         return ((self.r - a) ** 2 - (self.r - b) ** 2) / (4.0 * self.r)
-
-    def first_moment(self):
-        return self.r / 4.0
 
     def exp_moment(self, lam):
         z = lam * self.r
@@ -307,9 +304,6 @@ class CompactCosine(_Compact):
         # int (1 - sin(a z))/2 dz = z/2 + cos(a z)/(2a)
         f = lambda z: z / 2.0 + np.cos(a * z) / (2.0 * a)
         return f(hi) - f(lo)
-
-    def first_moment(self):
-        return self.r * (0.5 - 1.0 / math.pi)
 
     def exp_moment(self, lam):
         a = self._a
@@ -368,16 +362,6 @@ class AlgebraicTail(Kernel):
         k = c / ((g - 1.0) * (2.0 - g))
         return k * ((a + s2) ** (2.0 - g) - (a + s1) ** (2.0 - g))
 
-    def _tail_integral_to_inf(self, s):
-        g, a, c = self.gamma, self.a, self.c
-        return c * (a + s) ** (2.0 - g) / ((g - 1.0) * (g - 2.0))
-
-    def first_moment(self):
-        g, a, c = self.gamma, self.a, self.c
-        if g <= 2.0:
-            return math.inf
-        return c * a ** (2.0 - g) / ((g - 1.0) * (g - 2.0))
-
     def exp_moment(self, lam):
         return math.inf
 
@@ -415,12 +399,6 @@ class LightExponential(Kernel):
     def tail_mass_integral_between(self, s1, s2):
         l0 = self.lambda0
         return (np.exp(-l0 * s1) - np.exp(-l0 * s2)) / (2.0 * l0)
-
-    def _tail_integral_to_inf(self, s):
-        return math.exp(-self.lambda0 * s) / (2.0 * self.lambda0)
-
-    def first_moment(self):
-        return 0.5 / self.lambda0
 
     def exp_moment(self, lam):
         if abs(lam) >= self.lambda0:
@@ -490,27 +468,17 @@ class TruncatedKernel(Kernel):
         out = np.where(s >= top, 0.0, out)
         return out if out.ndim else float(out)
 
-    def tail_mass_integral(self, s: float) -> float:
-        """``int_s^inf tail_mass(z) dz``; finite, since J_n vanishes past 2n."""
-        if s >= 2.0 * self.n:
-            return 0.0
+    def tail_mass_integral_between(self, s1: float, s2: float) -> float:
+        """Scalar ``int_{s1}^{s2} tail_mass``: a quadrature of the closed-form
+        tail, which vanishes past 2n, so finite even for s2 = inf."""
         from scipy import integrate
 
-        val, _ = integrate.quad(self.tail_mass, s, 2.0 * self.n, limit=400)
+        top = 2.0 * self.n
+        val, _ = integrate.quad(self.tail_mass, min(s1, top), min(s2, top), limit=400)
         return val
-
-    def mass(self) -> float:
-        return 2.0 * self.tail_mass(0.0)
 
     def mass_exact(self) -> float:
-        return self.mass()
-
-    def first_moment(self) -> float:
-        from scipy import integrate
-
-        val, _ = integrate.quad(lambda x: x * float(self.evaluate(x)),
-                                0.0, 2.0 * self.n, limit=400)
-        return val
+        return 2.0 * self.tail_mass(0.0)
 
     def exp_moment(self, lam: float) -> float:
         """``int e^(lam x) J_n(x) dx`` over the support [-2n, 2n]."""

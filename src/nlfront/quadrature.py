@@ -307,8 +307,8 @@ class FarFieldWindow:
         self.completion = u_star * np.clip(kernel.mass_exact() - past_front - coverage,
                                            0.0, None)
         self.flux_w = past_front * self.w * dx
-        self.flux_tail = u_star * kernel.tail_mass_integral(self.L) \
-            if math.isfinite(kernel.first_moment()) else 0.0
+        tail = kernel.tail_mass_integral(self.L)      # +inf when (J1) fails
+        self.flux_tail = u_star * tail if math.isfinite(tail) else 0.0
 
     def integral(self, values: np.ndarray) -> np.ndarray:
         """``int_R J(x - y) u(y) dy`` at the nodes, u = values on [-L, 0]."""

@@ -46,7 +46,7 @@ import numpy as np
 from .artifacts import Record
 from .errors import (ContractError, ConvergenceError, NoSemiWaveError,
                      NoTravelingWaveError, ValidationError)
-from .kernels import Kernel
+from .kernels import Kernel, bisect_bracket
 from .quadrature import FarFieldWindow
 
 __all__ = [
@@ -607,13 +607,7 @@ def _far_field_rate(kernel: Kernel, reaction, d: float) -> float | None:
         hi = hi * 2.0 if not math.isfinite(mgf) else 0.5 * (hi + mgf)
         if hi > 1e6 or (math.isfinite(mgf) and mgf - hi < 1e-12):
             break
-    lo = 0.0
-    while lo < (mid := 0.5 * (lo + hi)) < hi:     # until the bracket stops shrinking
-        if kernel.exp_moment(mid) < target:
-            lo = mid
-        else:
-            hi = mid
-    return hi
+    return bisect_bracket(lambda k: kernel.exp_moment(k) < target, 0.0, hi)
 
 
 def stationary_profile(kernel: Kernel, reaction, d: float) -> StationaryProfile:

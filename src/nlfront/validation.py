@@ -119,6 +119,26 @@ class _WaveBarrier(_Barrier):
         return self.sense * self.eps_prime(t) * phi \
             - (1.0 + self.sense * self.eps(t)) * self.h_front_prime(t) * dphi
 
+    # exact route: the profile's own equation substituted into the inequality,
+    # with a = 1 + sense eps; the window's flux is a (c0 - defect - mu missing)
+    def algebraic_interior(self, t, x):
+        x = np.asarray(x, dtype=float)
+        s = self.sense
+        a = 1.0 + s * self.eps(t)
+        phi, dphi = self._phi(t, x)
+        f = self.reaction.f
+        tail = self.kernel.tail_mass(np.maximum(x, 0.0))
+        return (self.eps_prime(t) * phi
+                - s * a * (self.h_front_prime(t) - self.wave.c0) * dphi
+                + s * (a * f(phi) - f(a * phi)
+                       + self.d * a * tail * (self.wave.u_star - phi)))
+
+    def algebraic_front(self, t):
+        a = 1.0 + self.sense * self.eps(t)
+        w = self.wave
+        return self.sense * (self.h_front_prime(t)
+                             - a * (w.c0 - w.speed_defect - self.mu * self._missing(t)))
+
 
 @dataclass(frozen=True, kw_only=True)
 class SuperSemiwave(_WaveBarrier):
@@ -155,21 +175,6 @@ class SuperSemiwave(_WaveBarrier):
 
     def h_front_prime(self, t):
         return self.wave.c0 * (1.0 + self.eps(t))
-
-    # exact route: profile equation substituted into the inequality
-    def algebraic_interior(self, t, x):
-        x = np.asarray(x, dtype=float)
-        ep = self.eps(t)
-        phi, dphi = self._phi(t, x)
-        f = self.reaction.f
-        tail = self.kernel.tail_mass(np.maximum(x, 0.0))
-        return (self.eps_prime(t) * phi
-                - (1.0 + ep) * self.wave.c0 * ep * dphi
-                + (1.0 + ep) * f(phi) - f((1.0 + ep) * phi)
-                + self.d * (1.0 + ep) * tail * (self.wave.u_star - phi))
-
-    def algebraic_front(self, t):
-        return (1.0 + self.eps(t)) * (self.wave.speed_defect + self.mu * self._missing(t))
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -210,23 +215,6 @@ class SubSemiwave(_WaveBarrier):
     def interior_domain(self, t):
         h = self.h_front(t)
         return self.eta0 * h, h
-
-    def algebraic_interior(self, t, x):
-        x = np.asarray(x, dtype=float)
-        ep = self.eps(t)
-        phi, dphi = self._phi(t, x)
-        f = self.reaction.f
-        tail = self.kernel.tail_mass(np.maximum(x, 0.0))
-        delta_p = -self.l2 / (t + self.theta)
-        # margin = RHS - u_t, profile equation substituted
-        return ((1.0 - ep) * delta_p * dphi
-                + self.eps_prime(t) * phi
-                + f((1.0 - ep) * phi) - (1.0 - ep) * f(phi)
-                - self.d * (1.0 - ep) * tail * (self.wave.u_star - phi))
-
-    def algebraic_front(self, t):
-        exact = (self.l2 - self.l1 * self.wave.c0) / (t + self.theta)
-        return exact - self.wave.speed_defect - (1.0 - self.eps(t)) * self.mu * self._missing(t)
 
 
 @dataclass(frozen=True, kw_only=True)

@@ -118,14 +118,16 @@ def test_malformed_number_rejected(tmp_path, capsys, override, key):
     ("simulate", {"solver": 5}, None),
     ("simulate", BASE, 'solver={"dx":0.1}'),
     ("simulate", BASE, "problem.u0=5"),
+    ("simulate", BASE, 'problem.u0={"type":"plateau","m":null,"rampp":5.0}'),
     ("sweep", BASE, "sweep.values=5"),
     ("simulate", BASE, 'semiwave.minimal_speed="no"'),
     ("simulate", BASE, 'analysis.drift_check="false"'),
-], ids=["set-section", "file-section", "set-section-object", "u0", "sweep-values",
-        "minimal-speed-text", "drift-check-text"])
+], ids=["set-section", "file-section", "set-section-object", "u0", "u0-unknown-key",
+        "sweep-values", "minimal-speed-text", "drift-check-text"])
 def test_config_shape_errors_exit_1(tmp_path, capsys, command, payload, override):
     # a section takes keys, not a value; a flag, list or object setting
-    # stays one: exit 1 with nothing written
+    # stays one; the initial datum takes only its own keys: exit 1 with
+    # nothing written
     cfg = write_cfg(tmp_path, payload)
     out = tmp_path / "x"
     argv = [command, "--config", cfg, "--out", str(out)]
@@ -175,6 +177,16 @@ def test_sweep_starts_at_most_one_worker_per_point(tmp_path, monkeypatch):
     assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "swp"), "--jobs", "64",
                  "--set", "sweep.values=[0.5,1.0,2.0]", "--set", "solver.t_end=0.5"]) == 0
     assert workers == [3]
+
+
+def test_sweep_checks_every_point_before_any_runs(tmp_path, capsys):
+    # the second point is no object: exit 1 before the first point writes
+    out = tmp_path / "swp"
+    assert main(["sweep", "--out", str(out), "--set", "solver.t_end=0.5",
+                 "--set", 'sweep.parameter="problem.u0"',
+                 "--set", 'sweep.values=[{"type":"plateau","m":null,"ramp":1.0}, 5]']) == 1
+    assert capsys.readouterr().err.startswith("error: problem.u0 must be an object")
+    assert os.listdir(out) == ["resolved_config.json"]
 
 
 def test_unknown_key_listed(tmp_path, capsys):

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -80,18 +81,41 @@ def test_first_moment_uniform():
     assert CompactUniform(1.0).first_moment() == pytest.approx(0.25)
 
 
-def test_first_moment_gamma3_against_quadrature():
-    # analytic substitution u = 1 + x gives exactly 1/2 for (1+|x|)^-3
-    k = AlgebraicTail(3.0, 1.0)
-    assert k.first_moment() == pytest.approx(0.5, rel=1e-12)
-    val, _ = integrate.quad(lambda x: x * k.evaluate(x), 0.0, 200.0, limit=400)
-    tail_part = 200.0 * k.tail_mass(200.0) + k.tail_mass_integral(200.0)
-    assert val + tail_part == pytest.approx(0.5, rel=1e-8)
+@pytest.mark.parametrize("k,exact", [
+    pytest.param(CompactUniform(2.5), 2.5 / 4.0, id="uniform"),
+    pytest.param(CompactCosine(0.7), 0.7 * (0.5 - 1.0 / math.pi), id="cosine"),
+    pytest.param(AlgebraicTail(2.5, 1.0), 1.0, id="algebraic-2.5"),
+    # the substitution u = 1 + x gives exactly 1/2 for (1+|x|)^-3
+    pytest.param(AlgebraicTail(3.0, 1.0), 0.5, id="algebraic-3.0"),
+    pytest.param(LightExponential(2.0), 0.25, id="exponential"),
+    pytest.param(truncate(LightExponential(1.0), 4.0), None, id="truncated-exponential"),
+    pytest.param(truncate(AlgebraicTail(1.5, 1.0), 4.0), None, id="truncated-algebraic-1.5"),
+])
+def test_first_moment_against_quadrature(k, exact):
+    # the first moment is the tail integral from 0, and each tail integral
+    # is the limit s2 = inf of the family's one closed form: check both
+    # against adaptive quadrature of x J and of the tail (a truncation's own
+    # quadrature of its tail keeps scipy's default 1.5e-8 absolute accuracy)
+    top = k.support_radius()
+    m1, _ = integrate.quad(lambda x: x * k.evaluate(x), 0.0, top, epsabs=0.0, limit=400)
+    assert isinstance(k.first_moment(), float)
+    assert k.first_moment() == pytest.approx(m1, rel=1e-8)
+    if exact is not None:
+        assert k.first_moment() == pytest.approx(exact, rel=1e-12)
+    for s in (0.0, 0.4, 1.5, 6.0):
+        val, _ = integrate.quad(k.tail_mass, min(s, top), top, epsabs=0.0, limit=400)
+        assert isinstance(k.tail_mass_integral(s), float)
+        assert k.tail_mass_integral(s) == pytest.approx(val, rel=1e-8, abs=1e-15)
 
 
 def test_first_moment_divergent_gamma2():
-    assert math.isinf(AlgebraicTail(2.0, 1.0).first_moment())
-    assert math.isinf(AlgebraicTail(1.5, 1.0).first_moment())
+    # (J1) fails for gamma <= 2: the closed forms reach +inf with no warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for gamma in (1.5, 2.0):
+            k = AlgebraicTail(gamma, 1.0)
+            assert k.first_moment() == math.inf
+            assert k.tail_mass_integral(3.0) == math.inf
 
 
 def test_exp_moment_uniform_closed_form():
@@ -183,12 +207,12 @@ def test_truncate_plateau_region():
 
 def test_truncate_uniform_inside_plateau_has_full_mass():
     tr = truncate(CompactUniform(1.0), 1.0)
-    assert tr.mass() == pytest.approx(1.0, abs=1e-12)
+    assert tr.mass_exact() == pytest.approx(1.0, abs=1e-12)
 
 
 def test_truncate_mass_increases_to_one():
     k = AlgebraicTail(1.5, 1.0)
-    masses = [truncate(k, n).mass() for n in (1.0, 4.0, 16.0, 64.0)]
+    masses = [truncate(k, n).mass_exact() for n in (1.0, 4.0, 16.0, 64.0)]
     assert np.all(np.diff(masses) > 0.0)
     assert masses[-1] < 1.0
     assert masses[-1] > 0.8
@@ -214,14 +238,14 @@ def test_truncation_is_a_kernel_with_its_own_mass():
     assert tr.to_json() == {"family": "truncated", "n": 4.0,
                             "base": {"family": "algebraic", "gamma": 1.5, "a": 1.0}}
     xs = np.linspace(0.0, 10.0, 41)
-    assert np.array_equal(tr.halfline_mass(xs), tr.mass() - tr.tail_mass(xs))
+    assert np.array_equal(tr.halfline_mass(xs), tr.mass_exact() - tr.tail_mass(xs))
     taps = tr.taps(0.25, 40)
-    covered = tr.mass() - 2.0 * tr.tail_mass((40 + 0.5) * 0.25)
+    covered = tr.mass_exact() - 2.0 * tr.tail_mass((40 + 0.5) * 0.25)
     assert taps.sum() * 0.25 == pytest.approx(covered, abs=1e-14)
     # cut past the support, truncation changes nothing, bit for bit
     base = CompactUniform(1.0)
     wide = truncate(base, 2.0)
-    assert wide.mass() == 1.0
+    assert wide.mass_exact() == 1.0
     assert np.array_equal(wide.taps(0.05, 30), base.taps(0.05, 30))
     assert np.array_equal(wide.halfline_mass(xs), base.halfline_mass(xs))
 

@@ -160,13 +160,16 @@ class ScenarioConfig:
             if cfg.dt > budget * (1.0 + 1e-12):
                 raise ValidationError(
                     f"solver.dt = {cfg.dt} exceeds the stability budget {budget:.6g}")
-        for key in ("analysis.c0", "semiwave.stationary_d", "verify.mass_flux_tol",
-                    "verify.comparison_scale", "verify.comparison_tol",
-                    "verify.refinement_levels"):
+        for key in ("analysis.c0", "verify.mass_flux_tol", "verify.comparison_tol"):
             self._number(key)           # read by a command only: fails before any run
-        wf = self._number("analysis.window_fraction")
-        if not 0.0 < wf <= 1.0:
-            raise ValidationError("analysis.window_fraction must lie in (0, 1]")
+        d, levels = self._number("semiwave.stationary_d"), self._number("verify.refinement_levels")
+        if not (d is None or d > 0.0):
+            raise ValidationError("semiwave.stationary_d must be positive")
+        if levels < 3:
+            raise ValidationError("verify.refinement_levels must be at least 3")
+        for key in ("analysis.window_fraction", "verify.comparison_scale"):
+            if not 0.0 < self._number(key) <= 1.0:
+                raise ValidationError(f"{key} must lie in (0, 1]")
         return spec, cfg
 
     def to_json(self) -> dict:

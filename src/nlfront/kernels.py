@@ -4,8 +4,8 @@ Every family is even, continuous, positive at the origin and normalized to
 unit mass.  Cumulative tails ``tail_mass(s) = int_s^inf J`` are closed form
 for all families; they drive the solver's cell-averaged quadrature taps and
 the heavy-tail completions, so no adaptive quadrature sits in a hot loop.
-So is the integral of the tail between s1 and s2 <= inf: by Fubini its
-limit from 0 is the first moment, +inf exactly when (J1) fails.
+So is the tail's integral between s1 and s2 <= inf, save a truncation's
+(``gauss``): by Fubini its limit from 0 is the first moment, +inf iff (J1) fails.
 
 Families
 --------
@@ -42,9 +42,7 @@ __all__ = [
     "kernel_from_json",
 ]
 
-# Quadrature tolerances for the unit-mass audit.
-MASS_TOL_SMOOTH = 1e-8
-MASS_TOL_ALGEBRAIC = 1e-6
+MASS_TOL = 1e-8                 # tolerance of the unit-mass audit
 
 
 @dataclass(frozen=True)
@@ -78,15 +76,6 @@ class Kernel:
         """``int_s^inf J(z) dz`` for s >= 0.  Decreasing, tail_mass(0)=1/2."""
         raise NotImplementedError
 
-    def tail_mass_integral_between(self, s1, s2):
-        """``int_{s1}^{s2} tail_mass(z) dz``; s1, s2 may be arrays, and s2 may
-        be +inf, where the integral is +inf exactly when (J1) fails."""
-        raise NotImplementedError
-
-    def exp_moment(self, lam: float) -> float:
-        """``int_R J(x) e^(lam x) dx``; +inf when divergent."""
-        raise NotImplementedError
-
     def mgf_abscissa(self) -> float:
         raise NotImplementedError
 
@@ -97,6 +86,22 @@ class Kernel:
         raise NotImplementedError
 
     # -- generic derived operations ---------------------------------------
+
+    def tail_mass_integral_between(self, s1, s2):
+        """``int_{s1}^{s2} tail_mass(z) dz``; s1, s2 may be arrays, and s2 may
+        be +inf, where the integral is +inf exactly when (J1) fails.  A family
+        with no closed form (a truncation) takes scalar ``gauss`` up to its
+        finite support radius, past which its tail vanishes."""
+        R = self.support_radius()
+        return gauss(self.tail_mass, min(s1, R), min(s2, R), math.inf, self._panel_ends(R))
+
+    def exp_moment(self, lam: float) -> float:
+        """``int_R J(x) e^(lam x) dx``; +inf when divergent.  With no closed
+        form, ``gauss`` over the finite support, on panels across which
+        e^(lam x) grows at most e^4."""
+        R = self.support_radius()
+        return gauss(lambda x: np.exp(lam * x) * self.evaluate(x), -R, R,
+                     4.0 / abs(lam) if lam else math.inf, self._panel_ends(R))
 
     def halfline_mass(self, x):
         """j(x) = int_0^inf J(x - y) dy = mass_exact() - tail_mass(x) for x >= 0."""
@@ -135,15 +140,18 @@ class Kernel:
                 return cap
         return bisect_bracket(lambda s: self.tail_mass(s) > eps, 0.0, hi)
 
+    def _panel_ends(self, R: float, kinks=()) -> list:
+        """``gauss`` breaks on [-R, R]: 0, R halved 40 times (the algebraic
+        family varies on the scale of its offset a near 0) and J's kinks."""
+        ends = np.concatenate([R * 0.5 ** np.arange(41), kinks])
+        return [0.0, *ends, *-ends]
+
     def total_mass(self) -> float:
-        """Mass audit: adaptive quadrature on a core + closed-form tails."""
+        """Mass audit: ``gauss`` on a core + closed-form tails."""
         r = self.support_radius()
         core = r if math.isfinite(r) else 10.0 * self.interaction_length(1e-2, cap=1e3)
-        from scipy import integrate
-
-        val, _ = integrate.quad(lambda x: float(self.evaluate(x)), -core, core,
-                                limit=400)
-        return val + 2.0 * self.tail_mass(core)
+        return (gauss(self.evaluate, -core, core, math.inf, self._panel_ends(core))
+                + 2.0 * self.tail_mass(core))
 
     def quadrature_scale(self) -> float:
         """Length scale over which J varies; grids should resolve it."""
@@ -167,7 +175,19 @@ class Kernel:
     # -- classification -----------------------------------------------------
 
     def condition_report(self) -> KernelReport:
-        self._audit()
+        """Audit J (nonnegative, even, positive at 0, of its exact mass), then classify it."""
+        xs = np.array([0.0, 0.1, 0.37, 1.0, 2.3, 7.0])
+        vals_p = self.evaluate(xs)
+        vals_m = self.evaluate(-xs)
+        if np.any(vals_p < 0.0) or np.any(vals_m < 0.0):
+            raise ValidationError("kernel takes negative values")
+        if not np.allclose(vals_p, vals_m, rtol=0.0, atol=1e-12):
+            raise ValidationError("kernel is not even")
+        if not float(self.evaluate(0.0)) > 0.0:
+            raise ValidationError("kernel vanishes at the origin")
+        mass, exact = self.total_mass(), self.mass_exact()
+        if abs(mass - exact) > MASS_TOL:
+            raise ValidationError(f"kernel mass {mass!r} is off {exact!r} by > {MASS_TOL}")
         m1 = self.first_moment()
         mgf = self.mgf_abscissa()
         return KernelReport(
@@ -182,21 +202,6 @@ class Kernel:
     def _gamma_class(self):
         return None
 
-    def _audit(self):
-        xs = np.array([0.0, 0.1, 0.37, 1.0, 2.3, 7.0])
-        vals_p = self.evaluate(xs)
-        vals_m = self.evaluate(-xs)
-        if np.any(vals_p < 0.0) or np.any(vals_m < 0.0):
-            raise ValidationError("kernel takes negative values")
-        if not np.allclose(vals_p, vals_m, rtol=0.0, atol=1e-12):
-            raise ValidationError("kernel is not even")
-        if not float(self.evaluate(0.0)) > 0.0:
-            raise ValidationError("kernel vanishes at the origin")
-        tol = MASS_TOL_ALGEBRAIC if isinstance(self, AlgebraicTail) else MASS_TOL_SMOOTH
-        mass, exact = self.total_mass(), self.mass_exact()
-        if abs(mass - exact) > tol:
-            raise ValidationError(f"kernel mass {mass!r} deviates from {exact!r} beyond {tol}")
-
     def to_json(self) -> dict:
         return {"family": self.family, **self.params()}
 
@@ -210,6 +215,25 @@ def bisect_bracket(below, lo: float, hi: float) -> float:
         else:
             hi = mid
     return hi
+
+
+def gauss(f, lo: float, hi: float, width: float, breaks=()) -> float:
+    """``int_lo^hi f`` for lo <= hi by 20-point Gauss-Legendre on panels at most
+    ``width`` wide that end at every break; ``f`` maps arrays to arrays."""
+    ends = np.unique(np.clip([lo, hi, *breaks], lo, hi))
+    n = np.maximum(1, np.ceil(np.diff(ends) / width)).astype(int)
+    half = np.repeat(np.diff(ends) / (2 * n), n)
+    k = np.arange(n.sum()) - np.repeat(np.cumsum(n) - n, n)     # panel within its piece
+    mid = np.repeat(ends[:-1], n) + (2 * k + 1) * half
+    t, w = _legendre20()
+    return float(np.sum(half[:, None] * w * f(mid[:, None] + half[:, None] * t)))
+
+
+@lru_cache(maxsize=1)
+def _legendre20():
+    from numpy.polynomial.legendre import leggauss   # ~2 MiB, so on first use only
+
+    return leggauss(20)
 
 
 @lru_cache(maxsize=256)
@@ -421,11 +445,6 @@ class LightExponential(Kernel):
 # ---------------------------------------------------------------------------
 
 
-def _plateau(z):
-    z = np.abs(np.asarray(z, dtype=float))
-    return np.clip(2.0 - z, 0.0, 1.0)
-
-
 @dataclass(frozen=True)
 class TruncatedKernel(Kernel):
     """Sub-probability kernel J_n = xi(x/n) J(x): equals J on |x|<=n, 0 past 2n.
@@ -445,7 +464,7 @@ class TruncatedKernel(Kernel):
 
     def evaluate(self, x):
         x = np.asarray(x, dtype=float)
-        out = _plateau(x / self.n) * self.base.evaluate(x)
+        out = np.clip(2.0 - np.abs(x / self.n), 0.0, 1.0) * self.base.evaluate(x)
         return out if out.ndim else float(out)
 
     def support_radius(self):
@@ -468,26 +487,11 @@ class TruncatedKernel(Kernel):
         out = np.where(s >= top, 0.0, out)
         return out if out.ndim else float(out)
 
-    def tail_mass_integral_between(self, s1: float, s2: float) -> float:
-        """Scalar ``int_{s1}^{s2} tail_mass``: a quadrature of the closed-form
-        tail, which vanishes past 2n, so finite even for s2 = inf."""
-        from scipy import integrate
-
-        top = 2.0 * self.n
-        val, _ = integrate.quad(self.tail_mass, min(s1, top), min(s2, top), limit=400)
-        return val
+    def _panel_ends(self, R, kinks=()):
+        return super()._panel_ends(R, (self.n, *kinks))     # the plateau's kink
 
     def mass_exact(self) -> float:
         return 2.0 * self.tail_mass(0.0)
-
-    def exp_moment(self, lam: float) -> float:
-        """``int e^(lam x) J_n(x) dx`` over the support [-2n, 2n]."""
-        from scipy import integrate
-
-        n = self.n
-        val, _ = integrate.quad(lambda x: float(np.exp(lam * x) * self.evaluate(x)),
-                                -2.0 * n, 2.0 * n, points=(-n, 0.0, n), limit=400)
-        return val
 
     def mgf_abscissa(self) -> float:
         """J_n vanishes past 2n, so every exponential moment is finite."""

@@ -16,6 +16,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ValidationError
+from .kernels import bisect_bracket
 
 __all__ = [
     "Reaction",
@@ -70,22 +71,8 @@ class FReport:
     u_star: float | None
 
 
-def _bisect(f, lo, hi, tol=1e-12, max_iter=200):
-    flo = f(lo)
-    for _ in range(max_iter):
-        mid = 0.5 * (lo + hi)
-        fm = f(mid)
-        if fm == 0.0 or (hi - lo) < tol:
-            return mid
-        if (flo > 0.0) == (fm > 0.0):
-            lo, flo = mid, fm
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
 def positive_root(r: Reaction, u_max: float = 1e6) -> float:
-    """u* with f(u*) = 0, to 1e-12, by doubling scan plus bisection."""
+    """u*, the least float at which the computed f stops being positive."""
     if not r.fprime0() > 0.0:
         raise ValidationError("positive_root requires f'(0) > 0")
     lo = 1e-8
@@ -98,7 +85,7 @@ def positive_root(r: Reaction, u_max: float = 1e6) -> float:
         hi *= 2.0
         if hi > u_max:
             raise ValidationError(f"no sign change of f on (0, {u_max}]")
-    return _bisect(lambda u: float(r.f(u)), lo, hi)
+    return bisect_bracket(lambda u: float(r.f(u)) > 0.0, lo, hi)
 
 
 def validate_F(r: Reaction) -> FReport:

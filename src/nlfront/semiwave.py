@@ -619,8 +619,8 @@ def stationary_profile(kernel: Kernel, reaction, d: float) -> StationaryProfile:
     answer must decrease strictly, as the continuum one does.
     """
     u_star = reaction.u_star
-    if not u_star:
-        raise ValidationError("stationary_profile needs a reaction with a positive zero")
+    if not (u_star and d > 0.0):
+        raise ValidationError("stationary_profile needs d > 0 and a positive zero u*")
     kappa = _far_field_rate(kernel, reaction, d)
     scale = kernel.quadrature_scale()
     if kappa is not None:

@@ -137,10 +137,11 @@ class SolverConfig:
     scheme: str = "euler"            # or "rk2" (midpoint)
 
     def __post_init__(self):
-        if not self.dx > 0.0:
-            raise ValidationError("dx must be positive")
-        if self.t_end < 0.0:
-            raise ValidationError("t_end must be nonnegative")
+        for key in ("dx", "dt", "log_every", "max_nodes"):     # dt, log_every: None or > 0
+            if getattr(self, key) is not None and not getattr(self, key) > 0:
+                raise ValidationError(f"{key} must be positive")
+        if not (self.t_end >= 0.0 and self.snapshot_stride >= 0):
+            raise ValidationError("t_end and snapshot_stride must be nonnegative")
         if self.scheme not in ("euler", "rk2"):
             raise ValidationError("scheme must be 'euler' or 'rk2'")
 
@@ -232,6 +233,8 @@ class _Engine:
         lo = 0.0 if self.left == WALL else -(spec.h0 + pad)
         hi = spec.h0 if self.right == WALL else spec.h0 + pad
         n = int(round((hi - lo) / dx)) + 1
+        g0 = -spec.h0 if self.left == FRONT else -math.inf
+        self._check_cap(n, 0.0, spec.h0, g0)
         x = lo + dx * np.arange(n)
         u0 = spec.initial_datum()
         u = np.asarray(u0(x), dtype=float)
@@ -244,7 +247,6 @@ class _Engine:
         if abs(edge) > 1e-9 * max(1.0, np.max(u)) and self.right != WALL:
             raise ValidationError("initial datum must vanish at the moving front")
         u[np.abs(x) > spec.h0 + 1e-12] = 0.0
-        g0 = -spec.h0 if self.left == FRONT else -math.inf
         self.state = State(t=0.0, x0=lo, dx=dx, u=u, h=spec.h0, g=g0)
         self._refresh_taps()
 
@@ -276,16 +278,19 @@ class _Engine:
             add_r = int(math.ceil((need_right + chunk - self.right_edge) / self.dx))
         if need_left < self._grow_left:
             add_l = int(math.ceil((st.x0 - (need_left - chunk)) / self.dx))
-        if n + add_l + add_r > self.cfg.max_nodes:
-            raise ResourceError("run exceeded its window cap",
-                                diagnostics={"nodes_requested": n + add_l + add_r,
-                                             "max_nodes": self.cfg.max_nodes, "t": st.t,
-                                             "h": float(st.h), "g": float(st.g)})
+        self._check_cap(n + add_l + add_r, st.t, st.h, st.g)
         u = np.zeros(n + add_l + add_r)
         u[add_l:add_l + n] = st.u
         st.u = u
         st.x0 -= add_l * self.dx
         self._refresh_taps()
+
+    def _check_cap(self, nodes: int, t: float, h: float, g: float):
+        """The window cap binds the first grid and every growth."""
+        if nodes > self.cfg.max_nodes:
+            raise ResourceError("run exceeded its window cap", diagnostics={
+                "nodes_requested": nodes, "max_nodes": self.cfg.max_nodes,
+                "t": t, "h": float(h), "g": float(g)})
 
     def _extent(self):
         """(left, right): each end's front or wall, or at an open end the

@@ -113,6 +113,32 @@ def test_malformed_number_rejected(tmp_path, capsys, override, key):
     assert os.listdir(out) == []
 
 
+@pytest.mark.parametrize("command,override,key", [
+    ("simulate", "solver.dt=-0.05", "dt"),
+    ("simulate", "solver.dt=0", "dt"),
+    ("simulate", "solver.log_every=0", "log_every"),
+    ("simulate", "solver.snapshot_stride=-1", "snapshot_stride"),
+    ("simulate", "solver.max_nodes=0", "max_nodes"),
+    ("semiwave", "semiwave.stationary_d=0", "semiwave.stationary_d"),
+    ("semiwave", "semiwave.stationary_d=-1", "semiwave.stationary_d"),
+    ("verify", "verify.refinement_levels=2", "verify.refinement_levels"),
+    ("verify", "verify.comparison_scale=0", "verify.comparison_scale"),
+    ("verify", "verify.comparison_scale=1.5", "verify.comparison_scale"),
+])
+def test_out_of_range_number_rejected_before_any_run(tmp_path, capsys, command, override, key):
+    # a number that makes no run, or that only a later check of one command
+    # reads, fails up front: exit 1 naming the key, with nothing written
+    cfg = write_cfg(tmp_path, BASE)
+    out = tmp_path / "x"
+    argv = [command, "--config", cfg, "--out", str(out), "--set", override,
+            "--set", "semiwave.stationary=true", "--set",
+            'verify.checks=["mass-flux","comparison","refinement"]']
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and key in err
+    assert os.listdir(out) == []
+
+
 @pytest.mark.parametrize("command,payload,override", [
     ("simulate", BASE, "solver=5"),
     ("simulate", {"solver": 5}, None),
@@ -325,6 +351,21 @@ def test_resource_cap_exit_2_with_partial_artifact(tmp_path, capsys):
     assert 0.0 < diag["t"] < 40.0 and diag["h"] > 10.0
     assert set(diag) == {"nodes_requested", "max_nodes", "t", "h", "g"}
     assert diag["g"] is None            # the half line has no left front: g = -inf
+
+
+def test_resource_cap_binds_the_first_grid(tmp_path, capsys):
+    # a cap below the starting grid fails at t = 0 the way a growth does
+    out = tmp_path / "capped"
+    cfg = write_cfg(tmp_path, {"problem": {"h0": 10.0},
+                               "solver": {"dx": 0.05, "dt": 0.05, "t_end": 1.0,
+                                          "max_nodes": 10}})
+    assert main(["simulate", "--config", cfg, "--out", str(out)]) == 2
+    assert "window cap" in capsys.readouterr().err
+    assert sorted(os.listdir(out)) == ["error.json", "resolved_config.json"]
+    diag = _strict_json(out / "error.json")["diagnostics"]
+    assert diag == {"nodes_requested": diag["nodes_requested"], "max_nodes": 10, "t": 0.0,
+                    "h": 10.0, "g": None}
+    assert diag["nodes_requested"] > 10
 
 
 def test_resolve_config_defaults_and_validation(tmp_path):

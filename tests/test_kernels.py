@@ -6,7 +6,7 @@ import pytest
 from scipy import integrate
 
 from nlfront.errors import ValidationError
-from nlfront.kernels import (AlgebraicTail, CompactCosine, CompactUniform, Kernel,
+from nlfront.kernels import (MASS_TOL, AlgebraicTail, CompactCosine, CompactUniform, Kernel,
                              LightExponential, kernel_from_json, truncate)
 
 ALL_KERNELS = [
@@ -94,8 +94,7 @@ def test_first_moment_uniform():
 def test_first_moment_against_quadrature(k, exact):
     # the first moment is the tail integral from 0, and each tail integral
     # is the limit s2 = inf of the family's one closed form: check both
-    # against adaptive quadrature of x J and of the tail (a truncation's own
-    # quadrature of its tail keeps scipy's default 1.5e-8 absolute accuracy)
+    # against adaptive quadrature of x J and of the tail
     top = k.support_radius()
     m1, _ = integrate.quad(lambda x: x * k.evaluate(x), 0.0, top, epsabs=0.0, limit=400)
     assert isinstance(k.first_moment(), float)
@@ -106,6 +105,51 @@ def test_first_moment_against_quadrature(k, exact):
         val, _ = integrate.quad(k.tail_mass, min(s, top), top, epsabs=0.0, limit=400)
         assert isinstance(k.tail_mass_integral(s), float)
         assert k.tail_mass_integral(s) == pytest.approx(val, rel=1e-8, abs=1e-15)
+
+
+TRUNCATIONS = [truncate(AlgebraicTail(1.5), 4.0), truncate(AlgebraicTail(1.5), 20.0),
+               truncate(AlgebraicTail(2.5, 0.3), 4.0), truncate(LightExponential(1.0), 4.0),
+               truncate(LightExponential(1.0), 10.0), truncate(CompactCosine(1.0), 0.7),
+               truncate(CompactUniform(3.0), 2.0)]
+
+
+def _tight_quad(f, lo, hi, k):
+    """Adaptive quadrature to 1e-13 relative, broken at 0 and every kink of J_n."""
+    kinks = (k.n, k.base.support_radius())
+    points = sorted({p for p in (0.0, *kinks, *(-p for p in kinks)) if lo < p < hi})
+    val, _ = integrate.quad(f, lo, hi, points=points or None, epsabs=0.0, epsrel=1e-13,
+                            limit=2000)
+    return val
+
+
+@pytest.mark.parametrize("k", TRUNCATIONS, ids=["algebraic1.5-n4", "algebraic1.5-n20",
+                                                 "algebraic2.5-n4", "exponential-n4",
+                                                 "exponential-n10", "cosine-n0.7",
+                                                 "uniform3-n2"])
+def test_truncated_moments_match_a_tight_quadrature(k):
+    # the fixed Gauss-Legendre rule gives the tail integrals, the first
+    # moment and the exponential moments of a truncation to the last digits,
+    # up to the largest exponent minimal_speed asks for (lam r = 700)
+    r = k.support_radius()
+    for s in (0.0, 0.4, 1.5, 6.0, 9.0):
+        if s < r:
+            assert k.tail_mass_integral(s) == pytest.approx(
+                _tight_quad(k.tail_mass, s, r, k), rel=1e-13), s
+    assert k.first_moment() == pytest.approx(
+        _tight_quad(lambda x: x * k.evaluate(x), 0.0, r, k), rel=1e-13)
+    for lam in (-1.0, 0.5, 3.0, 700.0 / r):
+        assert k.exp_moment(lam) == pytest.approx(
+            _tight_quad(lambda x: math.exp(lam * x) * k.evaluate(x), -r, r, k), rel=1e-13), lam
+
+
+@pytest.mark.parametrize("k", ALL_KERNELS + [AlgebraicTail(2.0, 0.05), AlgebraicTail(1.1, 1e-3),
+                                             truncate(AlgebraicTail(1.5), 4.0),
+                                             truncate(CompactUniform(3.0), 2.0)])
+def test_mass_audit_holds_one_tolerance_for_every_family(k):
+    # one MASS_TOL for every family, heavy tails and truncations included:
+    # the audit's quadrature lands on the closed-form mass to rounding
+    k.condition_report()
+    assert abs(k.total_mass() - k.mass_exact()) < 1e-6 * MASS_TOL
 
 
 def test_first_moment_divergent_gamma2():

@@ -215,9 +215,10 @@ def _fresh_interpreter(code: str) -> str:
 
 
 def test_cli_import_leaves_scipy_signal_unloaded():
-    # scipy is imported where it is used, so starting the CLI loads none of it
+    # scipy and numpy.polynomial are imported where they are used, so
+    # starting the CLI loads none of them
     names = [f"scipy.{m}" for m in ("signal", "integrate", "optimize", "linalg", "fft",
-                                          "sparse")]
+                                          "sparse")] + ["numpy.polynomial"]
     code = f"import nlfront.cli, sys; print([m for m in {names!r} if m in sys.modules])"
     assert _fresh_interpreter(code) == "[]"
 
@@ -273,6 +274,26 @@ print([m for m in ("scipy.linalg._flapack", "scipy.linalg", "scipy._lib._array_a
        if m in sys.modules])
 """
     assert _fresh_interpreter(code) == "['scipy.linalg._flapack']"
+
+
+def test_truncated_kernel_moments_load_no_scipy_integrate():
+    # a truncation's tail integrals, exponential moments and mass audit come
+    # from the package's fixed Gauss-Legendre rule, which loads
+    # numpy.polynomial on first use and no scipy.integrate
+    code = """
+import sys
+from nlfront.kernels import LightExponential, truncate
+from nlfront.reactions import logistic
+from nlfront.semiwave import (SemiWaveConfig, minimal_speed, solve_semiwave,
+                              stationary_profile)
+k = truncate(LightExponential(1.0), 4.0)
+solve_semiwave(k, logistic(1, 1), 1.0, 1.0, SemiWaveConfig(dx=0.04, L0=20.0, max_doublings=0))
+minimal_speed(k, logistic(1, 1), 1.0)
+stationary_profile(k, logistic(1, 1), 1.0)
+k.condition_report()
+print([m for m in ("numpy.polynomial", "scipy.integrate") if m in sys.modules])
+"""
+    assert _fresh_interpreter(code) == "['numpy.polynomial']"
 
 
 _SOLVE_TWICE = """

@@ -42,6 +42,16 @@ def test_cubic_root():
     assert abs(custom("cubic").u_star - 1.0) < 1e-11
 
 
+def test_roots_to_the_last_bit():
+    # u* is the least float at which the computed f stops being positive:
+    # 2/3 correctly rounded, and 1.0 exactly where f vanishes there
+    assert logistic(1, 1).u_star == 1.0
+    assert logistic(2, 3).u_star == 2.0 / 3.0 == 0.6666666666666666
+    assert custom("cubic").u_star == 1.0
+    r = logistic(2, 3)
+    assert float(r.f(r.u_star)) <= 0.0 < float(r.f(np.nextafter(r.u_star, 0.0)))
+
+
 def test_root_not_found():
     grow = Reaction(f=lambda u: np.asarray(u, dtype=float),
                     f_prime=lambda u: np.ones_like(np.asarray(u, dtype=float)))

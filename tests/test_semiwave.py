@@ -31,6 +31,13 @@ def test_semiwave_contract():
         solve_semiwave(CompactUniform(1.0), logistic(1, 1), d=-1.0, mu=1.0)
 
 
+@pytest.mark.parametrize("d", [0.0, -1.0])
+def test_stationary_profile_contract(d):
+    # d <= 0 is refused as solve_semiwave refuses it, before any window is set
+    with pytest.raises(ValidationError, match="d > 0"):
+        stationary_profile(CompactUniform(1.0), logistic(1, 1), d)
+
+
 @pytest.mark.parametrize("field,value", [
     ("dx", 0.0), ("dx", -0.02), ("dx", math.nan), ("L0", 0.0), ("L0", -5.0),
     ("max_doublings", -1), ("residual_tol", 0.0), ("residual_tol", -1.0),

@@ -69,19 +69,19 @@ def cmd_rates(scenario: ScenarioConfig, outdir: str) -> int:
     from . import asymptotics
 
     spec, cfg = scenario.validate()
+    an = scenario["analysis"]
+    c0 = an["c0"]
+    if an["drift_check"] and c0 is None:     # a semi-wave that fails, fails before the run
+        c0 = solve_semiwave(spec.kernel, spec.reaction, spec.d, spec.mu,
+                            scenario.semiwave_config()).c0
     log = run(spec, cfg)
     log.to_csv(os.path.join(outdir, "trajectory.csv"))
-    an = scenario["analysis"]
     wf = float(an["window_fraction"])
     fits = {"linear": asymptotics.estimate_linear_speed,
             "power": asymptotics.fit_power_exponent,
             "tlogt": asymptotics.fit_tlogt_coefficient}
     payload = {name: fits[name](log, wf).to_json() for name in an["fits"]}
     if an["drift_check"]:
-        c0 = an["c0"]
-        if c0 is None:
-            c0 = solve_semiwave(spec.kernel, spec.reaction, spec.d, spec.mu,
-                                scenario.semiwave_config()).c0
         payload["log_drift"] = asymptotics.log_drift_check(log, float(c0), wf).to_json()
         payload["log_drift"]["c0"] = float(c0)
     write_json(os.path.join(outdir, "rates.json"), payload)
@@ -93,6 +93,8 @@ def cmd_verify(scenario: ScenarioConfig, outdir: str) -> int:
 
     spec, cfg = scenario.validate()
     ver = scenario["verify"]
+    if "refinement" in ver["checks"] and cfg.dt is None:    # before any check runs
+        raise ValidationError("verify's refinement check needs an explicit solver.dt")
     payload = {}
     ok = True
     # comparison's upper run is refinement's level 0 (snapshots move no step):

@@ -13,7 +13,7 @@ CompactUniform(r)     J(x) = 1/(2r) on |x| <= r
 CompactCosine(r)      J(x) = (pi/4r) cos(pi x / 2r) on |x| <= r
 AlgebraicTail(g, a)   J(x) = c (a + |x|)^(-g), c = (g-1) a^(g-1) / 2
 LightExponential(l0)  J(x) = (l0/2) exp(-l0 |x|)
-truncate(J, n)        J_n(x) = xi(x/n) J(x), a sub-probability kernel
+truncate(J, n)        J_n(x) = xi(x/n) J(x) of a family J, a sub-probability kernel
 
 The algebraic family keeps J continuous with J(0) > 0 while matching the
 |x|^(-gamma) tail exactly; the bounding constants sigma1/sigma2 and the
@@ -23,7 +23,7 @@ threshold where they apply are stored on the kernel.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import lru_cache
 
 import numpy as np
@@ -62,19 +62,24 @@ class KernelReport:
 
 
 class Kernel:
-    """Base class: closed-form evaluation and tails, generic derived ops."""
+    """Base class.  A family is a frozen dataclass of its parameters with array
+    formulas ``_density`` and ``_tail``; the base converts scalars, derives
+    ``params()`` and the JSON from the fields, and gives the generic ops."""
 
     family = "abstract"
 
-    # -- closed forms supplied by subclasses ------------------------------
+    # -- the closed forms, a float for a scalar argument ----------------------
 
     def evaluate(self, x):
-        """Density J(x); accepts scalars or arrays."""
-        raise NotImplementedError
+        """Density J(x): a float for a scalar x, else an array of x's shape."""
+        out = self._density(np.asarray(x, dtype=float))
+        return out if out.ndim else float(out)
 
     def tail_mass(self, s):
-        """``int_s^inf J(z) dz`` for s >= 0.  Decreasing, tail_mass(0)=1/2."""
-        raise NotImplementedError
+        """``int_s^inf J(z) dz`` for s >= 0, shaped as ``evaluate``.  Decreasing,
+        tail_mass(0) = mass_exact()/2."""
+        out = self._tail(np.asarray(s, dtype=float))
+        return out if out.ndim else float(out)
 
     def mgf_abscissa(self) -> float:
         raise NotImplementedError
@@ -83,7 +88,8 @@ class Kernel:
         return math.inf
 
     def params(self) -> dict:
-        raise NotImplementedError
+        """The family's dataclass fields, which ``kernel_from_json`` accepts."""
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     # -- generic derived operations ---------------------------------------
 
@@ -135,9 +141,9 @@ class Kernel:
             return r
         hi = 1.0
         while self.tail_mass(hi) > eps:
-            hi *= 2.0
             if hi >= cap:
                 return cap
+            hi = min(2.0 * hi, cap)
         return bisect_bracket(lambda s: self.tail_mass(s) > eps, 0.0, hi)
 
     def _panel_ends(self, R: float, kinks=()) -> list:
@@ -269,24 +275,17 @@ class _Compact(Kernel):
     def support_radius(self):
         return self.r
 
-    def params(self):
-        return {"r": self.r}
-
 
 class CompactUniform(_Compact):
     """Uniform density on [-r, r]."""
 
     family = "compact-uniform"
 
-    def evaluate(self, x):
-        x = np.asarray(x, dtype=float)
-        out = np.where(np.abs(x) <= self.r, 1.0 / (2.0 * self.r), 0.0)
-        return out if out.ndim else float(out)
+    def _density(self, x):
+        return np.where(np.abs(x) <= self.r, 1.0 / (2.0 * self.r), 0.0)
 
-    def tail_mass(self, s):
-        s = np.asarray(s, dtype=float)
-        out = np.maximum(self.r - s, 0.0) / (2.0 * self.r)
-        return out if out.ndim else float(out)
+    def _tail(self, s):
+        return np.maximum(self.r - s, 0.0) / (2.0 * self.r)
 
     def tail_mass_integral_between(self, s1, s2):
         a = np.minimum(s1, self.r)
@@ -308,19 +307,13 @@ class CompactCosine(_Compact):
     def _a(self):
         return math.pi / (2.0 * self.r)
 
-    def evaluate(self, x):
-        x = np.asarray(x, dtype=float)
-        out = np.where(np.abs(x) <= self.r,
-                       (math.pi / (4.0 * self.r)) * np.cos(self._a * x), 0.0)
-        out = np.clip(out, 0.0, None)
-        return out if out.ndim else float(out)
+    def _density(self, x):
+        out = np.where(np.abs(x) <= self.r, (math.pi / (4.0 * self.r)) * np.cos(self._a * x), 0.0)
+        return np.clip(out, 0.0, None)
 
-    def tail_mass(self, s):
-        s = np.asarray(s, dtype=float)
-        sc = np.clip(s, 0.0, self.r)
-        out = 0.5 * (1.0 - np.sin(self._a * sc))
-        out = np.where(s >= self.r, 0.0, out)
-        return out if out.ndim else float(out)
+    def _tail(self, s):
+        out = 0.5 * (1.0 - np.sin(self._a * np.clip(s, 0.0, self.r)))
+        return np.where(s >= self.r, 0.0, out)
 
     def tail_mass_integral_between(self, s1, s2):
         a = self._a
@@ -369,15 +362,11 @@ class AlgebraicTail(Kernel):
     def sigma2(self) -> float:
         return self.c
 
-    def evaluate(self, x):
-        x = np.asarray(x, dtype=float)
-        out = self.c * (self.a + np.abs(x)) ** (-self.gamma)
-        return out if out.ndim else float(out)
+    def _density(self, x):
+        return self.c * (self.a + np.abs(x)) ** (-self.gamma)
 
-    def tail_mass(self, s):
-        s = np.asarray(s, dtype=float)
-        out = (self.c / (self.gamma - 1.0)) * (self.a + s) ** (1.0 - self.gamma)
-        return out if out.ndim else float(out)
+    def _tail(self, s):
+        return (self.c / (self.gamma - 1.0)) * (self.a + s) ** (1.0 - self.gamma)
 
     def tail_mass_integral_between(self, s1, s2):
         g, a, c = self.gamma, self.a, self.c
@@ -391,9 +380,6 @@ class AlgebraicTail(Kernel):
 
     def mgf_abscissa(self):
         return 0.0
-
-    def params(self):
-        return {"gamma": self.gamma, "a": self.a}
 
     def _gamma_class(self):
         return "(1,2]" if self.gamma <= 2.0 else "(2,inf)"
@@ -410,15 +396,11 @@ class LightExponential(Kernel):
         if not self.lambda0 > 0.0:
             raise ValidationError("exponential kernel needs lambda0 > 0")
 
-    def evaluate(self, x):
-        x = np.asarray(x, dtype=float)
-        out = 0.5 * self.lambda0 * np.exp(-self.lambda0 * np.abs(x))
-        return out if out.ndim else float(out)
+    def _density(self, x):
+        return 0.5 * self.lambda0 * np.exp(-self.lambda0 * np.abs(x))
 
-    def tail_mass(self, s):
-        s = np.asarray(s, dtype=float)
-        out = 0.5 * np.exp(-self.lambda0 * s)
-        return out if out.ndim else float(out)
+    def _tail(self, s):
+        return 0.5 * np.exp(-self.lambda0 * s)
 
     def tail_mass_integral_between(self, s1, s2):
         l0 = self.lambda0
@@ -435,9 +417,6 @@ class LightExponential(Kernel):
 
     def quadrature_scale(self):
         return 1.0 / self.lambda0
-
-    def params(self):
-        return {"lambda0": self.lambda0}
 
 
 # ---------------------------------------------------------------------------
@@ -461,11 +440,12 @@ class TruncatedKernel(Kernel):
     def __post_init__(self):
         if not self.n > 0.0:
             raise ValidationError("truncation radius must be positive")
+        if isinstance(self.base, TruncatedKernel):
+            # its tail is the base's partial first moment, closed form only for a family
+            raise ValidationError("a truncated kernel cannot be truncated again")
 
-    def evaluate(self, x):
-        x = np.asarray(x, dtype=float)
-        out = np.clip(2.0 - np.abs(x / self.n), 0.0, 1.0) * self.base.evaluate(x)
-        return out if out.ndim else float(out)
+    def _density(self, x):
+        return np.clip(2.0 - np.abs(x / self.n), 0.0, 1.0) * self.base.evaluate(x)
 
     def support_radius(self):
         return min(2.0 * self.n, self.base.support_radius())
@@ -476,16 +456,14 @@ class TruncatedKernel(Kernel):
     def interaction_length(self, eps: float = 1e-3, cap: float = 1e6) -> float:
         return min(self.support_radius(), self.base.interaction_length(eps, cap))
 
-    def tail_mass(self, s):
+    def _tail(self, s):
         """``int_s^inf J_n``, closed form through base tails and partial moments."""
-        s = np.asarray(s, dtype=float)
         n, b, top = self.n, self.base, 2.0 * self.n
         lo = np.clip(s, n, top)
         # taper band [max(s, n), 2n]: integrand (2 - x/n) J(x); plus [s, n] when s < n
         out = 2.0 * (b.tail_mass(lo) - b.tail_mass(top)) - b.partial_first_moment(lo, top) / n
         out = out + np.where(s < n, b.tail_mass(np.minimum(s, n)) - b.tail_mass(n), 0.0)
-        out = np.where(s >= top, 0.0, out)
-        return out if out.ndim else float(out)
+        return np.where(s >= top, 0.0, out)
 
     def _panel_ends(self, R, kinks=()):
         return super()._panel_ends(R, (self.n, *kinks))     # the plateau's kink
@@ -510,12 +488,8 @@ def truncate(kernel, n):
     return TruncatedKernel(kernel, float(n))
 
 
-_FAMILIES = {
-    "compact-uniform": (CompactUniform, ("r",)),
-    "compact-cosine": (CompactCosine, ("r",)),
-    "algebraic": (AlgebraicTail, ("gamma", "a")),
-    "light-exponential": (LightExponential, ("lambda0",)),
-}
+_FAMILIES = {cls.family: cls for cls in (CompactUniform, CompactCosine, AlgebraicTail,
+                                         LightExponential)}
 
 
 def kernel_from_json(obj: dict) -> Kernel:
@@ -524,7 +498,8 @@ def kernel_from_json(obj: dict) -> Kernel:
     fam = obj["family"]
     if fam not in _FAMILIES:
         raise ValidationError(f"unknown kernel family {fam!r}")
-    cls, keys = _FAMILIES[fam]
+    cls = _FAMILIES[fam]
+    keys = [f.name for f in fields(cls)]
     extra = set(obj) - {"family", *keys}
     if extra:
         raise ValidationError(f"unknown kernel keys {sorted(extra)} for family {fam!r}")

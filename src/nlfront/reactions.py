@@ -38,8 +38,8 @@ AUDIT_POINTS = 10_000
 class Reaction:
     """A growth term with explicit derivative.
 
-    ``u_star`` and ``rho`` are filled by :func:`positive_root` and
-    :func:`rho_constant` at construction time for the built-in kinds.
+    ``u_star`` and ``rho`` are filled from one :func:`validate_F` pass at
+    construction time for the built-in kinds.
     ``rho`` satisfies f(u) >= rho * min(u, u* - u) on the audit grid,
     reduced by a 1% safety margin.
     """
@@ -129,6 +129,11 @@ def rho_constant(r: Reaction, margin: float = 0.01) -> float:
     The grid minimum is reduced by ``margin`` so the certified constant keeps
     a documented gap to the continuum infimum.
     """
+    return _certify(r, margin)[1]
+
+
+def _certify(r: Reaction, margin: float = 0.01) -> tuple[float, float]:
+    """u* and rho (see :func:`rho_constant`) from one :func:`validate_F` pass."""
     rep = validate_F(r)
     if not rep.passed:
         raise ValidationError("rho_constant requires a validated reaction: "
@@ -139,7 +144,7 @@ def rho_constant(r: Reaction, margin: float = 0.01) -> float:
     rho_raw = float(np.min(r.f(grid) / denom))
     if rho_raw <= 0.0:
         raise ValidationError("computed rho <= 0 contradicts monostability")
-    return rho_raw * (1.0 - margin)
+    return u_star, rho_raw * (1.0 - margin)
 
 
 def perturb(r: Reaction, delta: float) -> Reaction:
@@ -158,8 +163,7 @@ def perturb(r: Reaction, delta: float) -> Reaction:
 def _monostable(f, fp, kind: str, params: dict) -> Reaction:
     """The reaction (f, fp) with its positive root as ``u_star`` and its
     certified plateau constant as ``rho``."""
-    root = positive_root(Reaction(f=f, f_prime=fp))
-    rho = rho_constant(Reaction(f=f, f_prime=fp, u_star=root))
+    root, rho = _certify(Reaction(f=f, f_prime=fp))
     return Reaction(f=f, f_prime=fp, kind=kind, params=params, u_star=root, rho=rho)
 
 

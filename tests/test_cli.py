@@ -139,6 +139,37 @@ def test_out_of_range_number_rejected_before_any_run(tmp_path, capsys, command, 
     assert os.listdir(out) == []
 
 
+@pytest.mark.parametrize("command,overrides,message", [
+    ("rates", ['problem.kernel={"family":"algebraic","gamma":1.5}',
+               "analysis.drift_check=true"], "(J1)"),
+    ("verify", ["solver.dt=null", 'verify.checks=["mass-flux","refinement"]'], "solver.dt"),
+])
+def test_command_preconditions_fail_before_any_run(tmp_path, capsys, monkeypatch,
+                                                   command, overrides, message):
+    # the drift check's semi-wave is solved, and refinement's explicit dt
+    # checked, before the command's first run: exit 1 with only the echoed
+    # configuration written
+    from nlfront import cli, solver, validation
+
+    runs = []
+
+    def counted(spec, run_cfg):
+        runs.append(run_cfg)
+        return solver.run(spec, run_cfg)
+
+    monkeypatch.setattr(cli, "run", counted)
+    monkeypatch.setattr(validation, "run", counted)
+    cfg = write_cfg(tmp_path, BASE)
+    out = tmp_path / "x"
+    argv = [command, "--config", cfg, "--out", str(out)]
+    for override in overrides:
+        argv += ["--set", override]
+    assert main(argv) == 1
+    assert message in capsys.readouterr().err
+    assert os.listdir(out) == ["resolved_config.json"]
+    assert runs == []
+
+
 @pytest.mark.parametrize("command,payload,override", [
     ("simulate", BASE, "solver=5"),
     ("simulate", {"solver": 5}, None),

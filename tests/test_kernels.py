@@ -1,5 +1,6 @@
 import math
 import warnings
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -75,6 +76,15 @@ def test_interaction_length_stops_when_the_bracket_does():
     assert CountingExponential(1.0).interaction_length(1e-3) == pytest.approx(
         math.log(500.0), rel=1e-14)
     assert len(calls) <= 80
+
+
+def test_interaction_length_bisects_below_the_cap():
+    # tail_mass(800) = 0.5/sqrt(801): the doubling scan passes cap = 1000
+    # before the tail reaches eps, yet the answer lies below the cap
+    k = AlgebraicTail(1.5, 1.0)
+    assert k.interaction_length(0.5 / math.sqrt(801.0), cap=1000.0) == pytest.approx(
+        800.0, rel=1e-14)
+    assert k.interaction_length(0.5 / math.sqrt(1002.0), cap=1000.0) == 1000.0
 
 
 def test_first_moment_uniform():
@@ -294,6 +304,13 @@ def test_truncation_is_a_kernel_with_its_own_mass():
     assert np.array_equal(wide.halfline_mass(xs), base.halfline_mass(xs))
 
 
+def test_truncation_refuses_a_truncated_base():
+    # a truncation's tail takes partial first moments of its base, closed
+    # form for a family but not for another truncation
+    with pytest.raises(ValidationError, match="truncated"):
+        truncate(truncate(AlgebraicTail(1.5, 1.0), 4.0), 3.0)
+
+
 def test_truncation_condition_report_audits_its_own_mass():
     # the audit compares the quadrature mass with mass_exact(), not with 1
     tr = truncate(AlgebraicTail(1.5, 1.0), 4.0)
@@ -318,9 +335,35 @@ def test_taps_cover_exact_mass():
 # JSON interface --------------------------------------------------------------
 
 
+@pytest.mark.parametrize("k,params", [
+    (CompactUniform(2.5), {"r": 2.5}),
+    (CompactCosine(0.7), {"r": 0.7}),
+    (AlgebraicTail(1.5, 0.3), {"gamma": 1.5, "a": 0.3}),
+    (LightExponential(2.0), {"lambda0": 2.0}),
+    (truncate(AlgebraicTail(2.0), 3.0),
+     {"n": 3.0, "base": {"family": "algebraic", "gamma": 2.0, "a": 1.0}}),
+], ids=["uniform", "cosine", "algebraic", "exponential", "truncated"])
+def test_base_converts_scalars_and_derives_params(k, params):
+    # a family states its array formulas; Kernel gives a float for a scalar
+    # or a 0-d array, an array of the input's shape otherwise, and params()
+    # from the dataclass fields (a truncation's base nests as its JSON)
+    for x in (0.4, np.float64(0.4), np.array(0.4)):
+        assert type(k.evaluate(x)) is float
+        assert type(k.tail_mass(x)) is float
+    grid = np.linspace(0.0, 5.0, 6).reshape(2, 3)
+    for f in (k.evaluate, k.tail_mass):
+        out = f(grid)
+        assert isinstance(out, np.ndarray) and out.shape == (2, 3)
+        assert np.allclose(out.ravel(), [f(x) for x in grid.ravel()], rtol=1e-14, atol=0.0)
+    assert k.params() == params
+    assert set(k.params()) == {f.name for f in fields(k)}
+
+
 @pytest.mark.parametrize("k", ALL_KERNELS, ids=lambda k: f"{k.family}-{k.params()}")
 def test_json_roundtrip(k):
-    assert kernel_from_json(k.to_json()) == k
+    spec = k.to_json()
+    assert set(spec) == {"family", *(f.name for f in fields(k))}
+    assert kernel_from_json(spec) == k
 
 
 def test_json_rejects_unknown():
@@ -328,5 +371,14 @@ def test_json_rejects_unknown():
         kernel_from_json({"family": "gaussian"})
     with pytest.raises(ValidationError):
         kernel_from_json({"family": "compact-uniform", "gamma": 2.0})
+    with pytest.raises(ValidationError, match="unknown kernel keys"):
+        kernel_from_json({"family": "algebraic", "gamma": 1.5, "r": 1.0})
+    with pytest.raises(ValidationError, match="unknown kernel keys"):
+        kernel_from_json({"family": "light-exponential", "lambda0": 1.0, "family2": 0})
     with pytest.raises(ValidationError):
         kernel_from_json({"r": 1.0})
+    # an omitted field takes its default
+    assert kernel_from_json({"family": "algebraic", "gamma": 2.0}) == AlgebraicTail(2.0, 1.0)
+    # a truncation is built by truncate(), not read from a scenario
+    with pytest.raises(ValidationError, match="unknown kernel family"):
+        kernel_from_json(truncate(AlgebraicTail(1.5), 4.0).to_json())

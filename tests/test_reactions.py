@@ -67,6 +67,24 @@ def test_rho_logistic_is_half():
     assert rho_constant(r2, margin=0.0) == pytest.approx(1.0, abs=4e-4)
 
 
+def test_construction_solves_u_star_once(monkeypatch):
+    # u*, the audit and rho come from one validate_F pass
+    from nlfront import reactions
+
+    calls = []
+
+    def counted(r, *args, **kwargs):
+        calls.append(r)
+        return root(r, *args, **kwargs)
+
+    root = reactions.positive_root
+    monkeypatch.setattr(reactions, "positive_root", counted)
+    r = logistic(1, 1)
+    assert len(calls) == 1
+    assert r.u_star == 1.0
+    assert r.rho == rho_constant(r)
+
+
 def test_rho_margin_and_certificate():
     r = logistic(1, 1)
     rho = rho_constant(r)

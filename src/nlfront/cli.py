@@ -25,7 +25,7 @@ from .errors import (ContractError, ConvergenceError, InsufficientDataError,
                      ResourceError, ValidationError)
 from .reactions import zero_reaction
 from .semiwave import minimal_speed, solve_semiwave, stationary_profile
-from .solver import TrajectoryLog, run
+from .solver import TrajectoryLog, checkpoint_times, run
 
 
 def _echo_config(outdir, scenario: ScenarioConfig):
@@ -74,17 +74,26 @@ def cmd_rates(scenario: ScenarioConfig, outdir: str) -> int:
     if an["drift_check"] and c0 is None:     # a semi-wave that fails, fails before the run
         c0 = solve_semiwave(spec.kernel, spec.reaction, spec.d, spec.mu,
                             scenario.semiwave_config()).c0
-    log = run(spec, cfg)
-    log.to_csv(os.path.join(outdir, "trajectory.csv"))
     wf = float(an["window_fraction"])
     fits = {"linear": asymptotics.estimate_linear_speed,
             "power": asymptotics.fit_power_exponent,
             "tlogt": asymptotics.fit_tlogt_coefficient}
-    payload = {name: fits[name](log, wf).to_json() for name in an["fits"]}
-    if an["drift_check"]:
-        payload["log_drift"] = asymptotics.log_drift_check(log, float(c0), wf).to_json()
-        payload["log_drift"]["c0"] = float(c0)
-    write_json(os.path.join(outdir, "rates.json"), payload)
+
+    def analyse(log):
+        payload = {name: fits[name](log, wf).to_json() for name in an["fits"]}
+        if an["drift_check"]:
+            payload["log_drift"] = asymptotics.log_drift_check(log, float(c0), wf).to_json()
+            payload["log_drift"]["c0"] = float(c0)
+        return payload
+
+    # a fit's window depends on the logged times alone: fitting a stand-in
+    # front on the times the run will log refuses, before the run, a window
+    # it cannot fill
+    t = checkpoint_times(spec, cfg)
+    analyse(TrajectoryLog(t=list(t), h=list(1.0 + t)))
+    log = run(spec, cfg)
+    log.to_csv(os.path.join(outdir, "trajectory.csv"))
+    write_json(os.path.join(outdir, "rates.json"), analyse(log))
     return 0
 
 

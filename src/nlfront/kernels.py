@@ -174,9 +174,14 @@ class Kernel:
         Symmetric array of length 2m+1.  ``dx * sum(taps)`` equals the exact
         mass on [-(m+1/2)dx, (m+1/2)dx], so a convolution against a constant
         field reproduces the constant without quadrature bias even for
-        discontinuous or heavy-tailed J.
+        discontinuous or heavy-tailed J.  Each call computes a fresh row, so
+        a plan owns its taps and a grid that grows frees the old ones.
         """
-        return _taps_cached(self, float(dx), int(m))
+        tails = self.tail_mass((np.arange(m + 1) + 0.5) * dx)
+        half = np.empty(m + 1)
+        half[0] = (self.mass_exact() - 2.0 * tails[0]) / dx
+        half[1:] = (tails[:-1] - tails[1:]) / dx
+        return np.concatenate([half[:0:-1], half])
 
     # -- classification -----------------------------------------------------
 
@@ -240,18 +245,6 @@ def _legendre20():
     from numpy.polynomial.legendre import leggauss   # ~2 MiB, so on first use only
 
     return leggauss(20)
-
-
-@lru_cache(maxsize=256)
-def _taps_cached(kernel, dx: float, m: int) -> np.ndarray:
-    edges = (np.arange(m + 1) + 0.5) * dx
-    tails = np.asarray(kernel.tail_mass(edges), dtype=float).reshape(-1)
-    half = np.empty(m + 1)
-    half[0] = (kernel.mass_exact() - 2.0 * tails[0]) / dx
-    half[1:] = (tails[:-1] - tails[1:]) / dx
-    out = np.concatenate([half[:0:-1], half])
-    out.setflags(write=False)
-    return out
 
 
 # ---------------------------------------------------------------------------

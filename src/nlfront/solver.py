@@ -39,6 +39,7 @@ __all__ = [
     "boundary_flux",
     "step",
     "run",
+    "checkpoint_times",
     "classify",
 ]
 
@@ -385,6 +386,32 @@ class _Engine:
         return st.t, self._extent()[1], st.g, mass, sup, fr, rint
 
 
+def _schedule(cfg: SolverConfig, dt: float):
+    """``run``'s steps of dt to t_end: their number, the last one (shorter
+    when t_end is not a whole number of steps) and the checkpoint stride."""
+    n_steps = int(round(cfg.t_end / dt))
+    last_dt = dt
+    if abs(n_steps * dt - cfg.t_end) >= 1e-9 * max(cfg.t_end, 1.0):
+        n_steps = int(math.ceil(cfg.t_end / dt - 1e-12))
+        last_dt = cfg.t_end - (n_steps - 1) * dt
+    stride = 1
+    if n_steps > 0:
+        log_every = cfg.log_every if cfg.log_every is not None else max(cfg.t_end / 200.0, dt)
+        stride = max(1, int(round(log_every / dt)))
+    return n_steps, last_dt, stride
+
+
+def checkpoint_times(spec: ProblemSpec, cfg: SolverConfig) -> np.ndarray:
+    """The times ``run`` logs at when it reaches t_end, its steps summed in
+    order as the run sums t."""
+    dt = cfg.dt if cfg.dt is not None else 0.5 * stability_budget(spec)
+    n_steps, last_dt, stride = _schedule(cfg, dt)
+    steps = np.full(n_steps, dt)
+    steps[-1:] = last_dt
+    k = np.arange(n_steps + 1)
+    return np.cumsum(np.r_[0.0, steps])[(k % stride == 0) | (k == n_steps)]
+
+
 def run(spec: ProblemSpec, cfg: SolverConfig) -> TrajectoryLog:
     """Integrate to t_end, growing the window ahead of the active front."""
     eng = _Engine(spec, cfg)
@@ -395,16 +422,7 @@ def run(spec: ProblemSpec, cfg: SolverConfig) -> TrajectoryLog:
         "u_star": spec.reaction.u_star, "ell": eng.ell,
         "kernel": spec.kernel.to_json(), "reaction": spec.reaction.to_json(),
     }
-    # t_end that is not a whole number of steps ends with one shorter step
-    n_steps = int(round(cfg.t_end / eng.dt))
-    last_dt = eng.dt
-    if abs(n_steps * eng.dt - cfg.t_end) >= 1e-9 * max(cfg.t_end, 1.0):
-        n_steps = int(math.ceil(cfg.t_end / eng.dt - 1e-12))
-        last_dt = cfg.t_end - (n_steps - 1) * eng.dt
-    stride = 1
-    if n_steps > 0:
-        log_every = cfg.log_every if cfg.log_every is not None else max(cfg.t_end / 200.0, eng.dt)
-        stride = max(1, int(round(log_every / eng.dt)))
+    n_steps, last_dt, stride = _schedule(cfg, eng.dt)
 
     def guard(k, check_field):
         """Stop on a non-finite front (checked every step: a NaN front breaks

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -74,12 +75,16 @@ def test_log_drift_synthetic():
 
 
 def test_level_set_tent():
-    x = np.linspace(-2.0, 2.0, 4001)
-    u = np.clip(1.0 - np.abs(x), 0.0, None)
-    snap = Field(-2.0, x[1] - x[0], u)
-    lo, hi = level_set_positions(snap, 0.5, 1.0)
-    assert lo == pytest.approx(-0.5, abs=1e-9)
-    assert hi == pytest.approx(0.5, abs=1e-9)
+    # the whole tent crosses the level inside; cut short on one side, the
+    # level is reached at that end's node
+    for a, b, expect in [(-2.0, 2.0, (-0.5, 0.5)), (-0.3, 2.0, (-0.3, 0.5)),
+                         (-2.0, 0.2, (-0.5, 0.2))]:
+        x = np.linspace(a, b, int(round((b - a) / 1e-3)) + 1)
+        u = np.clip(1.0 - np.abs(x), 0.0, None)
+        snap = Field(a, x[1] - x[0], u)
+        lo, hi = level_set_positions(snap, 0.5, 1.0)
+        assert lo == pytest.approx(expect[0], abs=1e-9)
+        assert hi == pytest.approx(expect[1], abs=1e-9)
 
 
 def test_level_set_empty_and_contract():
@@ -143,3 +148,6 @@ def test_mu_limit_single_entry_has_no_verdict():
     assert rep.sup_diff_monotone is None
     assert rep.h_monotone is None
     assert len(rep.sup_diff) == 1
+    # logged only at t = 0 and 2.5, no snapshot falls in the probe window [1, 2]
+    with pytest.raises(ContractError, match="no shared snapshots"):
+        mu_limit_experiment(spec, [0.5], "ToZero", replace(cfg, t_end=2.5, log_every=2.5))

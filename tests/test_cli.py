@@ -143,12 +143,15 @@ def test_out_of_range_number_rejected_before_any_run(tmp_path, capsys, command, 
     ("rates", ['problem.kernel={"family":"algebraic","gamma":1.5}',
                "analysis.drift_check=true"], "(J1)"),
     ("verify", ["solver.dt=null", 'verify.checks=["mass-flux","refinement"]'], "solver.dt"),
+    ("rates", [], "fit window holds 3 samples"),
+    ("rates", ["solver.t_end=1.05", "solver.dt=0.01", "solver.log_every=0.01",
+               "analysis.drift_check=true", "analysis.c0=0.5"], "t > 1"),
 ])
 def test_command_preconditions_fail_before_any_run(tmp_path, capsys, monkeypatch,
                                                    command, overrides, message):
-    # the drift check's semi-wave is solved, and refinement's explicit dt
-    # checked, before the command's first run: exit 1 with only the echoed
-    # configuration written
+    # the drift check's semi-wave is solved, refinement's explicit dt and
+    # each fit's window on the times the run will log checked, before the
+    # command's first run: exit 1 with only the echoed configuration written
     from nlfront import cli, solver, validation
 
     runs = []

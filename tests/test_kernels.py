@@ -345,8 +345,9 @@ def test_taps_cover_exact_mass():
 ], ids=["uniform", "cosine", "algebraic", "exponential", "truncated"])
 def test_base_converts_scalars_and_derives_params(k, params):
     # a family states its array formulas; Kernel gives a float for a scalar
-    # or a 0-d array, an array of the input's shape otherwise, and params()
-    # from the dataclass fields (a truncation's base nests as its JSON)
+    # or a 0-d array, an array of the input's shape otherwise, params()
+    # from the dataclass fields (a truncation's base nests as its JSON) and
+    # fresh tap rows
     for x in (0.4, np.float64(0.4), np.array(0.4)):
         assert type(k.evaluate(x)) is float
         assert type(k.tail_mass(x)) is float
@@ -357,6 +358,10 @@ def test_base_converts_scalars_and_derives_params(k, params):
         assert np.allclose(out.ravel(), [f(x) for x in grid.ravel()], rtol=1e-14, atol=0.0)
     assert k.params() == params
     assert set(k.params()) == {f.name for f in fields(k)}
+    # each taps call computes a fresh row its caller owns
+    a, b = k.taps(0.25, 12), k.taps(0.25, 12)
+    assert np.array_equal(a, b) and a is not b
+    assert a.flags.writeable and b.flags.writeable
 
 
 @pytest.mark.parametrize("k", ALL_KERNELS, ids=lambda k: f"{k.family}-{k.params()}")

@@ -1,6 +1,8 @@
 import functools
+import gc
 import hashlib
 import math
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -11,8 +13,8 @@ from nlfront.errors import ContractError, ConvergenceError, ResourceError, Valid
 from nlfront.kernels import AlgebraicTail, CompactCosine, CompactUniform, truncate
 from nlfront.reactions import Reaction, logistic, zero_reaction
 from nlfront.solver import (VARIANTS, Field, ProblemSpec, SolverConfig, TrajectoryLog,
-                            _Engine, boundary_flux, classify, make_plateau,
-                            nonlocal_operator, run, stability_budget, step)
+                            _Engine, boundary_flux, checkpoint_times, classify,
+                            make_plateau, nonlocal_operator, run, stability_budget, step)
 
 
 def plateau_field(h, dx=0.05, pad=2.0, level=1.0):
@@ -169,6 +171,33 @@ def test_window_growth_and_resource_cap():
     assert diag["max_nodes"] == 300 < diag["nodes_requested"]
     assert partial.t[-1] <= diag["t"] < 40.0
     assert diag["h"] == partial.final_state.h and diag["g"] == partial.final_state.g
+
+
+@pytest.mark.parametrize("dt,t_end,log_every", [
+    (0.05, 2.03, 0.5), (0.01, 1.05, 0.01), (None, 0.77, None), (0.05, 0.0, 0.5)])
+def test_checkpoint_times_are_the_logged_times(dt, t_end, log_every):
+    # a short last step, an inexact sum of steps, the default dt and log
+    # cadence, and no step at all
+    spec = halfline_spec(h0=3.0)
+    cfg = SolverConfig(dx=0.1, dt=dt, t_end=t_end, log_every=log_every)
+    assert np.array_equal(checkpoint_times(spec, cfg), run(spec, cfg).t)
+
+
+def test_growth_frees_the_superseded_taps():
+    # a plan owns its tap row: once the grid grows and the engine re-plans,
+    # nothing keeps the first grid's row alive
+    spec = halfline_spec(kernel=AlgebraicTail(1.5, 1.0))
+    eng = _Engine(spec, SolverConfig(dx=0.25, dt=0.05, t_end=100.0))
+    first = weakref.ref(eng.conv.taps)
+    n = len(eng.state.u)
+    for _ in range(1000):                  # the front reaches the growth threshold in 397
+        eng._grow(*eng._extent())
+        if len(eng.state.u) > n:
+            break
+        eng.step_once(eng.dt)
+    assert len(eng.state.u) > n
+    gc.collect()
+    assert first() is None
 
 
 def test_fixed_domain_grid_alignment():

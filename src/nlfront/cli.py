@@ -65,35 +65,41 @@ def cmd_semiwave(scenario: ScenarioConfig, outdir: str) -> int:
     return 0
 
 
-def cmd_rates(scenario: ScenarioConfig, outdir: str) -> int:
+def _rates(analysis: dict, log: TrajectoryLog, c0) -> dict:
+    """rates.json: the named fits of ``log`` and, with the drift check, its
+    log drift from c0 t."""
     from . import asymptotics
 
+    wf = float(analysis["window_fraction"])
+    fits = {"linear": asymptotics.estimate_linear_speed,
+            "power": asymptotics.fit_power_exponent,
+            "tlogt": asymptotics.fit_tlogt_coefficient}
+    payload = {name: fits[name](log, wf).to_json() for name in analysis["fits"]}
+    if analysis["drift_check"]:
+        payload["log_drift"] = asymptotics.log_drift_check(log, float(c0), wf).to_json()
+        payload["log_drift"]["c0"] = float(c0)
+    return payload
+
+
+def _check_fit_windows(analysis: dict, spec, cfg):
+    """A fit's window depends on the logged times alone: fitting a stand-in
+    front on the times the run will log (any finite c0 will do) refuses,
+    before the run, a window it cannot fill."""
+    t = checkpoint_times(spec, cfg)
+    _rates(analysis, TrajectoryLog(t=list(t), h=list(1.0 + t)), 1.0)
+
+
+def cmd_rates(scenario: ScenarioConfig, outdir: str) -> int:
     spec, cfg = scenario.validate()
     an = scenario["analysis"]
     c0 = an["c0"]
     if an["drift_check"] and c0 is None:     # a semi-wave that fails, fails before the run
         c0 = solve_semiwave(spec.kernel, spec.reaction, spec.d, spec.mu,
                             scenario.semiwave_config()).c0
-    wf = float(an["window_fraction"])
-    fits = {"linear": asymptotics.estimate_linear_speed,
-            "power": asymptotics.fit_power_exponent,
-            "tlogt": asymptotics.fit_tlogt_coefficient}
-
-    def analyse(log):
-        payload = {name: fits[name](log, wf).to_json() for name in an["fits"]}
-        if an["drift_check"]:
-            payload["log_drift"] = asymptotics.log_drift_check(log, float(c0), wf).to_json()
-            payload["log_drift"]["c0"] = float(c0)
-        return payload
-
-    # a fit's window depends on the logged times alone: fitting a stand-in
-    # front on the times the run will log refuses, before the run, a window
-    # it cannot fill
-    t = checkpoint_times(spec, cfg)
-    analyse(TrajectoryLog(t=list(t), h=list(1.0 + t)))
+    _check_fit_windows(an, spec, cfg)
     log = run(spec, cfg)
     log.to_csv(os.path.join(outdir, "trajectory.csv"))
-    write_json(os.path.join(outdir, "rates.json"), analyse(log))
+    write_json(os.path.join(outdir, "rates.json"), _rates(an, log, c0))
     return 0
 
 
@@ -171,7 +177,9 @@ def cmd_sweep(scenario: ScenarioConfig, outdir: str, jobs: int = 1) -> int:
     for i, val in enumerate(values):
         point = ScenarioConfig(apply_overrides(scenario.to_json(),
                                                [f"{sw['parameter']}={json.dumps(val)}"]))
-        point.validate()                # a bad point fails before any point runs
+        spec, cfg = point.validate()    # a bad point fails before any point runs
+        if command == "rates":
+            _check_fit_windows(point["analysis"], spec, cfg)
         tasks.append((point, val, command, os.path.join(outdir, f"p{i:03d}")))
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor

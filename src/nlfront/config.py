@@ -81,8 +81,10 @@ def _finite(value, key: str, count: bool = False):
 
 def _numbers(spec, key: str, text):
     """A kernel or reaction spec with every entry not named in ``text``
-    checked as a finite number."""
-    return {k: v if k in text else _finite(v, f"{key}.{k}") for k, v in spec.items()}
+    checked as a finite number, and a truncation's ``base`` object as a spec."""
+    return {k: v if k in text
+            else _numbers(v, f"{key}.{k}", text) if k == "base" and isinstance(v, dict)
+            else _finite(v, f"{key}.{k}") for k, v in spec.items()}
 
 
 @dataclass(frozen=True)

@@ -23,7 +23,7 @@ threshold where they apply are stored on the kernel.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import MISSING, dataclass, fields
 from functools import lru_cache
 
 import numpy as np
@@ -482,10 +482,12 @@ def truncate(kernel, n):
 
 
 _FAMILIES = {cls.family: cls for cls in (CompactUniform, CompactCosine, AlgebraicTail,
-                                         LightExponential)}
+                                         LightExponential, TruncatedKernel)}
 
 
 def kernel_from_json(obj: dict) -> Kernel:
+    """The kernel whose ``to_json()`` is ``obj``: a family's fields, or a
+    truncation's ``n`` and its ``base`` family."""
     if not isinstance(obj, dict) or "family" not in obj:
         raise ValidationError("kernel spec must be an object with a 'family' key")
     fam = obj["family"]
@@ -496,5 +498,9 @@ def kernel_from_json(obj: dict) -> Kernel:
     extra = set(obj) - {"family", *keys}
     if extra:
         raise ValidationError(f"unknown kernel keys {sorted(extra)} for family {fam!r}")
-    kwargs = {k: float(obj[k]) for k in keys if k in obj}
+    missing = [f.name for f in fields(cls) if f.default is MISSING and f.name not in obj]
+    if missing:
+        raise ValidationError(f"kernel family {fam!r} needs the keys {missing}")
+    kwargs = {k: kernel_from_json(obj[k]) if k == "base" else float(obj[k])
+              for k in keys if k in obj}
     return cls(**kwargs)

@@ -77,10 +77,10 @@ NEWTON_MAX_ITER = 30
 # Jacobian instead of being solved directly.
 BAND_TAIL = 1e-8
 BAND_MAX = 128
-# minimal_speed minimizes the dispersion curve over log lam to this tolerance
-# with Brent's bounded search (_fminbound), a step-for-step port of
-# scipy's minimize_scalar(method="bounded") that returns its x exactly
-LAM_XATOL = 1e-8
+# minimal_speed bisects log lam for where the dispersion curve stops falling,
+# comparing it at log lam +- LOG_LAM_STEP: rounding then blurs that point by
+# about eps / LOG_LAM_STEP, the step's own bias is of order LOG_LAM_STEP^2
+LOG_LAM_STEP = 1e-5
 # a window doubling that moves c0 by at least this relative amount doubles again
 L_RTOL = 1e-4
 # The mu ladder and the window doublings run on the coarsest grid
@@ -488,9 +488,8 @@ def minimal_speed(kernel: Kernel, reaction, d: float) -> WaveSolution:
 
     Linear determinacy applies because f(u)/u decreases from f'(0); the
     level-set speed of a whole-line run cross-checks the value in tests.
-    The minimum over log lam comes from Brent's bounded search
-    (``_fminbound``), which reproduces scipy's
-    ``minimize_scalar(method="bounded")`` bit for bit.
+    The minimum over log lam is where the curve stops falling, found by
+    ``bisect_bracket``.
     """
     mgf = kernel.mgf_abscissa()
     if not mgf > 0.0:
@@ -508,87 +507,22 @@ def minimal_speed(kernel: Kernel, reaction, d: float) -> WaveSolution:
     def curve(lam):
         return (d * (kernel.exp_moment(lam) - 1.0) + fp0) / lam
 
-    # lam * curve is convex, so the curve is unimodal in lam and in log lam
+    def falls(s):
+        return curve(math.exp(s + LOG_LAM_STEP)) < curve(math.exp(s - LOG_LAM_STEP))
+
+    # lam * curve is convex, so the curve is unimodal in lam and in log lam;
+    # the ends keep every lam the search evaluates within [1e-4, lam_hi]
     bounds = (math.log(1e-4), math.log(lam_hi))
-    if not bounds[0] < bounds[1]:
+    lo, hi = bounds[0] + LOG_LAM_STEP, bounds[1] - LOG_LAM_STEP
+    if not lo < hi:
         raise ConvergenceError("the kernel's exponential moments end below the lam bracket",
                                diagnostics={"mgf_abscissa": mgf, "bracket": bounds})
-    s_star = _fminbound(lambda s: curve(math.exp(s)), *bounds, LAM_XATOL)
-    # at an end of the bracket Brent stops about sqrt(eps)|s| + xatol short of it
-    if min(s_star - bounds[0], bounds[1] - s_star) < 100.0 * LAM_XATOL:
+    end = lo if not falls(lo) else hi if falls(hi) else None
+    if end is not None:
         raise ConvergenceError("dispersion curve has no interior minimum on the bracket",
-                               diagnostics={"lam": math.exp(s_star), "bracket": bounds})
-    lam_star = math.exp(s_star)
+                               diagnostics={"lam": math.exp(end), "bracket": bounds})
+    lam_star = math.exp(bisect_bracket(falls, lo, hi))
     return WaveSolution(c_star=float(curve(lam_star)), lambda_star=float(lam_star))
-
-
-def _sign1(v: float) -> float:
-    """numpy's sign(v) + (v == 0): 1 at +-0, NaN at NaN."""
-    return 1.0 if v >= 0.0 else -1.0 if v < 0.0 else v
-
-
-def _fminbound(func, a: float, b: float, xatol: float) -> float:
-    """x minimizing func on [a, b] by Brent's bounded search (R. P. Brent,
-    Algorithms for Minimization without Derivatives, 1973, ch. 5).
-
-    A step-for-step port of scipy's ``_minimize_scalar_bounded``: the same
-    constants, parabola tests and point updates, at most 500 evaluations.
-    """
-    if a > b:
-        raise ValueError("the lower bound exceeds the upper bound")
-    sqrt_eps = math.sqrt(2.2e-16)
-    golden_mean = 0.5 * (3.0 - math.sqrt(5.0))
-    fulc = a + golden_mean * (b - a)
-    nfc = xf = fulc
-    rat = e = 0.0
-    fx = func(xf)
-    num = 1
-    ffulc = fnfc = fx
-    xm = 0.5 * (a + b)
-    tol1 = sqrt_eps * abs(xf) + xatol / 3.0
-    tol2 = 2.0 * tol1
-    while abs(xf - xm) > tol2 - 0.5 * (b - a):
-        golden = True
-        if abs(e) > tol1:                  # try a parabola through xf, nfc and fulc
-            r = (xf - nfc) * (fx - ffulc)
-            q = (xf - fulc) * (fx - fnfc)
-            p = (xf - fulc) * q - (xf - nfc) * r
-            q = 2.0 * (q - r)
-            if q > 0.0:
-                p = -p
-            q = abs(q)
-            r = e
-            e = rat
-            if abs(p) < abs(0.5 * q * r) and p > q * (a - xf) and p < q * (b - xf):
-                golden = False
-                rat = (p + 0.0) / q
-                x = xf + rat
-                if (x - a) < tol2 or (b - x) < tol2:
-                    rat = tol1 * _sign1(xm - xf)
-        if golden:
-            e = (a - xf) if xf >= xm else (b - xf)
-            rat = golden_mean * e
-        x = xf + _sign1(rat) * max(abs(rat), tol1)
-        fu = func(x)
-        num += 1
-        if fu <= fx:
-            a, b = (xf, b) if x >= xf else (a, xf)
-            fulc, ffulc = nfc, fnfc
-            nfc, fnfc = xf, fx
-            xf, fx = x, fu
-        else:
-            a, b = (x, b) if x < xf else (a, x)
-            if fu <= fnfc or nfc == xf:
-                fulc, ffulc = nfc, fnfc
-                nfc, fnfc = x, fu
-            elif fu <= ffulc or fulc == xf or fulc == nfc:
-                fulc, ffulc = x, fu
-        xm = 0.5 * (a + b)
-        tol1 = sqrt_eps * abs(xf) + xatol / 3.0
-        tol2 = 2.0 * tol1
-        if num >= 500:
-            break
-    return xf
 
 
 # ---------------------------------------------------------------------------

@@ -249,6 +249,17 @@ def test_sweep_checks_every_point_before_any_runs(tmp_path, capsys):
     assert os.listdir(out) == ["resolved_config.json"]
 
 
+def test_sweep_checks_every_rates_window_before_any_runs(tmp_path, capsys):
+    # the second point logs too few samples for its fit window: exit 1
+    # before the first point writes
+    cfg = write_cfg(tmp_path, BASE)
+    out = tmp_path / "swp"
+    assert main(["sweep", "--config", cfg, "--out", str(out), "--set", 'sweep.command="rates"',
+                 "--set", 'sweep.parameter="solver.t_end"', "--set", "sweep.values=[30,2]"]) == 1
+    assert "fit window holds 3 samples" in capsys.readouterr().err
+    assert os.listdir(out) == ["resolved_config.json"]
+
+
 def test_unknown_key_listed(tmp_path, capsys):
     rc = main(["simulate", "--out", str(tmp_path / "x"), "--set", "solver.dtt=0.1"])
     assert rc == 1
@@ -275,6 +286,32 @@ def test_kernel_override_echoed(tmp_path):
     assert rc == 0
     echoed = json.loads((out / "resolved_config.json").read_text())
     assert echoed["problem"]["kernel"]["gamma"] == 2.5
+
+
+TRUNCATED = {"family": "truncated", "n": 4.0, "base": {"family": "algebraic", "gamma": 1.5}}
+
+
+def test_simulate_runs_a_truncated_kernel(tmp_path):
+    out = tmp_path / "run"
+    assert main(["simulate", "--out", str(out), "--set", f"problem.kernel={json.dumps(TRUNCATED)}",
+                 "--set", "solver.dx=0.25", "--set", "solver.t_end=1"]) == 0
+    echoed = json.loads((out / "resolved_config.json").read_text())
+    assert echoed["problem"]["kernel"] == TRUNCATED
+    h = np.loadtxt(out / "trajectory.csv", delimiter=",", skiprows=1, usecols=1)
+    assert np.all(np.isfinite(h)) and h[-1] > h[0]
+
+
+@pytest.mark.parametrize("kernel,message", [
+    ({**TRUNCATED, "r": 1.0}, "unknown kernel keys"),
+    ({**TRUNCATED, "base": {**TRUNCATED["base"], "b": 1.0}}, "unknown kernel keys"),
+    ({**TRUNCATED, "base": TRUNCATED}, "truncated again"),
+    ({**TRUNCATED, "base": {"family": "algebraic", "gamma": "x"}}, "problem.kernel.base.gamma"),
+], ids=["unknown-key", "unknown-base-key", "nested", "base-number"])
+def test_truncated_kernel_errors_exit_1(tmp_path, capsys, kernel, message):
+    out = tmp_path / "x"
+    assert main(["simulate", "--out", str(out), "--set", f"problem.kernel={json.dumps(kernel)}"]) == 1
+    assert message in capsys.readouterr().err
+    assert os.listdir(out) == []
 
 
 def test_sweep_and_report(tmp_path):

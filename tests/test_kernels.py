@@ -1,3 +1,4 @@
+import json
 import math
 import warnings
 from dataclasses import fields
@@ -382,8 +383,21 @@ def test_json_rejects_unknown():
         kernel_from_json({"family": "light-exponential", "lambda0": 1.0, "family2": 0})
     with pytest.raises(ValidationError):
         kernel_from_json({"r": 1.0})
-    # an omitted field takes its default
+    # an omitted field takes its default; one without a default is refused
     assert kernel_from_json({"family": "algebraic", "gamma": 2.0}) == AlgebraicTail(2.0, 1.0)
-    # a truncation is built by truncate(), not read from a scenario
-    with pytest.raises(ValidationError, match="unknown kernel family"):
-        kernel_from_json(truncate(AlgebraicTail(1.5), 4.0).to_json())
+    with pytest.raises(ValidationError, match=r"needs the keys \['gamma'\]"):
+        kernel_from_json({"family": "algebraic", "a": 2.0})
+
+
+@pytest.mark.parametrize("base", [CompactUniform(1.0), AlgebraicTail(1.5), LightExponential(2.0)],
+                         ids=lambda k: k.family)
+def test_truncation_json_roundtrip(base):
+    k = truncate(base, 4.0)
+    spec = json.loads(json.dumps(k.to_json()))
+    assert kernel_from_json(spec) == k
+    with pytest.raises(ValidationError, match="unknown kernel keys"):
+        kernel_from_json({**spec, "r": 1.0})
+    with pytest.raises(ValidationError, match=r"needs the keys \['n'\]"):
+        kernel_from_json({"family": "truncated", "base": spec["base"]})
+    with pytest.raises(ValidationError, match="truncated again"):
+        kernel_from_json({"family": "truncated", "n": 3.0, "base": spec})

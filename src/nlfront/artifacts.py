@@ -1,12 +1,16 @@
 """The artifact formats: result records serialize from their own fields,
 JSON is strict (non-finite floats as null), indented and key-sorted, and
-CSV columns carry 17 significant digits, which round-trip a float64."""
+CSV columns carry 17 significant digits, which round-trip a float64.  One
+reader turns a kernel or reaction spec back into its object."""
 
 from __future__ import annotations
 
+import inspect
 import json
 import math
 from dataclasses import fields
+
+from .errors import ValidationError
 
 
 def plain(value, strict: bool = False):
@@ -47,3 +51,43 @@ def write_csv(path, names, columns):
     with open(path, "w") as fh:
         fh.write(",".join(names) + "\n")
         fh.writelines(row.format(*values) for values in zip(*columns))
+
+
+def finite(value, key: str, count: bool = False):
+    """``value`` as a finite float, or an int when ``count``; anything else
+    (text, a bool, a list, null, NaN, +-inf, a fractional count) names ``key``."""
+    try:
+        x = math.nan if isinstance(value, (str, bool)) else float(value)
+    except (TypeError, ValueError, OverflowError):
+        x = math.nan
+    if not math.isfinite(x) or (count and x != int(x)):
+        raise ValidationError(f"{key} must be {'an integer' if count else 'a finite number'}"
+                              f", not {value!r}")
+    return int(x) if count else x
+
+
+def spec_from_json(obj, registry: dict, tag: str, key: str, noun: str):
+    """``registry[obj[tag]]`` called with the other entries of ``obj`` by name; its
+    signature states the keys it takes and needs.  ``base`` is a nested spec, ``name``
+    text and every other entry a finite number; an error names the dotted ``key``."""
+    if not isinstance(obj, dict) or tag not in obj:
+        raise ValidationError(f"{key} must be an object with a {tag!r} key")
+    for k in (tag, "name"):
+        if k in obj and not isinstance(obj[k], str):
+            raise ValidationError(f"{key}.{k} must be text, not {obj[k]!r}")
+    what = obj[tag]
+    if what not in registry:
+        raise ValidationError(f"unknown {noun} {tag} {what!r} in {key}")
+    params = inspect.signature(registry[what]).parameters
+    extra = sorted(set(obj) - {tag, *params})
+    if extra:
+        raise ValidationError(f"unknown {noun} keys {extra} for {tag} {what!r} in {key}")
+    missing = [k for k, p in params.items() if p.default is p.empty and k not in obj]
+    if missing:
+        raise ValidationError(f"{noun} {tag} {what!r} needs the keys {missing} in {key}")
+
+    def read(k, v):
+        at = f"{key}.{k}"
+        return (spec_from_json(v, registry, tag, at, noun) if k == "base"
+                else v if k == "name" else finite(v, at))
+    return registry[what](**{k: read(k, v) for k, v in obj.items() if k != tag})

@@ -10,9 +10,9 @@ from __future__ import annotations
 
 import copy
 import json
-import math
 from dataclasses import asdict, dataclass
 
+from .artifacts import finite
 from .errors import ValidationError
 from .kernels import kernel_from_json
 from .reactions import reaction_from_json
@@ -66,27 +66,6 @@ _DEFAULTS = {
 }
 
 
-def _finite(value, key: str, count: bool = False):
-    """``value`` as a finite float, or an int when ``count``; anything else
-    (text, a bool, a list, null, NaN, +-inf, a fractional count) names ``key``."""
-    try:
-        x = math.nan if isinstance(value, (str, bool)) else float(value)
-    except (TypeError, ValueError, OverflowError):
-        x = math.nan
-    if not math.isfinite(x) or (count and x != int(x)):
-        raise ValidationError(f"{key} must be {'an integer' if count else 'a finite number'}"
-                              f", not {value!r}")
-    return int(x) if count else x
-
-
-def _numbers(spec, key: str, text):
-    """A kernel or reaction spec with every entry not named in ``text``
-    checked as a finite number, and a truncation's ``base`` object as a spec."""
-    return {k: v if k in text
-            else _numbers(v, f"{key}.{k}", text) if k == "base" and isinstance(v, dict)
-            else _finite(v, f"{key}.{k}") for k, v in spec.items()}
-
-
 @dataclass(frozen=True)
 class ScenarioConfig:
     raw: dict
@@ -101,13 +80,12 @@ class ScenarioConfig:
         value, default = self.raw[section][leaf], _DEFAULTS[section][leaf]
         if value is None and default is None:
             return None
-        return _finite(value, key, count=type(default) is int)
+        return finite(value, key, count=type(default) is int)
 
     def problem_spec(self) -> ProblemSpec:
         p = self.raw["problem"]
-        kernel = kernel_from_json(_numbers(p["kernel"], "problem.kernel", ("family",)))
-        reaction = reaction_from_json(_numbers(p["reaction"], "problem.reaction",
-                                               ("kind", "name")))
+        kernel = kernel_from_json(p["kernel"], "problem.kernel")
+        reaction = reaction_from_json(p["reaction"], "problem.reaction")
         u0js = p["u0"]
         if set(u0js) - {"type", "m", "ramp"} or u0js.get("type", "plateau") != "plateau":
             raise ValidationError("problem.u0 takes only the keys type ('plateau'), "
@@ -116,8 +94,8 @@ class ScenarioConfig:
         if m is None:
             m = reaction.u_star if reaction.u_star else 1.0
         h0 = self._number("problem.h0")
-        u0 = make_plateau(h0, m=_finite(m, "problem.u0.m"),
-                          ramp=_finite(u0js.get("ramp", 1.0), "problem.u0.ramp"))
+        u0 = make_plateau(h0, m=finite(m, "problem.u0.m"),
+                          ramp=finite(u0js.get("ramp", 1.0), "problem.u0.ramp"))
         return ProblemSpec(variant=p["variant"], kernel=kernel, reaction=reaction,
                            d=self._number("problem.d"), mu=self._number("problem.mu"),
                            h0=h0, u0=u0)

@@ -23,11 +23,12 @@ threshold where they apply are stored on the kernel.
 from __future__ import annotations
 
 import math
-from dataclasses import MISSING, dataclass, fields
+from dataclasses import dataclass, fields
 from functools import lru_cache
 
 import numpy as np
 
+from .artifacts import spec_from_json
 from .errors import ValidationError
 
 __all__ = [
@@ -485,22 +486,7 @@ _FAMILIES = {cls.family: cls for cls in (CompactUniform, CompactCosine, Algebrai
                                          LightExponential, TruncatedKernel)}
 
 
-def kernel_from_json(obj: dict) -> Kernel:
+def kernel_from_json(obj: dict, key: str = "kernel") -> Kernel:
     """The kernel whose ``to_json()`` is ``obj``: a family's fields, or a
-    truncation's ``n`` and its ``base`` family."""
-    if not isinstance(obj, dict) or "family" not in obj:
-        raise ValidationError("kernel spec must be an object with a 'family' key")
-    fam = obj["family"]
-    if fam not in _FAMILIES:
-        raise ValidationError(f"unknown kernel family {fam!r}")
-    cls = _FAMILIES[fam]
-    keys = [f.name for f in fields(cls)]
-    extra = set(obj) - {"family", *keys}
-    if extra:
-        raise ValidationError(f"unknown kernel keys {sorted(extra)} for family {fam!r}")
-    missing = [f.name for f in fields(cls) if f.default is MISSING and f.name not in obj]
-    if missing:
-        raise ValidationError(f"kernel family {fam!r} needs the keys {missing}")
-    kwargs = {k: kernel_from_json(obj[k]) if k == "base" else float(obj[k])
-              for k in keys if k in obj}
-    return cls(**kwargs)
+    truncation's ``n`` and its ``base`` family; ``key`` names it in errors."""
+    return spec_from_json(obj, _FAMILIES, "family", key, "kernel")

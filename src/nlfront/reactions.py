@@ -15,6 +15,7 @@ from typing import Callable
 
 import numpy as np
 
+from .artifacts import spec_from_json
 from .errors import ValidationError
 from .kernels import bisect_bracket
 
@@ -147,17 +148,17 @@ def _certify(r: Reaction, margin: float = 0.01) -> tuple[float, float]:
     return u_star, rho_raw * (1.0 - margin)
 
 
-def perturb(r: Reaction, delta: float) -> Reaction:
-    """f~ = f - delta*u, with its positive root as ``u_star``; requires
-    0 < delta < f'(0) so f~ stays monostable."""
+def perturb(base: Reaction, delta: float) -> Reaction:
+    """f~ = f - delta*u for f = ``base``, with its positive root as ``u_star``;
+    requires 0 < delta < f'(0) so f~ stays monostable."""
     if not delta > 0.0:
         raise ValidationError("perturbation delta must be positive")
-    if not delta < r.fprime0():
+    if not delta < base.fprime0():
         raise ValidationError(
-            f"delta = {delta} >= f'(0) = {r.fprime0()}: perturbation kills monostability")
-    tf = lambda u, _f=r.f, _d=delta: _f(u) - _d * np.asarray(u, dtype=float)
-    tfp = lambda u, _fp=r.f_prime, _d=delta: _fp(u) - _d
-    return _monostable(tf, tfp, "perturbed", {"base": r.to_json(), "delta": delta})
+            f"delta = {delta} >= f'(0) = {base.fprime0()}: perturbation kills monostability")
+    tf = lambda u, _f=base.f, _d=delta: _f(u) - _d * np.asarray(u, dtype=float)
+    tfp = lambda u, _fp=base.f_prime, _d=delta: _fp(u) - _d
+    return _monostable(tf, tfp, "perturbed", {"base": base.to_json(), "delta": delta})
 
 
 def _monostable(f, fp, kind: str, params: dict) -> Reaction:
@@ -215,19 +216,9 @@ def zero_reaction() -> Reaction:
     return Reaction(f=zf, f_prime=zf, kind="zero", params={}, u_star=None, rho=None)
 
 
-def reaction_from_json(obj: dict) -> Reaction:
-    if not isinstance(obj, dict) or "kind" not in obj:
-        raise ValidationError("reaction spec must be an object with a 'kind' key")
-    kind = obj["kind"]
-    if kind == "logistic":
-        extra = set(obj) - {"kind", "a", "b"}
-        if extra:
-            raise ValidationError(f"unknown logistic keys {sorted(extra)}")
-        return logistic(float(obj.get("a", 1.0)), float(obj.get("b", 1.0)))
-    if kind == "custom":
-        if set(obj) - {"kind", "name"}:
-            raise ValidationError("custom reactions take only a 'name'")
-        return custom(obj["name"])
-    if kind == "zero":
-        return zero_reaction()
-    raise ValidationError(f"unknown reaction kind {kind!r}")
+_KINDS = {"logistic": logistic, "custom": custom, "zero": zero_reaction, "perturbed": perturb}
+
+
+def reaction_from_json(obj: dict, key: str = "reaction") -> Reaction:
+    """The reaction whose ``to_json()`` is ``obj``; ``key`` names it in errors."""
+    return spec_from_json(obj, _KINDS, "kind", key, "reaction")

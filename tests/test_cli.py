@@ -314,6 +314,28 @@ def test_truncated_kernel_errors_exit_1(tmp_path, capsys, kernel, message):
     assert os.listdir(out) == []
 
 
+@pytest.mark.parametrize("override,message", [
+    ('problem.kernel={"family":[1]}', "problem.kernel.family must be text"),
+    ('problem.reaction={"kind":"custom","name":[1]}', "problem.reaction.name must be text"),
+    ('problem.reaction={"kind":"zero","typo":1}', "unknown reaction keys ['typo']"),
+], ids=["family-list", "name-list", "zero-typo"])
+def test_malformed_spec_exits_1(tmp_path, capsys, override, message):
+    # a spec's text entries are checked as its numbers are, and every key
+    # must be one its constructor takes: exit 1 naming it, nothing written
+    out = tmp_path / "x"
+    assert main(["simulate", "--out", str(out), "--set", override]) == 1
+    assert f"error: {message}" in capsys.readouterr().err
+    assert os.listdir(out) == []
+
+
+def test_simulate_runs_a_perturbed_reaction(tmp_path):
+    reaction = {"kind": "perturbed", "base": {"kind": "logistic"}, "delta": 0.1}
+    out = tmp_path / "run"
+    assert main(["simulate", "--out", str(out), "--set", f"problem.reaction={json.dumps(reaction)}",
+                 "--set", "solver.dx=0.25", "--set", "solver.t_end=1"]) == 0
+    assert (out / "trajectory.csv").exists()
+
+
 def test_sweep_and_report(tmp_path):
     cfg = write_cfg(tmp_path, BASE)
     out = tmp_path / "swp"

@@ -389,6 +389,14 @@ def test_json_rejects_unknown():
         kernel_from_json({"family": "algebraic", "a": 2.0})
 
 
+def test_json_numbers_must_be_finite_numbers():
+    # the library reader meets the CLI's contract: text is not a number
+    with pytest.raises(ValidationError, match="kernel.r must be a finite number"):
+        kernel_from_json({"family": "compact-uniform", "r": "2"})
+    with pytest.raises(ValidationError, match="kernel.r"):
+        kernel_from_json({"family": "compact-uniform", "r": "abc"})
+
+
 @pytest.mark.parametrize("base", [CompactUniform(1.0), AlgebraicTail(1.5), LightExponential(2.0)],
                          ids=lambda k: k.family)
 def test_truncation_json_roundtrip(base):

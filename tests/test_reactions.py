@@ -131,13 +131,20 @@ def test_zero_reaction_is_diagnostic_only():
 
 
 def test_json_roundtrip():
-    for r in (logistic(1.5, 2.0), custom("cubic"), zero_reaction()):
+    for r in (logistic(1.5, 2.0), custom("cubic"), zero_reaction(), perturb(logistic(1, 1), 0.1)):
         back = reaction_from_json(r.to_json())
         assert back.kind == r.kind
         assert back.params == r.params
+        assert back.u_star == r.u_star
     with pytest.raises(ValidationError):
         reaction_from_json({"kind": "bistable"})
     with pytest.raises(ValidationError):
         reaction_from_json({"kind": "custom", "name": "nope"})
     with pytest.raises(ValidationError):
         reaction_from_json({"kind": "logistic", "a": 1.0, "c": 2.0})
+
+
+def test_json_numbers_must_be_finite_numbers():
+    # the library reader meets the CLI's contract: text is not a number
+    with pytest.raises(ValidationError, match="reaction.a must be a finite number"):
+        reaction_from_json({"kind": "logistic", "a": "2"})

@@ -242,8 +242,7 @@ def mu_limit_experiment(spec: ProblemSpec, mus, mode: str,
         limit, xw = "fixed-domain", (0.0, spec.h0)
     else:
         limit, xw = "cauchy-half", (0.0, 5.0)
-    if cfg.snapshot_stride <= 0:
-        cfg = replace(cfg, snapshot_stride=1)
+    cfg = cfg.with_snapshots()
 
     limit_log = run(replace(spec, variant=limit, mu=1.0), cfg)
     limit_snaps = {round(t, 9): f for t, f in limit_log.snapshots}
@@ -267,14 +266,12 @@ def mu_limit_experiment(spec: ProblemSpec, mus, mode: str,
         sup_diffs.append(worst)
         h_shift.append(log.h[-1] - spec.h0 if mode == "ToZero" else log.h[-1])
 
-    def strict_dec(a):
-        return bool(np.all(np.diff(a) < 0.0)) if len(a) > 1 else None
-
-    def strict_inc(a):
-        return bool(np.all(np.diff(a) > 0.0)) if len(a) > 1 else None
+    def strict(a, sign=-1.0):
+        """Strictly falling (sign -1) or rising (+1); no verdict on one entry."""
+        return bool(np.all(sign * np.diff(a) > 0.0)) if len(a) > 1 else None
 
     return MuLimitReport(
         mode=mode, mu=list(mus), sup_diff=sup_diffs, h_shift=h_shift,
-        sup_diff_monotone=strict_dec(sup_diffs),
-        h_monotone=strict_dec(h_shift) if mode == "ToZero" else strict_inc(h_shift),
+        sup_diff_monotone=strict(sup_diffs),
+        h_monotone=strict(h_shift, -1.0 if mode == "ToZero" else 1.0),
     )

@@ -81,10 +81,12 @@ def _rates(analysis: dict, log: TrajectoryLog, c0) -> dict:
     return payload
 
 
-def _check_fit_windows(analysis: dict, spec, cfg):
-    """A fit's window depends on the logged times alone: fitting a stand-in
-    front on the times the run will log (any finite c0 will do) refuses,
-    before the run, a window it cannot fill."""
+def _check_rates(analysis: dict, spec, cfg):
+    """Refuse, before the run, a `rates` with nothing to compute and a fit
+    window the logged times cannot fill: a window depends on those times
+    alone, so fitting a stand-in front on them (any finite c0) shows it."""
+    if not analysis["fits"] and not analysis["drift_check"]:
+        raise ValidationError("rates has nothing to compute: no analysis.fits, no drift_check")
     t = checkpoint_times(spec, cfg)
     _rates(analysis, TrajectoryLog(t=list(t), h=list(1.0 + t)), 1.0)
 
@@ -96,7 +98,7 @@ def cmd_rates(scenario: ScenarioConfig, outdir: str) -> int:
     if an["drift_check"] and c0 is None:     # a semi-wave that fails, fails before the run
         c0 = solve_semiwave(spec.kernel, spec.reaction, spec.d, spec.mu,
                             scenario.semiwave_config()).c0
-    _check_fit_windows(an, spec, cfg)
+    _check_rates(an, spec, cfg)
     log = run(spec, cfg)
     log.to_csv(os.path.join(outdir, "trajectory.csv"))
     write_json(os.path.join(outdir, "rates.json"), _rates(an, log, c0))
@@ -108,13 +110,15 @@ def cmd_verify(scenario: ScenarioConfig, outdir: str) -> int:
 
     spec, cfg = scenario.validate()
     ver = scenario["verify"]
-    if "refinement" in ver["checks"] and cfg.dt is None:    # before any check runs
+    if not ver["checks"]:                                   # before any check runs
+        raise ValidationError("verify.checks is empty: verify has nothing to check")
+    if "refinement" in ver["checks"] and cfg.dt is None:
         raise ValidationError("verify's refinement check needs an explicit solver.dt")
     payload = {}
     ok = True
     # comparison's upper run is refinement's level 0 (snapshots move no step):
     # with both checks it runs once
-    upper = (run(spec, replace(cfg, snapshot_stride=max(1, cfg.snapshot_stride)))
+    upper = (run(spec, cfg.with_snapshots())
              if {"comparison", "refinement"} <= set(ver["checks"]) else None)
     for check in ver["checks"]:
         if check == "mass-flux":
@@ -128,9 +132,7 @@ def cmd_verify(scenario: ScenarioConfig, outdir: str) -> int:
             scale = float(ver["comparison_scale"])
             base = spec.initial_datum()
             low = replace(spec, u0=lambda x: scale * np.asarray(base(x)))
-            rep = validation.comparison_order_check(low, spec, cfg,
-                                                    tol=float(ver["comparison_tol"]),
-                                                    log_b=upper)
+            rep = validation.comparison_order_check(low, spec, cfg, log_b=upper)
             passed = rep.passed
             payload["comparison"] = {"passed": rep.passed,
                                      "max_u_violation": rep.max_u_violation,
@@ -179,7 +181,7 @@ def cmd_sweep(scenario: ScenarioConfig, outdir: str, jobs: int = 1) -> int:
                                                [f"{sw['parameter']}={json.dumps(val)}"]))
         spec, cfg = point.validate()    # a bad point fails before any point runs
         if command == "rates":
-            _check_fit_windows(point["analysis"], spec, cfg)
+            _check_rates(point["analysis"], spec, cfg)
         tasks.append((point, val, command, os.path.join(outdir, f"p{i:03d}")))
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor

@@ -10,14 +10,14 @@ from __future__ import annotations
 
 import copy
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 
 from .artifacts import finite
 from .errors import ValidationError
 from .kernels import kernel_from_json
 from .reactions import reaction_from_json
 from .semiwave import SemiWaveConfig
-from .solver import ProblemSpec, SolverConfig, make_plateau, stability_budget
+from .solver import ProblemSpec, SolverConfig, time_step
 
 __all__ = ["ScenarioConfig", "resolve_config", "default_config", "apply_overrides"]
 
@@ -55,7 +55,6 @@ _DEFAULTS = {
         "checks": ["mass-flux"],
         "mass_flux_tol": 1e-3,
         "comparison_scale": 0.5,
-        "comparison_tol": 1e-8,
         "refinement_levels": 3,
     },
     "sweep": {
@@ -91,14 +90,12 @@ class ScenarioConfig:
             raise ValidationError("problem.u0 takes only the keys type ('plateau'), "
                                   f"m and ramp, not {u0js!r}")
         m = u0js.get("m")
-        if m is None:
-            m = reaction.u_star if reaction.u_star else 1.0
-        h0 = self._number("problem.h0")
-        u0 = make_plateau(h0, m=finite(m, "problem.u0.m"),
-                          ramp=finite(u0js.get("ramp", 1.0), "problem.u0.ramp"))
-        return ProblemSpec(variant=p["variant"], kernel=kernel, reaction=reaction,
+        m = None if m is None else finite(m, "problem.u0.m")
+        ramp = finite(u0js.get("ramp", 1.0), "problem.u0.ramp")
+        spec = ProblemSpec(variant=p["variant"], kernel=kernel, reaction=reaction,
                            d=self._number("problem.d"), mu=self._number("problem.mu"),
-                           h0=h0, u0=u0)
+                           h0=self._number("problem.h0"))
+        return replace(spec, u0=spec.plateau(m, ramp))
 
     def solver_config(self) -> SolverConfig:
         n = self._number
@@ -126,6 +123,9 @@ class ScenarioConfig:
                     if bad:
                         raise ValidationError(f"unknown name {bad[0]!r} in {section}.{key}; "
                                               f"known: {', '.join(known)}")
+                    twice = [n for i, n in enumerate(value) if n in value[:i]]
+                    if twice:
+                        raise ValidationError(f"{section}.{key} names {twice[0]!r} twice")
                 elif type(default) in _KINDS and type(value) is not type(default):
                     raise ValidationError(f"{section}.{key} must be "
                                           f"{_KINDS[type(default)]}, not {value!r}")
@@ -135,12 +135,8 @@ class ScenarioConfig:
         spec = self.problem_spec()
         cfg = self.solver_config()
         self.semiwave_config()          # bad semi-wave settings fail every command
-        if cfg.dt is not None:
-            budget = stability_budget(spec)
-            if cfg.dt > budget * (1.0 + 1e-12):
-                raise ValidationError(
-                    f"solver.dt = {cfg.dt} exceeds the stability budget {budget:.6g}")
-        for key in ("analysis.c0", "verify.mass_flux_tol", "verify.comparison_tol"):
+        time_step(spec, cfg)            # a dt past the stability budget fails every command
+        for key in ("analysis.c0", "verify.mass_flux_tol"):
             self._number(key)           # read by a command only: fails before any run
         d, levels = self._number("semiwave.stationary_d"), self._number("verify.refinement_levels")
         if not (d is None or d > 0.0):

@@ -16,7 +16,7 @@ front).  All integrals against J use ``quadrature``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
@@ -35,6 +35,7 @@ __all__ = [
     "TrajectoryLog",
     "make_plateau",
     "stability_budget",
+    "time_step",
     "nonlocal_operator",
     "boundary_flux",
     "step",
@@ -113,11 +114,12 @@ class ProblemSpec:
         """What bounds the (left, right) end: WALL, FRONT or OPEN."""
         return _ENDS[self.variant]
 
+    def plateau(self, m: float | None = None, ramp: float = 1.0) -> Callable:
+        """``make_plateau`` at h0, m defaulting to u* (1 without a positive zero)."""
+        return make_plateau(self.h0, (self.reaction.u_star or 1.0) if m is None else m, ramp)
+
     def initial_datum(self) -> Callable:
-        if self.u0 is not None:
-            return self.u0
-        m = self.reaction.u_star if self.reaction.u_star else 1.0
-        return make_plateau(self.h0, m=m)
+        return self.u0 if self.u0 is not None else self.plateau()
 
     def u_cap(self) -> float:
         """Maximum-principle ceiling max(u*, sup u0)."""
@@ -145,6 +147,10 @@ class SolverConfig:
             raise ValidationError("t_end and snapshot_stride must be nonnegative")
         if self.scheme not in ("euler", "rk2"):
             raise ValidationError("scheme must be 'euler' or 'rk2'")
+
+    def with_snapshots(self) -> "SolverConfig":
+        """This config with snapshots, as compared runs need: its stride, or 1 for none."""
+        return replace(self, snapshot_stride=max(1, self.snapshot_stride))
 
 
 @dataclass
@@ -199,6 +205,16 @@ def stability_budget(spec: ProblemSpec) -> float:
     return 0.5 / (2.0 * spec.d + kf)
 
 
+def time_step(spec: ProblemSpec, cfg: SolverConfig) -> float:
+    """A run's step: cfg.dt, or half the stability budget when null; a dt past it raises."""
+    budget = stability_budget(spec)
+    if cfg.dt is None:
+        return 0.5 * budget
+    if cfg.dt > budget * (1.0 + 1e-12):
+        raise ValidationError(f"dt = {cfg.dt} exceeds the stability budget {budget:.6g}")
+    return cfg.dt
+
+
 class _Engine:
     """Owns the grid and taps of one run and steps its State in place.
 
@@ -213,11 +229,7 @@ class _Engine:
         self.kernel = spec.kernel
         self.left, self.right = spec.ends
         self.dx = cfg.dx
-        budget = stability_budget(spec)
-        self.dt = cfg.dt if cfg.dt is not None else 0.5 * budget
-        if self.dt > budget * (1.0 + 1e-12):
-            raise ValidationError(
-                f"dt = {self.dt} exceeds the stability budget {budget:.6g}")
+        self.dt = time_step(spec, cfg)
         self.ell = min(self.kernel.interaction_length(), 25.0)
         self.front_floor = FRONT_TOL * max(spec.u_cap(), 1e-300)
         if self.right == WALL:
@@ -244,9 +256,9 @@ class _Engine:
         u = np.clip(u, 0.0, None)
         if not np.max(u) > 0.0:
             raise ValidationError("initial datum must be positive somewhere inside")
-        edge = float(u0(spec.h0))
-        if abs(edge) > 1e-9 * max(1.0, np.max(u)) and self.right != WALL:
-            raise ValidationError("initial datum must vanish at the moving front")
+        for side, end, x_end in (("left", self.left, -spec.h0), ("right", self.right, spec.h0)):
+            if end != WALL and abs(float(u0(x_end))) > 1e-9 * max(1.0, np.max(u)):
+                raise ValidationError(f"initial datum must vanish at the {side} end x = {x_end:g}")
         u[np.abs(x) > spec.h0 + 1e-12] = 0.0
         self.state = State(t=0.0, x0=lo, dx=dx, u=u, h=spec.h0, g=g0)
         self._refresh_taps()
@@ -404,7 +416,7 @@ def _schedule(cfg: SolverConfig, dt: float):
 def checkpoint_times(spec: ProblemSpec, cfg: SolverConfig) -> np.ndarray:
     """The times ``run`` logs at when it reaches t_end, its steps summed in
     order as the run sums t."""
-    dt = cfg.dt if cfg.dt is not None else 0.5 * stability_budget(spec)
+    dt = time_step(spec, cfg)
     n_steps, last_dt, stride = _schedule(cfg, dt)
     steps = np.full(n_steps, dt)
     steps[-1:] = last_dt

@@ -47,6 +47,10 @@ __all__ = [
 
 # quadrature nodes per lattice time of a shape fixture, at most
 LATTICE_MAX_NODES = 400_000
+# how far ordered runs may cross before the comparison check fails, and how
+# far a run started at a lower barrier may dip below it
+COMPARISON_TOL = 1e-8
+DOMINATION_TOL = 5e-3
 
 
 @dataclass(frozen=True)
@@ -560,41 +564,31 @@ class ComparisonReport:
 
 
 def comparison_order_check(spec_a: ProblemSpec, spec_b: ProblemSpec,
-                           cfg: SolverConfig, tol: float = 1e-8,
+                           cfg: SolverConfig, tol: float = COMPARISON_TOL,
                            log_b: TrajectoryLog | None = None) -> ComparisonReport:
     """Ordered initial data must stay ordered: u_a <= u_b and h_a <= h_b;
     ``log_b``, if given, is spec_b's run under cfg with snapshots."""
-    same = (spec_a.variant == spec_b.variant and spec_a.kernel == spec_b.kernel
-            and spec_a.d == spec_b.d and spec_a.mu == spec_b.mu
-            and spec_a.h0 == spec_b.h0
-            and spec_a.reaction.to_json() == spec_b.reaction.to_json())
-    if not same:
+    if not (replace(spec_a, reaction=None, u0=None) == replace(spec_b, reaction=None, u0=None)
+            and spec_a.reaction.to_json() == spec_b.reaction.to_json()):
         raise ContractError("specs must agree except for the initial datum")
     probe = np.linspace(0.0, spec_a.h0, 513)
     ua = np.asarray(spec_a.initial_datum()(probe))
     ub = np.asarray(spec_b.initial_datum()(probe))
     if np.any(ua > ub + 1e-12):
         raise ContractError("initial data are not ordered: u0_a must lie below u0_b")
-    if cfg.snapshot_stride <= 0:
-        cfg = replace(cfg, snapshot_stride=1)
+    cfg = cfg.with_snapshots()
     log_a = run(spec_a, cfg)
     if log_b is None:
         log_b = run(spec_b, cfg)
     max_u = 0.0
-    n_checked = 0
     for (ta, fa), (tb, fb) in zip(log_a.snapshots, log_b.snapshots):
         if abs(ta - tb) > 1e-9:
             raise ContractError("snapshot cadences diverged between the runs")
         max_u = max(max_u, float(np.max(fa.values - fb.at(fa.x))))
-        n_checked += 1
     max_h = float(np.max(np.asarray(log_a.h) - np.asarray(log_b.h)))
     return ComparisonReport(passed=(max_u <= tol and max_h <= tol),
                             max_u_violation=max_u, max_h_violation=max_h,
-                            checked_times=n_checked)
-
-
-# a run started at a lower barrier may dip this far below it
-DOMINATION_TOL = 5e-3
+                            checked_times=min(len(log_a.snapshots), len(log_b.snapshots)))
 
 
 @dataclass(frozen=True)
@@ -636,17 +630,13 @@ def fixture_domination_check(fixture, cfg: SolverConfig, t_end: float) -> dict:
     spec = ProblemSpec(variant="halfline-fb", kernel=fixture.kernel,
                        reaction=fixture.reaction, d=fixture.d, h0=h0,
                        mu=fixture.mu, u0=lambda x: fixture.u_at(0.0, x))
-    run_cfg = replace(cfg, t_end=t_end,
-                      snapshot_stride=max(1, cfg.snapshot_stride))
-    log = run(spec, run_cfg)
+    log = run(spec, replace(cfg, t_end=t_end).with_snapshots())
     worst_u = 0.0
     for t, snap in log.snapshots:
         hb = fixture.h_front(t)
         sel = snap.x <= min(hb, snap.x[-1])
         gap = fixture.u_at(t, snap.x[sel]) - snap.values[sel]
         worst_u = max(worst_u, float(np.max(gap)))
-    th = np.asarray(log.t)
-    hh = np.asarray(log.h)
-    worst_h = float(np.max([fixture.h_front(t) - h for t, h in zip(th, hh)]))
+    worst_h = float(np.max([fixture.h_front(t) - h for t, h in zip(log.t, log.h)]))
     return {"passed": worst_u <= DOMINATION_TOL and worst_h <= DOMINATION_TOL,
             "max_u_violation": worst_u, "max_h_violation": worst_h}

@@ -94,6 +94,19 @@ def test_unknown_fit_or_check_rejected_before_any_run(tmp_path, capsys, command,
     assert "unknown name" in capsys.readouterr().err
     assert os.listdir(out) == []
 
+@pytest.mark.parametrize("command,override", [
+    ("verify", 'verify.checks=["mass-flux","mass-flux"]'),
+    ("rates", 'analysis.fits=["linear","power","linear"]'),
+])
+def test_repeated_fit_or_check_rejected_before_any_run(tmp_path, capsys, command, override):
+    # a check or fit named twice would run twice: exit 1 with nothing written
+    cfg = write_cfg(tmp_path, BASE)
+    out = tmp_path / "x"
+    assert main([command, "--config", cfg, "--out", str(out), "--set", override]) == 1
+    assert "twice" in capsys.readouterr().err
+    assert os.listdir(out) == []
+
+
 @pytest.mark.parametrize("override,key", [
     ("solver.dx=abc", "solver.dx"),
     ("problem.d=[1]", "problem.d"),
@@ -146,12 +159,15 @@ def test_out_of_range_number_rejected_before_any_run(tmp_path, capsys, command, 
     ("rates", [], "fit window holds 3 samples"),
     ("rates", ["solver.t_end=1.05", "solver.dt=0.01", "solver.log_every=0.01",
                "analysis.drift_check=true", "analysis.c0=0.5"], "t > 1"),
+    ("verify", ["verify.checks=[]"], "nothing to check"),
+    ("rates", ["analysis.fits=[]"], "nothing to compute"),
 ])
 def test_command_preconditions_fail_before_any_run(tmp_path, capsys, monkeypatch,
                                                    command, overrides, message):
     # the drift check's semi-wave is solved, refinement's explicit dt and
-    # each fit's window on the times the run will log checked, before the
-    # command's first run: exit 1 with only the echoed configuration written
+    # each fit's window on the times the run will log checked, and a command
+    # with nothing to check or compute refused, before the command's first
+    # run: exit 1 with only the echoed configuration written
     from nlfront import cli, solver, validation
 
     runs = []
@@ -271,6 +287,7 @@ def test_unknown_key_listed(tmp_path, capsys):
     ("solver.headroom=4.0", "unknown config key"),
     ("analysis.level=0.5", "unknown config key"),
     ('output.directory="out"', "unknown config path"),
+    ("verify.comparison_tol=1e-6", "unknown config key"),
 ])
 def test_retired_config_keys_rejected(tmp_path, capsys, override, message):
     rc = main(["simulate", "--out", str(tmp_path / "x"), "--set", override])

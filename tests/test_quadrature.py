@@ -27,6 +27,18 @@ def test_partial_cell_is_linear():
     assert c.mean == pytest.approx(1.5, abs=1e-15)
 
 
+@pytest.mark.parametrize("lo,hi,i_lo,i_hi", [
+    (0.0, 0.35 * (1 - 1e-14), 0, 6), (0.35 * (1 + 1e-14), 1.0, 8, 20)],
+    ids=["hi-below-node", "lo-above-node"])
+def test_pieces_end_a_hair_off_a_node(lo, hi, i_lo, i_hi):
+    # the rounding slack lands on node 7 (x = 0.35), which lies outside the
+    # window: the last node inside is the one before, and the partial cell
+    # spans almost all of dx
+    p = quadrature.pieces(0.0, 0.05, np.ones(21), lo, hi, lo_end=0.0, hi_end=0.0)
+    assert (p.i_lo, p.i_hi) == (i_lo, i_hi)
+    assert [c.area for c in p.cells] == [pytest.approx(0.025, rel=1e-12)]
+
+
 def test_cell_averages_match_taps_on_the_grid():
     k = truncate(AlgebraicTail(1.5, 1.0), 2.0)
     dx = 0.25

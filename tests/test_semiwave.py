@@ -436,6 +436,16 @@ def test_window_is_chosen_on_the_coarsest_grid(monkeypatch, kernel, cfg):
     assert sol.c0 == pytest.approx(longer.c0, rel=1e-10, abs=0.0)
 
 
+def test_a_doubled_window_is_accepted_when_the_next_agrees():
+    # L0 = 1.5 is too short: c0 moves on doubling to 3, then agrees with 6
+    cfg = SemiWaveConfig(dx=0.05, L0=1.5, max_doublings=3)
+    sol = solve_semiwave(CompactUniform(1.0), logistic(1, 1), 1.0, 1.0, cfg)
+    assert sol.L == 3.0 and sol.window_check["L"] == [3.0, 6.0]
+    direct = solve_semiwave(CompactUniform(1.0), logistic(1, 1), 1.0, 1.0,
+                            replace(cfg, L0=3.0, max_doublings=0))
+    assert sol.c0 == pytest.approx(direct.c0, rel=1e-10, abs=0.0)
+
+
 @pytest.mark.parametrize("u_star", [1.0, 250.0])
 def test_only_seeds_stop_at_seed_tol(monkeypatch, u_star):
     # seeds stop at SEED_TOL * u* (at residual_tol when that is lower, as at

@@ -84,10 +84,15 @@ def test_budget_formula():
 
 
 def test_step_rejects_unstable_dt():
+    # checkpoint_times refuses the step that run refuses, with its message
     spec = halfline_spec()
     cfg = SolverConfig(dx=0.05, dt=1.0, t_end=1.0)
-    with pytest.raises(ValidationError):
-        run(spec, cfg)
+    messages = []
+    for call in (run, checkpoint_times):
+        with pytest.raises(ValidationError, match="exceeds the stability budget") as err:
+            call(spec, cfg)
+        messages.append(str(err.value))
+    assert messages[0] == messages[1]
 
 
 def test_cauchy_constant_state_is_fixed_point():
@@ -147,6 +152,25 @@ def test_twosided_symmetric_run():
     # even data and even kernel keep the solution even
     assert np.allclose(h, -g, atol=1e-12)
     assert h[-1] > 5.0
+
+
+@pytest.mark.parametrize("variant,side,refused", [
+    ("twosided-fb", "left", True), ("twosided-fb", "right", True),
+    ("cauchy-full", "left", True), ("cauchy-full", "right", True),
+    ("halfline-fb", "left", False), ("cauchy-half", "left", False)])
+def test_datum_must_vanish_at_every_end_but_a_wall(variant, side, refused):
+    # u0 = 1 at x = -h0 (side "left") or, mirrored, at x = h0; a left wall
+    # at x = 0 never sees -h0
+    sign = 1.0 if side == "left" else -1.0
+    spec = ProblemSpec(variant=variant, kernel=CompactUniform(1.0), reaction=logistic(1, 1),
+                       d=1.0, h0=3.0,
+                       u0=lambda x: np.clip(3.0 - sign * np.asarray(x, dtype=float), 0.0, 1.0))
+    cfg = SolverConfig(dx=0.1, dt=0.05, t_end=0.0)
+    if refused:
+        with pytest.raises(ValidationError, match=f"must vanish at the {side} end"):
+            run(spec, cfg)
+    else:
+        assert run(spec, cfg).t == [0.0]
 
 
 def test_mass_flux_identity_zero_field():

@@ -225,7 +225,7 @@ def mu_limit_experiment(spec: ProblemSpec, mus, mode: str,
     """Compare free-boundary runs against their mu -> 0 / mu -> infinity limits.
 
     Each difference is max |u_mu - u_limit| over a fixed x window and the
-    snapshots both runs share with 1 <= t <= 2.  ToZero: the limit is the
+    paired snapshots with 1 <= t <= 2.  ToZero: the limit is the
     frozen-domain problem on [0, h0], the x window is [0, h0], and the
     differences must shrink as mu does, with h_mu(t_end) - h0 shrinking
     alongside.  ToInfinity: the limit is the half-line Cauchy problem, the
@@ -245,25 +245,17 @@ def mu_limit_experiment(spec: ProblemSpec, mus, mode: str,
     cfg = cfg.with_snapshots()
 
     limit_log = run(replace(spec, variant=limit, mu=1.0), cfg)
-    limit_snaps = {round(t, 9): f for t, f in limit_log.snapshots}
 
     sup_diffs, h_shift = [], []
     for mu in mus:
         log = run(replace(spec, mu=mu), cfg)
-        worst = 0.0
-        used = 0
-        for t, snap in log.snapshots:
-            if not (1.0 - 1e-9 <= t <= 2.0 + 1e-9):
-                continue
-            ref = limit_snaps.get(round(t, 9))
-            if ref is None:
-                continue
-            worst = max(worst, sup_distance_on_window(snap, ref, xw))
-            used += 1
-        if used == 0:
+        diffs = [sup_distance_on_window(snap, ref, xw)
+                 for t, snap, ref in log.paired_snapshots(limit_log)
+                 if 1.0 - 1e-9 <= t <= 2.0 + 1e-9]
+        if not diffs:
             raise ContractError("no shared snapshots inside the probe window; "
                                 "raise snapshot_stride/log cadence")
-        sup_diffs.append(worst)
+        sup_diffs.append(max(diffs))
         h_shift.append(log.h[-1] - spec.h0 if mode == "ToZero" else log.h[-1])
 
     def strict(a, sign=-1.0):

@@ -134,9 +134,7 @@ def cmd_verify(scenario: ScenarioConfig, outdir: str) -> int:
             low = replace(spec, u0=lambda x: scale * np.asarray(base(x)))
             rep = validation.comparison_order_check(low, spec, cfg, log_b=upper)
             passed = rep.passed
-            payload["comparison"] = {"passed": rep.passed,
-                                     "max_u_violation": rep.max_u_violation,
-                                     "max_h_violation": rep.max_h_violation}
+            payload["comparison"] = rep.to_json()
         else:                               # refinement
             rep = validation.refinement_order(spec, cfg,
                                               levels=int(ver["refinement_levels"]),

@@ -40,6 +40,7 @@ import os
 import sys
 from dataclasses import dataclass, replace
 from functools import cached_property
+from typing import ClassVar
 
 import numpy as np
 
@@ -114,11 +115,11 @@ class SemiWaveConfig:
     dx: float = 0.02
     L0: float | None = None        # default 40 interaction lengths
     max_doublings: int = 3
-    residual_tol: float = 1e-6     # acceptance, stationary profile included
+    residual_tol: ClassVar[float] = 1e-6   # acceptance, stationary profile included
 
     def __post_init__(self):
-        if not (self.dx > 0.0 and (self.L0 is None or self.L0 > 0.0) and self.residual_tol > 0.0):
-            raise ValidationError("semiwave dx, L0 and residual_tol must be positive")
+        if not (self.dx > 0.0 and (self.L0 is None or self.L0 > 0.0)):
+            raise ValidationError("semiwave dx and L0 must be positive")
         if not self.max_doublings >= 0:
             raise ValidationError("semiwave max_doublings must be nonnegative")
 
@@ -610,7 +611,7 @@ def half_level_point(x, values, level: float) -> float | None:
     if idx == 0:
         return float(x[0])
     v0, v1 = v[idx - 1], v[idx]
-    if v0 == v1:
+    if v1 == level:
         return float(x[idx])
     frac = (v0 - level) / (v0 - v1)
     return float(x[idx - 1] + frac * (x[idx] - x[idx - 1]))

@@ -186,6 +186,12 @@ class TrajectoryLog:
     _columns = ("t", "h", "g", "mass", "sup_u", "flux")    # of trajectory.csv
     _observed = _columns + ("rint",)                       # appended per checkpoint
 
+    def paired_snapshots(self, other: "TrajectoryLog") -> list:
+        """(t, this field, other field) per snapshot: compared runs log at the same times."""
+        if [t for t, _ in self.snapshots] != [t for t, _ in other.snapshots]:
+            raise ContractError("compared runs must keep snapshots at the same times")
+        return [(t, a, b) for (t, a), (_, b) in zip(self.snapshots, other.snapshots)]
+
     def to_csv(self, path):
         write_csv(path, self._columns, [getattr(self, c) for c in self._columns])
 

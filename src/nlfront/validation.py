@@ -16,6 +16,7 @@ from a two-resolution refinement of the lattice.
 from __future__ import annotations
 
 import math
+import statistics
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -25,7 +26,7 @@ from .artifacts import Record
 from .errors import ContractError, ValidationError
 from .kernels import AlgebraicTail, Kernel
 from .semiwave import SemiWaveSolution
-from .solver import ProblemSpec, SolverConfig, TrajectoryLog, run
+from .solver import FRONT, WALL, ProblemSpec, SolverConfig, TrajectoryLog, run
 
 __all__ = [
     "Lattice",
@@ -556,22 +557,23 @@ def mass_flux_residual(log: TrajectoryLog, spec: ProblemSpec) -> float:
 
 
 @dataclass(frozen=True)
-class ComparisonReport:
+class ComparisonReport(Record):
+    """How far a solution that must stay below another rises above it, in u and at a front."""
     passed: bool
     max_u_violation: float
     max_h_violation: float
-    checked_times: int
 
 
-def comparison_order_check(spec_a: ProblemSpec, spec_b: ProblemSpec,
-                           cfg: SolverConfig, tol: float = COMPARISON_TOL,
+def comparison_order_check(spec_a: ProblemSpec, spec_b: ProblemSpec, cfg: SolverConfig,
                            log_b: TrajectoryLog | None = None) -> ComparisonReport:
-    """Ordered initial data must stay ordered: u_a <= u_b and h_a <= h_b;
+    """Initial data ordered on [0, h0] behind a left wall, on [-h0, h0] otherwise,
+    must stay ordered: u_a <= u_b, h_a <= h_b and, with a left front, g_a >= g_b;
     ``log_b``, if given, is spec_b's run under cfg with snapshots."""
     if not (replace(spec_a, reaction=None, u0=None) == replace(spec_b, reaction=None, u0=None)
             and spec_a.reaction.to_json() == spec_b.reaction.to_json()):
         raise ContractError("specs must agree except for the initial datum")
-    probe = np.linspace(0.0, spec_a.h0, 513)
+    left = spec_a.ends[0]
+    probe = np.linspace(0.0 if left == WALL else -spec_a.h0, spec_a.h0, 513)
     ua = np.asarray(spec_a.initial_datum()(probe))
     ub = np.asarray(spec_b.initial_datum()(probe))
     if np.any(ua > ub + 1e-12):
@@ -580,15 +582,13 @@ def comparison_order_check(spec_a: ProblemSpec, spec_b: ProblemSpec,
     log_a = run(spec_a, cfg)
     if log_b is None:
         log_b = run(spec_b, cfg)
-    max_u = 0.0
-    for (ta, fa), (tb, fb) in zip(log_a.snapshots, log_b.snapshots):
-        if abs(ta - tb) > 1e-9:
-            raise ContractError("snapshot cadences diverged between the runs")
-        max_u = max(max_u, float(np.max(fa.values - fb.at(fa.x))))
+    max_u = max([0.0] + [float(np.max(fa.values - fb.at(fa.x)))
+                         for _, fa, fb in log_a.paired_snapshots(log_b)])
     max_h = float(np.max(np.asarray(log_a.h) - np.asarray(log_b.h)))
-    return ComparisonReport(passed=(max_u <= tol and max_h <= tol),
-                            max_u_violation=max_u, max_h_violation=max_h,
-                            checked_times=min(len(log_a.snapshots), len(log_b.snapshots)))
+    if left == FRONT:
+        max_h = max(max_h, float(np.max(np.asarray(log_b.g) - np.asarray(log_a.g))))
+    return ComparisonReport(passed=(max_u <= COMPARISON_TOL and max_h <= COMPARISON_TOL),
+                            max_u_violation=max_u, max_h_violation=max_h)
 
 
 @dataclass(frozen=True)
@@ -617,10 +617,10 @@ def refinement_order(spec: ProblemSpec, cfg: SolverConfig, levels: int = 3,
         return RefinementReport(tuple(hs), diffs, (), None, True)
     orders = tuple(math.log2(abs(diffs[i] / diffs[i + 1]))
                    for i in range(len(diffs) - 1))
-    return RefinementReport(tuple(hs), diffs, orders, float(np.median(orders)), False)
+    return RefinementReport(tuple(hs), diffs, orders, statistics.median(orders), False)
 
 
-def fixture_domination_check(fixture, cfg: SolverConfig, t_end: float) -> dict:
+def fixture_domination_check(fixture, cfg: SolverConfig, t_end: float) -> ComparisonReport:
     """Soundness of a sub-fixture against the solver: a run started at the
     barrier stays above it (the fitted lag T is zero for an equal start), to
     DOMINATION_TOL in u and in h."""
@@ -638,5 +638,5 @@ def fixture_domination_check(fixture, cfg: SolverConfig, t_end: float) -> dict:
         gap = fixture.u_at(t, snap.x[sel]) - snap.values[sel]
         worst_u = max(worst_u, float(np.max(gap)))
     worst_h = float(np.max([fixture.h_front(t) - h for t, h in zip(log.t, log.h)]))
-    return {"passed": worst_u <= DOMINATION_TOL and worst_h <= DOMINATION_TOL,
-            "max_u_violation": worst_u, "max_h_violation": worst_h}
+    return ComparisonReport(passed=worst_u <= DOMINATION_TOL and worst_h <= DOMINATION_TOL,
+                            max_u_violation=worst_u, max_h_violation=worst_h)

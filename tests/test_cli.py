@@ -161,13 +161,16 @@ def test_out_of_range_number_rejected_before_any_run(tmp_path, capsys, command, 
                "analysis.drift_check=true", "analysis.c0=0.5"], "t > 1"),
     ("verify", ["verify.checks=[]"], "nothing to check"),
     ("rates", ["analysis.fits=[]"], "nothing to compute"),
+    ("sweep", [], "sweep.values is empty"),
+    ("sweep", ['sweep.command="verify"', "sweep.values=[1.0]"], "not supported"),
 ])
 def test_command_preconditions_fail_before_any_run(tmp_path, capsys, monkeypatch,
                                                    command, overrides, message):
     # the drift check's semi-wave is solved, refinement's explicit dt and
     # each fit's window on the times the run will log checked, and a command
-    # with nothing to check or compute refused, before the command's first
-    # run: exit 1 with only the echoed configuration written
+    # with nothing to check or compute refused, and a sweep with no points or
+    # a command it cannot sweep refused, before the command's first run:
+    # exit 1 with only the echoed configuration written
     from nlfront import cli, solver, validation
 
     runs = []
@@ -198,12 +201,15 @@ def test_command_preconditions_fail_before_any_run(tmp_path, capsys, monkeypatch
     ("sweep", BASE, "sweep.values=5"),
     ("simulate", BASE, 'semiwave.minimal_speed="no"'),
     ("simulate", BASE, 'analysis.drift_check="false"'),
+    ("simulate", [BASE], None),
+    ("simulate", BASE, "solver.dx"),
 ], ids=["set-section", "file-section", "set-section-object", "u0", "u0-unknown-key",
-        "sweep-values", "minimal-speed-text", "drift-check-text"])
+        "sweep-values", "minimal-speed-text", "drift-check-text", "file-list",
+        "set-without-equals"])
 def test_config_shape_errors_exit_1(tmp_path, capsys, command, payload, override):
-    # a section takes keys, not a value; a flag, list or object setting
-    # stays one; the initial datum takes only its own keys: exit 1 with
-    # nothing written
+    # a file holds one object and an override is key=value; a section takes
+    # keys, not a value; a flag, list or object setting stays one; the
+    # initial datum takes only its own keys: exit 1 with nothing written
     cfg = write_cfg(tmp_path, payload)
     out = tmp_path / "x"
     argv = [command, "--config", cfg, "--out", str(out)]
@@ -441,6 +447,21 @@ def test_verify_failure_exit_3(tmp_path):
     payload = json.loads((out / "verify.json").read_text())
     assert payload["passed"] is False
     assert payload["mass_flux"]["residual"] > 1e-30
+
+
+def test_verify_refinement_inconclusive_exit_3(tmp_path):
+    # a fixed domain keeps h = h0 at every level: no order to observe
+    cfg = write_cfg(tmp_path, {
+        "problem": {"h0": 5.0, "variant": "fixed-domain"},
+        "solver": {"dx": 0.1, "dt": 0.05, "t_end": 0.5, "log_every": 0.25},
+        "verify": {"checks": ["refinement"]},
+    })
+    out = tmp_path / "ver"
+    assert main(["verify", "--config", cfg, "--out", str(out)]) == 3
+    payload = json.loads((out / "verify.json").read_text())
+    assert payload["refinement"]["inconclusive"] is True
+    assert payload["refinement"]["order"] is None
+    assert payload["passed"] is False
 
 
 def test_resource_cap_exit_2_with_partial_artifact(tmp_path, capsys):

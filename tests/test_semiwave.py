@@ -44,8 +44,10 @@ def test_stationary_profile_contract(d):
 ])
 def test_semiwave_config_validates(field, value):
     # refused on construction: no solve runs, since a dx <= 0 never stops
-    # coarsening and an L0 <= 0 leaves no window
-    with pytest.raises(ValidationError, match=field):
+    # coarsening and an L0 <= 0 leaves no window; residual_tol is a class
+    # constant, so a caller cannot set it at all
+    error = TypeError if field == "residual_tol" else ValidationError
+    with pytest.raises(error, match=field):
         SemiWaveConfig(**{field: value})
 
 
@@ -135,6 +137,8 @@ def test_half_level_point_examples():
     assert half_level_point(x, v, 0.5) == pytest.approx(-1.0)
     assert half_level_point(x, v, 0.75) == pytest.approx(-1.5)
     assert half_level_point(x, v, 2.0) is None
+    # a node at the level comes back exactly, not interpolated to a rounded copy
+    assert half_level_point(np.array([-0.3, 0.1]), np.array([1.0, 0.5]), 0.5) == 0.1
     with pytest.raises(ContractError):
         half_level_point(x, v[::-1], 0.5)
 

@@ -207,6 +207,16 @@ def test_checkpoint_times_are_the_logged_times(dt, t_end, log_every):
     assert np.array_equal(checkpoint_times(spec, cfg), run(spec, cfg).t)
 
 
+def test_paired_snapshots_need_the_same_times():
+    # a missing snapshot, or one a hair off, is no pair
+    f = Field(0.0, 1.0, np.zeros(2))
+    log = TrajectoryLog(snapshots=[(0.0, f), (0.5, f)])
+    assert log.paired_snapshots(log) == [(0.0, f, f), (0.5, f, f)]
+    for times in ([0.0], [0.0, 0.5 + 1e-12]):
+        with pytest.raises(ContractError, match="same times"):
+            log.paired_snapshots(TrajectoryLog(snapshots=[(t, f) for t in times]))
+
+
 def test_growth_frees_the_superseded_taps():
     # a plan owns its tap row: once the grid grows and the engine re-plans,
     # nothing keeps the first grid's row alive

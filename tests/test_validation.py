@@ -203,6 +203,36 @@ def test_comparison_order_check_contract_on_crossing_data():
         comparison_order_check(a, b, SolverConfig(dx=0.1, dt=0.05, t_end=1.0))
 
 
+@pytest.mark.parametrize("variant", ["twosided-fb", "cauchy-full", "halfline-fb"])
+def test_comparison_order_check_sees_data_left_of_the_origin(variant):
+    # the lower datum is twice the upper one on x < 0: refused where x < 0
+    # is in the domain; behind the half-line's wall the runs are one run
+    upper = make_plateau(3.0, m=0.5)
+    common = dict(variant=variant, kernel=CompactUniform(1.0), reaction=logistic(1, 1),
+                  d=1.0, mu=1.0, h0=3.0)
+    hi = ProblemSpec(**common, u0=upper)
+    lo = ProblemSpec(**common, u0=lambda x: np.where(np.asarray(x) < 0.0, 2.0, 1.0) * upper(x))
+    cfg = SolverConfig(dx=0.05, dt=0.01, t_end=1.0)
+    if variant == "halfline-fb":
+        assert comparison_order_check(lo, hi, cfg).passed
+    else:
+        with pytest.raises(ContractError, match="not ordered"):
+            comparison_order_check(lo, hi, cfg)
+
+
+def test_comparison_order_check_compares_the_left_fronts():
+    spec = ProblemSpec(variant="twosided-fb", kernel=CompactUniform(1.0),
+                       reaction=logistic(1, 1), d=1.0, mu=1.0, h0=3.0,
+                       u0=make_plateau(3.0, m=0.5))
+    cfg = SolverConfig(dx=0.05, dt=0.01, t_end=1.0)
+    log_b = run(spec, cfg.with_snapshots())
+    assert comparison_order_check(spec, spec, cfg, log_b=log_b).passed
+    log_b.g = [g + 1e-6 for g in log_b.g]       # the upper run's left front, 1e-6 inward
+    rep = comparison_order_check(spec, spec, cfg, log_b=log_b)
+    assert not rep.passed
+    assert rep.max_h_violation == pytest.approx(1e-6)
+
+
 def test_refinement_order_contract():
     with pytest.raises(ContractError):
         refinement_order(diagnostic_spec(), SolverConfig(dx=0.1, dt=0.05, t_end=1.0),
@@ -227,9 +257,9 @@ def test_fixture_domination(power_fixture):
         power_fixture,
         SolverConfig(dx=0.25, dt=0.05, log_every=2.0, snapshot_stride=2),
         t_end=40.0)
-    assert rep["passed"]
-    assert rep["max_u_violation"] <= 5e-3
-    assert rep["max_h_violation"] <= 5e-3
+    assert rep.passed
+    assert rep.max_u_violation <= 5e-3
+    assert rep.max_h_violation <= 5e-3
 
 
 def _fixture_cases(uniform_semiwave):

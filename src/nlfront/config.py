@@ -43,7 +43,6 @@ _DEFAULTS = {
         "L0": SemiWaveConfig.L0,
         "minimal_speed": True,
         "stationary": False,
-        "stationary_d": None,
     },
     "analysis": {
         "window_fraction": 0.5,
@@ -54,8 +53,6 @@ _DEFAULTS = {
     "verify": {
         "checks": ["mass-flux"],
         "mass_flux_tol": 1e-3,
-        "comparison_scale": 0.5,
-        "refinement_levels": 3,
     },
     "sweep": {
         "parameter": "problem.mu",
@@ -98,11 +95,8 @@ class ScenarioConfig:
         return replace(spec, u0=spec.plateau(m, ramp))
 
     def solver_config(self) -> SolverConfig:
-        n = self._number
-        return SolverConfig(dx=n("solver.dx"), dt=n("solver.dt"), t_end=n("solver.t_end"),
-                            log_every=n("solver.log_every"),
-                            snapshot_stride=n("solver.snapshot_stride"),
-                            max_nodes=n("solver.max_nodes"), scheme=self.raw["solver"]["scheme"])
+        return SolverConfig(**{k: v if k == "scheme" else self._number(f"solver.{k}")
+                               for k, v in self.raw["solver"].items()})
 
     def semiwave_config(self) -> SemiWaveConfig:
         return SemiWaveConfig(dx=self._number("semiwave.dx"), L0=self._number("semiwave.L0"))
@@ -138,14 +132,8 @@ class ScenarioConfig:
         time_step(spec, cfg)            # a dt past the stability budget fails every command
         for key in ("analysis.c0", "verify.mass_flux_tol"):
             self._number(key)           # read by a command only: fails before any run
-        d, levels = self._number("semiwave.stationary_d"), self._number("verify.refinement_levels")
-        if not (d is None or d > 0.0):
-            raise ValidationError("semiwave.stationary_d must be positive")
-        if levels < 3:
-            raise ValidationError("verify.refinement_levels must be at least 3")
-        for key in ("analysis.window_fraction", "verify.comparison_scale"):
-            if not 0.0 < self._number(key) <= 1.0:
-                raise ValidationError(f"{key} must lie in (0, 1]")
+        if not 0.0 < self._number("analysis.window_fraction") <= 1.0:
+            raise ValidationError("analysis.window_fraction must lie in (0, 1]")
         return spec, cfg
 
     def to_json(self) -> dict:
@@ -202,8 +190,11 @@ def resolve_config(path: str | None, overrides=None) -> ScenarioConfig:
     """Parse, fill defaults, apply overrides, and validate."""
     cfg = default_config()
     if path is not None:
-        with open(path) as fh:
-            user = json.load(fh)
+        try:
+            with open(path) as fh:
+                user = json.load(fh)
+        except (OSError, ValueError) as exc:        # missing, unreadable or not JSON
+            raise ValidationError(f"config file {path!r}: {exc}") from None
         if not isinstance(user, dict):
             raise ValidationError("config file must hold a JSON object")
         _merge(cfg, user)

@@ -410,8 +410,8 @@ def _semiwave(kernel: Kernel, reaction, d: float, mu: float, cfg: SemiWaveConfig
         raise NoSemiWaveError(
             "condition (J1) fails: the kernel has no finite first moment, "
             "spreading is accelerated and no semi-wave exists")
-    if not (d > 0.0 and mu > 0.0):
-        raise ValidationError("solve_semiwave needs d > 0 and mu > 0")
+    if not (d > 0.0 and mu > 0.0 and reaction.u_star):
+        raise ValidationError("solve_semiwave needs d > 0, mu > 0 and a positive zero u*")
     L0 = cfg.L0 if cfg.L0 is not None else 40.0 * kernel.interaction_length()
     dxs = [cfg.dx]
     while kernel.quadrature_scale() >= COARSE_MIN_CELLS * COARSEN * dxs[0]:

@@ -48,10 +48,14 @@ __all__ = [
 
 # quadrature nodes per lattice time of a shape fixture, at most
 LATTICE_MAX_NODES = 400_000
-# how far ordered runs may cross before the comparison check fails, and how
-# far a run started at a lower barrier may dip below it
+# the comparison check's lower datum as a share of the upper one, how far
+# ordered runs may cross before it fails, and how far a run started at a
+# lower barrier may dip below it
+COMPARISON_SCALE = 0.5
 COMPARISON_TOL = 1e-8
 DOMINATION_TOL = 5e-3
+# the least observed order under refinement that passes
+MIN_ORDER = 0.7
 
 
 @dataclass(frozen=True)
@@ -592,12 +596,15 @@ def comparison_order_check(spec_a: ProblemSpec, spec_b: ProblemSpec, cfg: Solver
 
 
 @dataclass(frozen=True)
-class RefinementReport:
+class RefinementReport(Record):
+    """h(t_end) per level, and the median order; it passes at MIN_ORDER."""
     h_values: tuple
     diffs: tuple
     orders: tuple
     order: float | None
     inconclusive: bool
+    passed: bool
+    _json_skip = ("diffs", "orders")
 
 
 def refinement_order(spec: ProblemSpec, cfg: SolverConfig, levels: int = 3,
@@ -614,10 +621,11 @@ def refinement_order(spec: ProblemSpec, cfg: SolverConfig, levels: int = 3,
         hs.append(run(spec, lcfg).h[-1])
     diffs = tuple(hs[i] - hs[i + 1] for i in range(len(hs) - 1))
     if any(d == 0.0 for d in diffs) or len({d > 0 for d in diffs}) != 1:
-        return RefinementReport(tuple(hs), diffs, (), None, True)
+        return RefinementReport(tuple(hs), diffs, (), None, True, False)
     orders = tuple(math.log2(abs(diffs[i] / diffs[i + 1]))
                    for i in range(len(diffs) - 1))
-    return RefinementReport(tuple(hs), diffs, orders, statistics.median(orders), False)
+    order = statistics.median(orders)
+    return RefinementReport(tuple(hs), diffs, orders, order, False, order >= MIN_ORDER)
 
 
 def fixture_domination_check(fixture, cfg: SolverConfig, t_end: float) -> ComparisonReport:

@@ -151,3 +151,34 @@ def test_mu_limit_single_entry_has_no_verdict():
     # logged only at t = 0 and 2.5, no snapshot falls in the probe window [1, 2]
     with pytest.raises(ContractError, match="no shared snapshots"):
         mu_limit_experiment(spec, [0.5], "ToZero", replace(cfg, t_end=2.5, log_every=2.5))
+
+
+_LINE = synthetic_log(np.linspace(1.0, 50.0, 300), np.linspace(1.0, 50.0, 300))
+_FIELD = Field(0.0, 1.0, np.ones(3))
+_FIXED = ProblemSpec(variant="fixed-domain", kernel=CompactUniform(1.0),
+                     reaction=logistic(1, 1), d=1.0, h0=2.0)
+
+
+@pytest.mark.parametrize("call,error,message", [
+    (lambda: estimate_linear_speed(_LINE, 0.0), ContractError,
+     "window_fraction must lie in (0, 1]"),
+    (lambda: fit_power_exponent(synthetic_log(_LINE.t, [-h for h in _LINE.h])), ContractError,
+     "power fit needs positive t and h on the window"),
+    (lambda: fit_tlogt_coefficient(synthetic_log([3, 4, 5, 6, 7, 8, 9, 10, 100], [1.0] * 9),
+                                   1.0),
+     InsufficientDataError, "too few samples to split the fit window"),
+    (lambda: sup_distance_on_window(_FIELD, 0.0, (2.0, 1.0)), ContractError,
+     "window must be ordered"),
+    (lambda: sup_distance_on_window(_FIELD, 0.0, (0.5, 0.5)), ContractError,
+     "window contains no field nodes"),
+    (lambda: mu_limit_experiment(replace(_FIXED, variant="halfline-fb"), [1.0], "Sideways",
+                                 SolverConfig()),
+     ContractError, "mode must be 'ToZero' or 'ToInfinity'"),
+    (lambda: mu_limit_experiment(_FIXED, [1.0], "ToZero", SolverConfig()), ContractError,
+     "mu limits are defined for the half-line free boundary"),
+], ids=["window-fraction", "power-nonpositive", "tlogt-split", "window-order",
+        "window-empty", "mu-mode", "mu-variant"])
+def test_input_checks_raise(call, error, message):
+    with pytest.raises(error) as exc:
+        call()
+    assert str(exc.value) == message

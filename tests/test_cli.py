@@ -132,21 +132,15 @@ def test_malformed_number_rejected(tmp_path, capsys, override, key):
     ("simulate", "solver.log_every=0", "log_every"),
     ("simulate", "solver.snapshot_stride=-1", "snapshot_stride"),
     ("simulate", "solver.max_nodes=0", "max_nodes"),
-    ("semiwave", "semiwave.stationary_d=0", "semiwave.stationary_d"),
-    ("semiwave", "semiwave.stationary_d=-1", "semiwave.stationary_d"),
-    ("verify", "verify.refinement_levels=2", "verify.refinement_levels"),
-    ("verify", "verify.comparison_scale=0", "verify.comparison_scale"),
-    ("verify", "verify.comparison_scale=1.5", "verify.comparison_scale"),
+    ("rates", "analysis.window_fraction=0", "analysis.window_fraction"),
+    ("rates", "analysis.window_fraction=1.5", "analysis.window_fraction"),
 ])
 def test_out_of_range_number_rejected_before_any_run(tmp_path, capsys, command, override, key):
-    # a number that makes no run, or that only a later check of one command
-    # reads, fails up front: exit 1 naming the key, with nothing written
+    # a number that makes no run fails up front: exit 1 naming the key,
+    # with nothing written
     cfg = write_cfg(tmp_path, BASE)
     out = tmp_path / "x"
-    argv = [command, "--config", cfg, "--out", str(out), "--set", override,
-            "--set", "semiwave.stationary=true", "--set",
-            'verify.checks=["mass-flux","comparison","refinement"]']
-    assert main(argv) == 1
+    assert main([command, "--config", cfg, "--out", str(out), "--set", override]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and key in err
     assert os.listdir(out) == []
@@ -163,14 +157,18 @@ def test_out_of_range_number_rejected_before_any_run(tmp_path, capsys, command, 
     ("rates", ["analysis.fits=[]"], "nothing to compute"),
     ("sweep", [], "sweep.values is empty"),
     ("sweep", ['sweep.command="verify"', "sweep.values=[1.0]"], "not supported"),
+    ("semiwave", ['problem.reaction={"kind":"zero"}'], "positive zero u*"),
+    ("rates", ['problem.reaction={"kind":"zero"}', "analysis.drift_check=true"],
+     "positive zero u*"),
 ])
 def test_command_preconditions_fail_before_any_run(tmp_path, capsys, monkeypatch,
                                                    command, overrides, message):
-    # the drift check's semi-wave is solved, refinement's explicit dt and
-    # each fit's window on the times the run will log checked, and a command
-    # with nothing to check or compute refused, and a sweep with no points or
-    # a command it cannot sweep refused, before the command's first run:
-    # exit 1 with only the echoed configuration written
+    # the semi-wave, asked for itself or for the drift check, is solved,
+    # refinement's explicit dt and each fit's window on the times the run
+    # will log checked, and a command with nothing to check or compute
+    # refused, and a sweep with no points or a command it cannot sweep
+    # refused, before the command's first run: exit 1 with only the echoed
+    # configuration written
     from nlfront import cli, solver, validation
 
     runs = []
@@ -282,6 +280,20 @@ def test_sweep_checks_every_rates_window_before_any_runs(tmp_path, capsys):
     assert os.listdir(out) == ["resolved_config.json"]
 
 
+@pytest.mark.parametrize("text", [None, '{"problem": {"h0": 5.0'], ids=["missing", "truncated"])
+def test_unreadable_config_file_exits_1(tmp_path, capsys, text):
+    # a --config file that is missing or not JSON is named on the error
+    # path: exit 1 with nothing written
+    path = tmp_path / "cfg.json"
+    if text is not None:
+        path.write_text(text)
+    out = tmp_path / "x"
+    assert main(["simulate", "--config", str(path), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: config file ") and str(path) in err
+    assert os.listdir(out) == []
+
+
 def test_unknown_key_listed(tmp_path, capsys):
     rc = main(["simulate", "--out", str(tmp_path / "x"), "--set", "solver.dtt=0.1"])
     assert rc == 1
@@ -294,6 +306,11 @@ def test_unknown_key_listed(tmp_path, capsys):
     ("analysis.level=0.5", "unknown config key"),
     ('output.directory="out"', "unknown config path"),
     ("verify.comparison_tol=1e-6", "unknown config key"),
+    ("semiwave.stationary_d=0", "unknown config key"),
+    ("semiwave.stationary_d=-1", "unknown config key"),
+    ("verify.refinement_levels=2", "unknown config key"),
+    ("verify.comparison_scale=0", "unknown config key"),
+    ("verify.comparison_scale=1.5", "unknown config key"),
 ])
 def test_retired_config_keys_rejected(tmp_path, capsys, override, message):
     rc = main(["simulate", "--out", str(tmp_path / "x"), "--set", override])
@@ -461,6 +478,7 @@ def test_verify_refinement_inconclusive_exit_3(tmp_path):
     payload = json.loads((out / "verify.json").read_text())
     assert payload["refinement"]["inconclusive"] is True
     assert payload["refinement"]["order"] is None
+    assert set(payload["refinement"]) == {"order", "inconclusive", "h_values", "passed"}
     assert payload["passed"] is False
 
 
@@ -533,6 +551,7 @@ def test_semiwave_json_keys(tmp_path):
     assert set(payload["wave"]) == {"c_star", "lambda_star"}
     assert set(payload["stationary"]) == {"d", "x0", "U0", "u_star", "iterations",
                                           "residual"}
+    assert payload["stationary"]["d"] == default_config()["problem"]["d"]
     assert (out / "profile.csv").read_text().startswith("x,phi\n")
     assert (out / "stationary.csv").read_text().startswith("x,U\n")
 

@@ -21,7 +21,8 @@ def test_all_names_resolve(name):
 
 
 def test_solver_config_casts_every_field():
-    # config.solver_config lists the SolverConfig fields by hand
+    # config.solver_config reads each key of the solver section into its
+    # SolverConfig field: every field is a key, and every value arrives
     raw = default_config()
     assert ScenarioConfig(raw).solver_config() == SolverConfig()
     changed = {"dx": 0.1, "dt": 0.01, "t_end": 2.0, "log_every": 0.5,

@@ -12,7 +12,7 @@ from nlfront.errors import (ContractError, ConvergenceError, NoSemiWaveError,
                             NoTravelingWaveError, ValidationError)
 from nlfront.kernels import (AlgebraicTail, CompactCosine, CompactUniform, LightExponential,
                              truncate)
-from nlfront.reactions import logistic
+from nlfront.reactions import logistic, zero_reaction
 from nlfront.semiwave import (SemiWaveConfig, half_level_point, minimal_speed,
                               mu_curve, solve_semiwave, stationary_profile)
 
@@ -677,3 +677,18 @@ def test_far_field_rate_stops_when_the_bracket_does():
                   xtol=1e-15, rtol=1e-15)
     assert kappa == pytest.approx(root, rel=1e-12)
 
+
+@pytest.mark.parametrize("call,error,message", [
+    (lambda: solve_semiwave(CompactUniform(1.0), zero_reaction(), 1.0, 1.0), ValidationError,
+     "solve_semiwave needs d > 0, mu > 0 and a positive zero u*"),
+    (lambda: mu_curve(CompactUniform(1.0), zero_reaction(), 1.0, [1.0]), ValidationError,
+     "solve_semiwave needs d > 0, mu > 0 and a positive zero u*"),
+    (lambda: minimal_speed(CompactUniform(1.0), zero_reaction(), 1.0), ValidationError,
+     "minimal_speed needs f'(0) > 0"),
+    (lambda: half_level_point([0.0, 1.0], [1.0], 0.5), ContractError,
+     "half_level_point needs matching x/value arrays"),
+], ids=["semiwave-u-star", "mu-curve-u-star", "minimal-speed-fprime", "half-level-shape"])
+def test_input_checks_raise(call, error, message):
+    with pytest.raises(error) as exc:
+        call()
+    assert str(exc.value) == message

@@ -550,6 +550,37 @@ def test_partial_log_does_not_alias_the_stepped_state():
     assert np.all(np.isfinite(log.snapshots[0][1].values))
 
 
+def _negative_datum_run():
+    spec = halfline_spec(h0=2.0, u0=lambda x: -np.ones_like(np.asarray(x, dtype=float)))
+    return run(spec, SolverConfig(dx=0.1, dt=0.01, t_end=0.0))
+
+
+def _classify_without_u_star():
+    spec = halfline_spec(reaction=zero_reaction(), h0=2.0)
+    return classify(run(spec, SolverConfig(dx=0.1, dt=0.01, t_end=0.05, log_every=0.01)), spec)
+
+
+@pytest.mark.parametrize("call,error,message", [
+    (lambda: make_plateau(1.0, m=0.0), ValidationError, "plateau needs m > 0 and ramp > 0"),
+    (lambda: halfline_spec(d=0.0), ValidationError, "diffusion coefficient d must be positive"),
+    (lambda: halfline_spec(h0=0.0), ValidationError, "initial front h0 must be positive"),
+    (lambda: halfline_spec(mu=0.0), ValidationError, "front coefficient mu must be positive"),
+    (lambda: SolverConfig(scheme="rk4"), ValidationError, "scheme must be 'euler' or 'rk2'"),
+    (_negative_datum_run, ValidationError, "initial datum must be nonnegative"),
+    (_classify_without_u_star, ContractError,
+     "classify needs a reaction with a positive zero u*"),
+    (lambda: nonlocal_operator(CompactUniform(1.0), Field(0.0, 1.0, np.ones(3)), (0.2, 0.4), 0.3),
+     ContractError, "window contains no field nodes"),
+    (lambda: boundary_flux(CompactUniform(1.0), Field(0.0, 1.0, np.array([1.0, -1.0, 0.0])), 2.0),
+     ContractError, "boundary_flux expects a nonnegative field"),
+], ids=["plateau", "d", "h0", "mu", "scheme", "negative-datum", "classify-u-star",
+        "operator-window", "flux-sign"])
+def test_input_checks_raise(call, error, message):
+    with pytest.raises(error) as exc:
+        call()
+    assert str(exc.value) == message
+
+
 if __name__ == "__main__":
     runs = {f"{name}/{variant}/{scheme}/{field}": value
             for name in SHORT_RUN_KERNELS for variant in VARIANTS for scheme in SCHEMES

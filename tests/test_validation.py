@@ -1,8 +1,10 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from nlfront.errors import ContractError, ValidationError
-from nlfront.kernels import AlgebraicTail, CompactUniform
+from nlfront.kernels import AlgebraicTail, CompactUniform, LightExponential
 from nlfront.reactions import logistic, zero_reaction
 from nlfront.solver import ProblemSpec, SolverConfig, TrajectoryLog, make_plateau, run
 from nlfront.validation import (Lattice, SubPlateau, SubPowerFront,
@@ -245,7 +247,7 @@ def test_refinement_order_euler_and_rk2():
                        u0=make_plateau(10.0, m=0.3, ramp=2.0))
     rep = refinement_order(spec, SolverConfig(dx=0.05, dt=0.08, t_end=15.0), levels=4)
     assert not rep.inconclusive
-    assert rep.order >= 0.7
+    assert rep.order >= 0.7 and rep.passed
     rep2 = refinement_order(spec, SolverConfig(dx=0.01, dt=0.04, t_end=15.0,
                                                scheme="rk2"), levels=3)
     assert not rep2.inconclusive
@@ -286,3 +288,58 @@ def test_fixture_orientation_is_not_settable(uniform_semiwave, name, value):
         assert getattr(fixture, name) == getattr(cls, name)
         with pytest.raises(TypeError, match="unexpected keyword"):
             cls(**kwargs, **{name: value})
+
+
+# the shape checks run before any wave is read: no semi-wave is solved
+_MODEL = dict(kernel=CompactUniform(1.0), reaction=logistic(1, 1), d=1.0, mu=1.0)
+_ACCEL = dict(_MODEL, kernel=AlgebraicTail(1.5, 1.0), theta=9.0, l1=0.01, eps=0.04)
+_TLOGT = dict(_ACCEL, kernel=AlgebraicTail(2.0, 1.0), alpha=0.5)
+_PLATEAU = dict(_MODEL, theta=1.0, eta1=0.01, rho1=0.001)
+_SPEC = ProblemSpec(variant="halfline-fb", h0=2.0, **_MODEL)
+
+
+@pytest.mark.parametrize("call,error,message", [
+    (lambda: Lattice(t_values=()), ContractError, "lattice needs at least one time sample"),
+    (lambda: SuperSemiwave(**_MODEL, wave=None, theta=0.5, beta=2.0, l=1.0), ValidationError,
+     "super-semiwave needs theta >= 1"),
+    (lambda: SuperSemiwave(**_MODEL, wave=None, theta=2.0, beta=2.0, l=0.0), ValidationError,
+     "super-semiwave needs l > 0"),
+    (lambda: SubSemiwave(**_MODEL, wave=None, theta=2.0, l1=3.0, l2=1.0), ValidationError,
+     "sub-semiwave needs theta >= max(1, l1)"),
+    (lambda: SubSemiwave(**_MODEL, wave=None, theta=2.0, l1=1.0, l2=0.0), ValidationError,
+     "sub-semiwave needs positive l1, l2"),
+    (lambda: SubSemiwave(**_MODEL, wave=None, theta=2.0, l1=1.0, l2=1.0, eta0=1.0),
+     ValidationError, "eta0 must sit in (0,1)"),
+    (lambda: SubPlateau(**dict(_PLATEAU, kernel=LightExponential(1.0))), ValidationError,
+     "the plateau barrier needs a compactly supported kernel"),
+    (lambda: SubPlateau(**dict(_PLATEAU, reaction=zero_reaction())), ValidationError,
+     "the plateau barrier needs a validated reaction with u* and rho"),
+    (lambda: SubPowerFront(**dict(_ACCEL, eps=0.0)), ValidationError,
+     "eps must be small and positive"),
+    (lambda: SubPowerFront(**dict(_ACCEL, l1=0.0)), ValidationError,
+     "need l1 > 0 and theta >= 1"),
+    (lambda: SubPowerFront(**dict(_ACCEL, kernel=CompactUniform(1.0))), ValidationError,
+     "the power-front barrier needs an algebraic kernel with gamma in (1,2)"),
+    (lambda: SubTLogTFront(**dict(_TLOGT, alpha=1.0)), ValidationError,
+     "alpha must sit in (0,1)"),
+    (lambda: SubTLogTFront(**dict(_TLOGT, theta=1.0)), ValidationError,
+     "theta too small: the ramp swallows the front"),
+    (lambda: psi_inequality_check(CompactUniform(1.0), 1.0, 4.0, 1.5), ContractError,
+     "eps must sit in (0,1)"),
+    (lambda: mass_flux_residual(TrajectoryLog(t=[0.0, 1.0], h=[1.0, 1.0]), _SPEC), ContractError,
+     "log is missing the mass column"),
+    (lambda: comparison_order_check(_SPEC, replace(_SPEC, d=2.0), SolverConfig()),
+     ContractError, "specs must agree except for the initial datum"),
+    (lambda: refinement_order(_SPEC, SolverConfig(dx=0.1)), ContractError,
+     "refinement_order needs an explicit base dt"),
+    (lambda: fixture_domination_check(
+        SuperSemiwave(**_MODEL, wave=None, theta=2.0, beta=2.0, l=1.0), SolverConfig(), 1.0),
+     ContractError, "domination checks apply to lower barriers"),
+], ids=["lattice", "super-theta", "super-l", "sub-theta", "sub-l", "sub-eta0",
+        "plateau-kernel", "plateau-reaction", "accel-eps", "accel-l1", "power-kernel",
+        "tlogt-alpha", "tlogt-theta", "psi-eps", "mass-flux-column", "comparison-specs",
+        "refinement-dt", "domination-sense"])
+def test_input_checks_raise(call, error, message):
+    with pytest.raises(error) as exc:
+        call()
+    assert str(exc.value) == message

@@ -28,7 +28,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .artifacts import spec_from_json
+from .artifacts import finite, spec_from_json
 from .errors import ValidationError
 
 __all__ = [
@@ -260,7 +260,7 @@ class _Compact(Kernel):
     r: float = 1.0
 
     def __post_init__(self):
-        if not self.r > 0.0:
+        if not finite(self.r, "r") > 0.0:
             raise ValidationError(f"{self.family.removeprefix('compact-')} kernel needs r > 0")
 
     def mgf_abscissa(self):
@@ -334,9 +334,9 @@ class AlgebraicTail(Kernel):
     family = "algebraic"
 
     def __post_init__(self):
-        if not self.gamma > 1.0:
+        if not finite(self.gamma, "gamma") > 1.0:
             raise ValidationError("algebraic kernel needs gamma > 1 for unit mass")
-        if not self.a > 0.0:
+        if not finite(self.a, "a") > 0.0:
             raise ValidationError("algebraic kernel needs shape offset a > 0")
 
     @property
@@ -387,7 +387,7 @@ class LightExponential(Kernel):
     family = "light-exponential"
 
     def __post_init__(self):
-        if not self.lambda0 > 0.0:
+        if not finite(self.lambda0, "lambda0") > 0.0:
             raise ValidationError("exponential kernel needs lambda0 > 0")
 
     def _density(self, x):
@@ -432,7 +432,7 @@ class TruncatedKernel(Kernel):
     family = "truncated"
 
     def __post_init__(self):
-        if not self.n > 0.0:
+        if not finite(self.n, "n") > 0.0:
             raise ValidationError("truncation radius must be positive")
         if isinstance(self.base, TruncatedKernel):
             # its tail is the base's partial first moment, closed form only for a family

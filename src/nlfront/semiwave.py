@@ -26,9 +26,9 @@ cut the residual by CHORD_RATIO), and preconditions GMRES when BAND_MAX
 cuts it.  The profile exists iff the kernel has a finite first moment;
 heavy-tailed kernels raise instead, which is the accelerated-spreading regime.
 
-The stationary profile U is the case c = mu = 0 with no node pinned:
-Newton from the supersolution U == u* falls monotonically to the maximal
-solution (concave f).
+The stationary profile U is the case c = mu = 0 with no node pinned, and
+the same Newton and acceptance: from the supersolution U == u* it falls
+monotonically to the maximal solution (concave f).
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .artifacts import Record
+from .artifacts import Record, finite
 from .errors import (ContractError, ConvergenceError, NoSemiWaveError,
                      NoTravelingWaveError, ValidationError)
 from .kernels import Kernel, bisect_bracket
@@ -118,9 +118,9 @@ class SemiWaveConfig:
     residual_tol: ClassVar[float] = 1e-6   # acceptance, stationary profile included
 
     def __post_init__(self):
-        if not (self.dx > 0.0 and (self.L0 is None or self.L0 > 0.0)):
+        if not (finite(self.dx, "dx") > 0.0 and (self.L0 is None or finite(self.L0, "L0") > 0.0)):
             raise ValidationError("semiwave dx and L0 must be positive")
-        if not self.max_doublings >= 0:
+        if not finite(self.max_doublings, "max_doublings", count=True) >= 0:
             raise ValidationError("semiwave max_doublings must be nonnegative")
 
 
@@ -277,7 +277,7 @@ def _band_lapack():
     return module.dgbtrf, module.dgbtrs
 
 
-def _newton(ps: _ProfileSolver, mu, phi, c, tol, stop=NEWTON_TOL):
+def _newton(ps: _ProfileSolver, mu, phi, c, tol, stop):
     """Bordered Newton on (phi[ps.free], c) for the profile and speed equations.
 
     The Jacobian in the unknowns is d dx taps[i-k+m] w_k (w_k the
@@ -550,8 +550,9 @@ def stationary_profile(kernel: Kernel, reaction, d: float) -> StationaryProfile:
 
     The window [-L, 0] adapts to the far-field decay rate of u* - U so the
     u*-completion past -L stays honest for both tiny and huge d.  Newton
-    from U == u*, a supersolution, falls to the maximal solution; the
-    answer must decrease strictly, as the continuum one does.
+    from U == u*, a supersolution, falls to the maximal solution; accepted
+    as a semi-wave Newton is, the answer must also decrease strictly, as the
+    continuum one does.  Either failure carries the run under ``newton_runs``.
     """
     u_star = reaction.u_star
     if not (u_star and d > 0.0):
@@ -567,10 +568,11 @@ def stationary_profile(kernel: Kernel, reaction, d: float) -> StationaryProfile:
         L = 40.0 * min(kernel.interaction_length(), 25.0)
     dx = min(scale / 8.0, (0.1 / kappa) if kappa else math.inf, L / 50.0)
     ps = _ProfileSolver(kernel, reaction, d, L, dx, pinned=False)
-    tol = SemiWaveConfig.residual_tol
-    U, _, history, converged = _newton(ps, 0.0, np.full(len(ps.x), float(u_star)), 0.0, tol)
-    diagnostics = {"newton_residuals": history, "nodes": len(U), "L": ps.L}
-    if not converged:
+    runs = []
+    sol, ok = _newton_solution(ps, 0.0, np.full(len(ps.x), float(u_star)), 0.0,
+                               SemiWaveConfig(), NEWTON_TOL, runs)
+    U, diagnostics = sol.phi, {"newton_runs": runs, "residual": sol.residual}
+    if not ok:
         raise ConvergenceError("stationary Newton did not converge", diagnostics=diagnostics)
     # Newton from u* finds the maximal discrete solution, which must be strict
     if not np.all(np.diff(U) < 0.0):
@@ -578,13 +580,9 @@ def stationary_profile(kernel: Kernel, reaction, d: float) -> StationaryProfile:
             "stationary profile settled but is not strictly decreasing (a density jump "
             "at the kernel's support edge kinks U beyond what the grid orders at large d)",
             diagnostics={**diagnostics, "first_tie": int(np.argmax(np.diff(U) >= 0.0))})
-    U = ps.clamp(U)
-    residual = float(np.max(np.abs(ps.residual(U, 0.0))))
-    if residual > tol:
-        raise ConvergenceError("stationary profile left a defect above residual_tol",
-                               diagnostics={**diagnostics, "residual": residual})
     return StationaryProfile(x=ps.x, U=U, x0=half_level_point(ps.x, U, u_star / 2.0), d=d,
-                             u_star=u_star, iterations=len(history) - 1, residual=residual)
+                             u_star=u_star, iterations=sol.newton_iterations,
+                             residual=sol.residual)
 
 
 # ---------------------------------------------------------------------------

@@ -16,13 +16,13 @@ front).  All integrals against J use ``quadrature``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Callable
 
 import numpy as np
 
 from . import quadrature
-from .artifacts import write_csv
+from .artifacts import finite, write_csv
 from .errors import ContractError, ConvergenceError, ResourceError, ValidationError
 from .kernels import Kernel
 
@@ -78,7 +78,7 @@ class Field:
 
 def make_plateau(h0: float, m: float = 1.0, ramp: float = 1.0) -> Callable:
     """Default initial datum m * min(1, (h0 - |x|)/ramp): plateau with a linear edge."""
-    if not (m > 0.0 and ramp > 0.0):
+    if not (finite(m, "m") > 0.0 and finite(ramp, "ramp") > 0.0):
         raise ValidationError("plateau needs m > 0 and ramp > 0")
 
     def u0(x):
@@ -102,11 +102,11 @@ class ProblemSpec:
     def __post_init__(self):
         if self.variant not in VARIANTS:
             raise ValidationError(f"unknown variant {self.variant!r}; pick one of {VARIANTS}")
-        if not self.d > 0.0:
+        if not finite(self.d, "d") > 0.0:
             raise ValidationError("diffusion coefficient d must be positive")
-        if not self.h0 > 0.0:
+        if not finite(self.h0, "h0") > 0.0:
             raise ValidationError("initial front h0 must be positive")
-        if FRONT in self.ends and not self.mu > 0.0:
+        if not finite(self.mu, "mu") > 0.0 and FRONT in self.ends:
             raise ValidationError("front coefficient mu must be positive")
 
     @property
@@ -140,6 +140,9 @@ class SolverConfig:
     scheme: str = "euler"            # or "rk2" (midpoint)
 
     def __post_init__(self):
+        for f in fields(self)[:-1]:     # all but scheme: numbers, null only where the default is
+            if not (getattr(self, f.name) is None and f.default is None):
+                finite(getattr(self, f.name), f.name, count=type(f.default) is int)
         for key in ("dx", "dt", "log_every", "max_nodes"):     # dt, log_every: None or > 0
             if getattr(self, key) is not None and not getattr(self, key) > 0:
                 raise ValidationError(f"{key} must be positive")

@@ -16,7 +16,6 @@ from a two-resolution refinement of the lattice.
 from __future__ import annotations
 
 import math
-import statistics
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -624,7 +623,8 @@ def refinement_order(spec: ProblemSpec, cfg: SolverConfig, levels: int = 3,
         return RefinementReport(tuple(hs), diffs, (), None, True, False)
     orders = tuple(math.log2(abs(diffs[i] / diffs[i + 1]))
                    for i in range(len(diffs) - 1))
-    order = statistics.median(orders)
+    middle = sorted(orders)[(len(orders) - 1) // 2:len(orders) // 2 + 1]
+    order = sum(middle) / len(middle)       # the median order
     return RefinementReport(tuple(hs), diffs, orders, order, False, order >= MIN_ORDER)
 
 

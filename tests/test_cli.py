@@ -69,6 +69,28 @@ def test_semiwave_failure_writes_newton_runs(tmp_path, monkeypatch):
         (0.1, 20.0, 0.0, [1.0]), (0.05, 20.0, 0.0, [1.0])]
 
 
+def test_stationary_failure_writes_newton_runs(tmp_path, monkeypatch):
+    # the semi-wave solves; the stationary profile's unpinned Newton is
+    # rejected, and error.json logs its one run as a semi-wave failure would
+    from nlfront import semiwave
+
+    newton = semiwave._newton
+
+    def failing_unpinned(ps, mu, phi, c, *args, **kwargs):
+        return newton(ps, mu, phi, c, *args, **kwargs) if ps.pinned else (phi, c, [1.0], False)
+
+    monkeypatch.setattr(semiwave, "_newton", failing_unpinned)
+    out = tmp_path / "sw"
+    assert main(["semiwave", "--out", str(out), "--set", "semiwave.dx=0.05",
+                 "--set", "semiwave.L0=20", "--set", "semiwave.stationary=true"]) == 2
+    error = json.loads((out / "error.json").read_text())
+    assert error["error"] == "ConvergenceError" and "stationary" in error["message"]
+    diagnostics = error["diagnostics"]
+    assert "newton_residuals" not in diagnostics and "residual" in diagnostics
+    assert [(r["mu"], r["residuals"]) for r in diagnostics["newton_runs"]] == [(0.0, [1.0])]
+    assert set(diagnostics["newton_runs"][0]) == {"dx", "L", "mu", "residuals"}
+
+
 def test_stability_override_rejected(tmp_path, capsys):
     cfg = write_cfg(tmp_path, BASE)
     rc = main(["simulate", "--config", cfg, "--out", str(tmp_path / "x"),

@@ -232,6 +232,22 @@ def test_malformed_kernel_rejected():
         LightExponential(0.0)
 
 
+@pytest.mark.parametrize("build,field", [
+    (lambda: CompactUniform(math.inf), "r"),
+    (lambda: CompactCosine(math.nan), "r"),
+    (lambda: AlgebraicTail(math.inf), "gamma"),
+    (lambda: AlgebraicTail(1.5, math.inf), "a"),
+    (lambda: LightExponential(math.inf), "lambda0"),
+    (lambda: truncate(AlgebraicTail(1.5), math.inf), "n"),
+], ids=["uniform-r", "cosine-r", "algebraic-gamma", "algebraic-a", "exponential-lambda0",
+        "truncated-n"])
+def test_non_finite_kernel_parameter_rejected(build, field):
+    # an infinite radius or rate would build NaN taps: refused as the
+    # config refuses it, naming the parameter
+    with pytest.raises(ValidationError, match=f"^{field} must be a finite number"):
+        build()
+
+
 def test_condition_report_rejects_broken_density():
     class Broken(CompactUniform):
         def evaluate(self, x):

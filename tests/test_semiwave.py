@@ -41,10 +41,12 @@ def test_stationary_profile_contract(d):
 @pytest.mark.parametrize("field,value", [
     ("dx", 0.0), ("dx", -0.02), ("dx", math.nan), ("L0", 0.0), ("L0", -5.0),
     ("max_doublings", -1), ("residual_tol", 0.0), ("residual_tol", -1.0),
+    ("dx", math.inf), ("L0", math.inf), ("max_doublings", 1.5),
 ])
 def test_semiwave_config_validates(field, value):
     # refused on construction: no solve runs, since a dx <= 0 never stops
-    # coarsening and an L0 <= 0 leaves no window; residual_tol is a class
+    # coarsening, an L0 <= 0 leaves no window, an infinite dx or L0 has no
+    # grid and a fractional max_doublings no count; residual_tol is a class
     # constant, so a caller cannot set it at all
     error = TypeError if field == "residual_tol" else ValidationError
     with pytest.raises(error, match=field):
@@ -561,17 +563,17 @@ def test_stationary_heavy_tail_solves_by_gmres():
 
 def test_stationary_rejected_newton_raises(monkeypatch):
     monkeypatch.setattr(semiwave, "_newton",
-                        lambda ps, mu, phi, c, tol: (phi, c, [1.0, 2.0], False))
+                        lambda ps, mu, phi, c, tol, stop: (phi, c, [1.0, 2.0], False))
     with pytest.raises(ConvergenceError, match="did not converge") as err:
         stationary_profile(CompactCosine(1.0), logistic(1, 1), 1.0)
-    assert err.value.diagnostics["newton_residuals"] == [1.0, 2.0]
+    assert err.value.diagnostics["newton_runs"][0]["residuals"] == [1.0, 2.0]
 
 
 def test_stationary_non_strict_discrete_profile_raises():
     # the uniform kernel's density jump puts a kink in U near x = -1 at large d
     with pytest.raises(ConvergenceError, match="not strictly decreasing") as err:
         stationary_profile(CompactUniform(1.0), logistic(1, 1), 1e3)
-    assert len(err.value.diagnostics["newton_residuals"]) >= 2
+    assert len(err.value.diagnostics["newton_runs"][0]["residuals"]) >= 2
 
 
 def test_stationary_profile_truncated_kernel():

@@ -573,8 +573,22 @@ def _classify_without_u_star():
      ContractError, "window contains no field nodes"),
     (lambda: boundary_flux(CompactUniform(1.0), Field(0.0, 1.0, np.array([1.0, -1.0, 0.0])), 2.0),
      ContractError, "boundary_flux expects a nonnegative field"),
+    # a parameter object refuses what the config refuses: no infinite or NaN
+    # number, no fractional count
+    (lambda: make_plateau(10.0, m=math.inf), ValidationError, "m must be a finite number, not inf"),
+    (lambda: halfline_spec(d=math.inf), ValidationError, "d must be a finite number, not inf"),
+    (lambda: halfline_spec(h0=math.inf), ValidationError, "h0 must be a finite number, not inf"),
+    (lambda: halfline_spec(mu=math.nan), ValidationError, "mu must be a finite number, not nan"),
+    (lambda: SolverConfig(t_end=math.inf), ValidationError,
+     "t_end must be a finite number, not inf"),
+    (lambda: SolverConfig(log_every=math.inf), ValidationError,
+     "log_every must be a finite number, not inf"),
+    (lambda: SolverConfig(dt=math.nan), ValidationError, "dt must be a finite number, not nan"),
+    (lambda: SolverConfig(snapshot_stride=1.5), ValidationError,
+     "snapshot_stride must be an integer, not 1.5"),
 ], ids=["plateau", "d", "h0", "mu", "scheme", "negative-datum", "classify-u-star",
-        "operator-window", "flux-sign"])
+        "operator-window", "flux-sign", "plateau-m-inf", "d-inf", "h0-inf", "mu-nan",
+        "t_end-inf", "log_every-inf", "dt-nan", "snapshot_stride-fraction"])
 def test_input_checks_raise(call, error, message):
     with pytest.raises(error) as exc:
         call()

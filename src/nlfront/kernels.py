@@ -451,13 +451,14 @@ class TruncatedKernel(Kernel):
         return min(self.support_radius(), self.base.interaction_length(eps, cap))
 
     def _tail(self, s):
-        """``int_s^inf J_n``, closed form through base tails and partial moments."""
+        """``int_s^inf J_n``, closed form through base tails and partial moments,
+        clamped at 0: near 2n the taper band's terms cancel to a few ulps either way."""
         n, b, top = self.n, self.base, 2.0 * self.n
         lo = np.clip(s, n, top)
         # taper band [max(s, n), 2n]: integrand (2 - x/n) J(x); plus [s, n] when s < n
         out = 2.0 * (b.tail_mass(lo) - b.tail_mass(top)) - b.partial_first_moment(lo, top) / n
         out = out + np.where(s < n, b.tail_mass(np.minimum(s, n)) - b.tail_mass(n), 0.0)
-        return np.where(s >= top, 0.0, out)
+        return np.where(s >= top, 0.0, np.maximum(out, 0.0))
 
     def _panel_ends(self, R, kinks=()):
         return super()._panel_ends(R, (self.n, *kinks))     # the plateau's kink

@@ -239,6 +239,7 @@ class _Engine:
         self.left, self.right = spec.ends
         self.dx = cfg.dx
         self.dt = time_step(spec, cfg)
+        self.mu = spec.mu if FRONT in spec.ends else 0.0    # dt * mu may overflow where unread
         self.ell = min(self.kernel.interaction_length(), 25.0)
         self.front_floor = FRONT_TOL * max(spec.u_cap(), 1e-300)
         if self.right == WALL:
@@ -326,26 +327,24 @@ class _Engine:
 
     # -- quadrature ----------------------------------------------------------
 
-    def _pieces(self) -> quadrature.Pieces:
-        """Trapezoid weights over the active nodes plus the partial front cells.
-
-        g is -inf and h stays h0 at an end without a front, so an open end
-        clips to the grid edge and a right wall sits at h0."""
+    def _window(self):
+        """(p, u, x, wu): the window's pieces, field, nodes and u * p.w.  g is
+        -inf and h stays h0 at an end without a front, so an open end and a left
+        wall (a grid from x = 0) clip to the grid edge and a right wall is h0."""
         st = self.state
-        return quadrature.pieces(st.x0, self.dx, st.u,
-                                 0.0 if self.left == WALL else st.g,
-                                 math.inf if self.right == OPEN else st.h,
-                                 lo_end=0.0 if self.left == FRONT else None,
-                                 hi_end=0.0 if self.right == FRONT else None)
+        p = quadrature.pieces(st.x0, self.dx, st.u, st.g,
+                              math.inf if self.right == OPEN else st.h,
+                              lo_end=0.0 if self.left == FRONT else None,
+                              hi_end=0.0 if self.right == FRONT else None)
+        u = st.u[p.sl]
+        return p, u, self.x[p.sl], u * p.w
 
     def _rhs(self):
         """(sl, rate, flux_r, flux_l): the window's slice, the rate on its nodes
         and the front fluxes of the current state."""
         st, spec, kernel, dx = self.state, self.spec, self.kernel, self.dx
-        p = self._pieces()
+        p, u, x, wu = self._window()
         sl = p.sl
-        u, x = st.u[sl], self.x[sl]
-        wu = u * p.w
         sink = self.sink[sl] if self.left == WALL else self.sink
         rate = (spec.d * quadrature.window_integral(kernel, self.conv, x, wu, p.cells)
                 - sink * u + spec.reaction.f(u))
@@ -358,20 +357,27 @@ class _Engine:
 
     def _advance(self, sl: slice, rate, flux_r: float, flux_l: float, dt: float):
         """u += dt * rate on the window sl, clipped at 0; the fronts move by
-        dt * mu * flux, and window nodes they leave outside fall to 0."""
+        dt * mu * flux (0 at an end without a front, so h0 and -inf stay), and
+        window nodes they leave outside fall to 0.  A move past the kernel's
+        reach ell raises first: a flux taken there would see no field."""
         st = self.state
+        dh, dg = dt * self.mu * flux_r, dt * self.mu * flux_l
+        if dh > self.ell or dg > self.ell:
+            move = max(dh, dg)
+            raise ConvergenceError(f"a front move of {move:.6g} at t = {st.t:g} goes past the "
+                                   f"kernel's reach ell = {self.ell:.6g}; lower solver.dt",
+                                   diagnostics={"t": st.t, "dt": dt, "move": move,
+                                                "ell": self.ell, "h": st.h, "g": st.g})
         u = st.u[sl]
         u += dt * rate
         np.maximum(u, 0.0, out=u)
         st.t += dt
-        if self.right == FRONT:
-            st.h += dt * self.spec.mu * flux_r
-            if sl.stop > sl.start and self.x[sl.stop - 1] >= st.h:       # x >= h
-                st.u[self.x.searchsorted(st.h):sl.stop] = 0.0
-        if self.left == FRONT:
-            st.g -= dt * self.spec.mu * flux_l
-            if sl.stop > sl.start and self.x[sl.start] <= st.g:          # x <= g
-                st.u[sl.start:self.x.searchsorted(st.g, "right")] = 0.0
+        st.h += dh
+        st.g -= dg
+        if self.right == FRONT and sl.stop > sl.start and self.x[sl.stop - 1] >= st.h:
+            st.u[self.x.searchsorted(st.h):sl.stop] = 0.0                # x >= h
+        if self.left == FRONT and sl.stop > sl.start and self.x[sl.start] <= st.g:
+            st.u[sl.start:self.x.searchsorted(st.g, "right")] = 0.0      # x <= g
 
     def step_once(self, dt: float):
         sl, rate, flux_r, flux_l = self._rhs()
@@ -391,16 +397,14 @@ class _Engine:
         """The values of ``TrajectoryLog._observed`` at the current state; the
         flux is the one the next step moves the right front by."""
         st = self.state
-        p = self._pieces()
-        u, x = st.u[p.sl], self.x[p.sl]
-        wu = u * p.w
+        p, u, x, wu = self._window()
         mass = float(np.sum(wu)) * self.dx + sum(c.area for c in p.cells)
         rint = float(np.sum(self.spec.reaction.f(u) * p.w)) * self.dx
         for c in p.cells:
             # midpoint value of f on the partial end cell
             width = c.area / c.mean if c.mean > 0.0 else 0.0
             rint += width * float(self.spec.reaction.f(c.mean))
-        sup = float(np.max(st.u)) if len(st.u) else 0.0
+        sup = float(np.max(st.u))
         fr = 0.0
         if self.right == FRONT:
             fr = quadrature.front_flux(self.kernel, st.h, x, wu, self.dx, p.cells)

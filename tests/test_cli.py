@@ -1,5 +1,7 @@
 import json
 import os
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,6 +17,7 @@ def write_cfg(tmp_path, payload, name="cfg.json"):
     return str(path)
 
 
+README = Path(__file__).resolve().parents[1] / "README.md"
 BASE = {"problem": {"h0": 5.0},
         "solver": {"dx": 0.1, "dt": 0.05, "t_end": 2.0, "log_every": 0.5}}
 
@@ -89,6 +92,45 @@ def test_stationary_failure_writes_newton_runs(tmp_path, monkeypatch):
     assert "newton_residuals" not in diagnostics and "residual" in diagnostics
     assert [(r["mu"], r["residuals"]) for r in diagnostics["newton_runs"]] == [(0.0, [1.0])]
     assert set(diagnostics["newton_runs"][0]) == {"dx", "L", "mu", "residuals"}
+
+
+def test_readme_example_runs_as_documented(tmp_path, monkeypatch):
+    # the README's scenario file and command block, line by line
+    text = README.read_text()
+    scenario = text.split("```json\n", 1)[1].split("```", 1)[0]
+    block = text.split("## Command line\n\n```bash\n", 1)[1].split("```", 1)[0]
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "scenario.json").write_text(scenario)
+    codes = {}
+    for line in block.replace("\\\n", " ").splitlines():
+        argv = shlex.split(line)
+        assert argv[0] == "nlfront"
+        codes[argv[1]] = main(argv[1:])
+    # verify's mass-flux residual accumulates with T and fails its absolute tolerance
+    assert codes == {"simulate": 0, "semiwave": 0, "rates": 0, "verify": 3,
+                     "sweep": 0, "report": 0}
+    mass_flux = json.loads((tmp_path / "checks" / "verify.json").read_text())["mass_flux"]
+    assert mass_flux["residual"] > 1e-3 and mass_flux["passed"] is False
+    points = [f"study/p00{i}" for i in range(3)]
+    for out in ["run1", "sw", "fits", "checks", "study", *points]:
+        assert (tmp_path / out / "resolved_config.json").exists(), out
+    for path in ["run1/trajectory.csv", "run1/snapshot_200.000000.csv", "sw/profile.csv",
+                 "sw/semiwave.json", "fits/rates.json", "checks/verify.json",
+                 "study/summary.json", *(f"{p}/trajectory.csv" for p in points),
+                 "summary/report.json"]:
+        assert (tmp_path / path).exists(), path
+
+
+def test_front_past_the_kernels_reach_exits_2(tmp_path):
+    # at the default dt, mu = 1000 moves the front past ell = 1 in one step
+    out = tmp_path / "fast"
+    assert main(["simulate", "--out", str(out), "--set", "problem.mu=1000"]) == 2
+    error = _strict_json(out / "error.json")
+    assert error["error"] == "ConvergenceError"
+    assert "past the kernel's reach" in error["message"] and "solver.dt" in error["message"]
+    diag = error["diagnostics"]
+    assert set(diag) == {"t", "dt", "move", "ell", "h", "g"}
+    assert diag["move"] > diag["ell"] == 1.0 and diag["g"] is None
 
 
 def test_stability_override_rejected(tmp_path, capsys):

@@ -293,6 +293,17 @@ def test_truncate_mass_increases_to_one():
     assert tr.tail_mass(0.0) == pytest.approx(val, rel=1e-9)
 
 
+def test_truncated_tail_is_never_negative():
+    # near 2n the taper band's closed-form terms cancel; the tail is clamped at 0
+    assert truncate(AlgebraicTail(1.5), 4.0).tail_mass(8.0 - 1e-8) == 0.0
+    bases = [AlgebraicTail(1.5), AlgebraicTail(2.5, 0.3), LightExponential(1.0),
+             CompactCosine(1.0), CompactUniform(3.0), CompactUniform(7.0)]
+    for base in bases:
+        for n in (0.5, 4.0, 20.0, 100.0):
+            s = 2.0 * n - np.geomspace(0.1, 1e-13, 2001)
+            assert np.all(truncate(base, n).tail_mass(s) >= 0.0), (base, n)
+
+
 def test_truncate_pointwise_monotone_in_n():
     k = AlgebraicTail(2.0, 1.0)
     xs = np.linspace(0.0, 30.0, 301)

@@ -81,7 +81,7 @@ def test_stepper_matches_pointwise_operators(variant, kernel, dx, grown=False):
         eng._grow(eng.x[0], eng.x[-1])             # the run's growth rule, on both sides
         assert len(st.u) > n and eng.conv is not conv
     sl, rate, flux_r, _ = eng._rhs()
-    p = eng._pieces()
+    p = eng._window()[0]
     assert p.cells and sl == p.sl
 
     u = st.as_field()

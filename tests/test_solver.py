@@ -292,7 +292,7 @@ def test_boundary_table(variant):
 
     eng.state = st
     eng._refresh_taps()
-    p = eng._pieces()
+    p = eng._window()[0]
     x = eng.x
     lo, hi = window(st, x)
     assert lo - 1e-9 <= x[p.i_lo] < lo + cfg.dx
@@ -429,6 +429,32 @@ def test_run_stops_on_nonfinite_state(variant):
     assert log.truncated and len(log.t) >= 1
     assert np.all(np.isfinite(log.sup_u)) and np.all(np.isfinite(log.h))
     assert err.value.diagnostics["t"] < 2.0
+
+
+@pytest.mark.parametrize("scheme", ["euler", "rk2"])
+def test_front_may_not_outrun_its_kernel(scheme):
+    # at mu = 1000 and dt = 0.05 a (half) step would move the front 4.16
+    # (2.08), past ell = 1, where the next flux sees no field and reads 0:
+    # RK2's front would freeze at h0 and Euler's leap; the step raises first
+    spec = halfline_spec(h0=2.0, mu=1000.0)
+    with pytest.raises(ConvergenceError, match="past the kernel's reach") as err:
+        run(spec, SolverConfig(dx=0.05, dt=0.05, t_end=5.0, scheme=scheme))
+    diag = err.value.diagnostics
+    assert set(diag) == {"t", "dt", "move", "ell", "h", "g"}
+    assert diag["move"] > diag["ell"] == 1.0 and diag["h"] == 2.0 and diag["t"] == 0.0
+    assert err.value.partial.final_state.h == 2.0 and err.value.partial.final_state.t == 0.0
+    # a step that keeps each move within ell still runs, near the converged h(5) = 7.2356
+    log = run(spec, SolverConfig(dx=0.05, dt=0.01, t_end=5.0, scheme=scheme))
+    assert log.h[-1] == pytest.approx({"euler": 7.2130, "rk2": 7.2320}[scheme], abs=1e-4)
+
+
+def test_unread_mu_moves_no_front():
+    # cauchy-full has no front: mu = 1e308 at dt = 12.5 overflows dt * mu, and
+    # the ends still move by 0 * flux, not by inf * 0
+    spec = ProblemSpec(variant="cauchy-full", kernel=CompactUniform(1.0),
+                       reaction=zero_reaction(), d=0.01, h0=2.0, mu=1e308)
+    st = run(spec, SolverConfig(dx=0.1, t_end=25.0)).final_state
+    assert st.t == 25.0 and st.h == 2.0 and st.g == -math.inf
 
 
 # in-place stepping ------------------------------------------------------------
